@@ -30,7 +30,6 @@ from .liouville import (
     gram_tensor_power,
     gram_triple,
     product_family,
-    vectorize,
 )
 from .numerics import TOP_EIGENSPACE_RTOL, largest_eigval_psd
 
@@ -130,15 +129,19 @@ def lower_bound_from_state(rho: np.ndarray, rho_prime: np.ndarray) -> BoundResul
     return _bound_from_vectors(m.reshape(-1), mp.reshape(-1))
 
 
+def channel_output(family: ChannelFamily, x: float, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi(x)[rho_0], Phi'(x)[rho_0]) for a checked rho_0, in one pass."""
+    m = _check_density(rho0)
+    rho_vec, prime_vec = family.apply_with_derivative(x, m)
+    return rho_vec.reshape(m.shape), prime_vec.reshape(m.shape)
+
+
 def lower_bound_from_channel(
     family: ChannelFamily, x: float, rho0: np.ndarray
 ) -> BoundResult:
     """The bound computed at the channel level: rho_x = Phi(x)[rho_0]."""
-    m = _check_density(rho0)
-    r0 = vectorize(m)
-    rho_vec = family.evaluate(x).apply(r0).amplitudes
-    prime_vec = family.derivative_at(x).apply(r0).amplitudes
-    return _bound_from_vectors(rho_vec, prime_vec)
+    rho, rho_prime = channel_output(family, x, rho0)
+    return _bound_from_vectors(rho.reshape(-1), rho_prime.reshape(-1))
 
 
 def associated_qfi(rho: np.ndarray, rho_prime: np.ndarray) -> float:
@@ -229,9 +232,8 @@ def max_bound_over_states(
         norm_bound = float(np.max(values)) if values.size else 0.0
         if norm_bound > 0.0:
             idx = np.flatnonzero(values >= norm_bound * (1.0 - TOP_EIGENSPACE_RTOL))
-            basis = np.eye(dim)
             vectors = [
-                LiouvilleVector(amplitudes=basis[:, i], hilbert_dim=gram.hilbert_dim)
+                LiouvilleVector(amplitudes=np.eye(1, dim, i), hilbert_dim=gram.hilbert_dim)
                 for i in idx
             ]
         else:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -384,6 +385,25 @@ class InterferometerSpec:
             raise ValueError(f"transmissivity must lie in [0, 1], got {self.eta}")
 
 
+def loss_weight_rows(n_max: int, eta: float, max_level: int) -> Iterator[np.ndarray]:
+    """Yield W[k, :max_level+1] for k = 0..n_max, where W[k, l] =
+    C(k, l) eta^{k-l} (1-eta)^l is the chance that k photons lose l (0 for l > k).
+
+    Each row follows from the last by W[k, l] = eta W[k-1, l] + (1-eta) W[k-1, l-1];
+    the entries stay in [0, 1], so nothing overflows at any photon number.
+    """
+    row = np.eye(1, max_level + 1)[0]
+    for _ in range(n_max):
+        yield row
+        row = eta * row + np.append(0.0, (1.0 - eta) * row[:-1])
+    yield row
+
+
+def loss_weights(n_max: int, eta: float) -> np.ndarray:
+    """The (n_max+1)^2 matrix W of :func:`loss_weight_rows`."""
+    return np.array(list(loss_weight_rows(n_max, eta, n_max)))
+
+
 def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
     """Kraus operators of the photon-loss channel on a truncated Fock space.
 
@@ -394,19 +414,8 @@ def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     if n_max < 0 or n_max != int(n_max):
         raise ValueError(f"n_max must be an integer >= 0, got {n_max}")
-    dim = n_max + 1
-    ops = []
-    for level in range(dim):
-        k_op = np.zeros((dim, dim))
-        for k in range(level, dim):
-            weight = (
-                math.comb(k, level)
-                * eta ** (k - level)
-                * (1.0 - eta) ** level
-            )
-            k_op[k - level, k] = math.sqrt(weight)
-        ops.append(k_op)
-    return ops
+    amplitudes = np.sqrt(loss_weights(n_max, eta))
+    return [np.diag(amplitudes[level:, level], k=level) for level in range(n_max + 1)]
 
 
 def interferometer_family(spec: InterferometerSpec) -> ChannelFamily:

@@ -8,8 +8,9 @@ exception: each ``max_violation`` in the ``verify`` report is measured
 floating-point round-off, whose digits can differ with the BLAS build and
 its thread count.  It is gated by its tolerance, not reproduced.
 
-Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 numeric-resource error (dimension budget or Fock truncation).
+Exit codes: 0 success, 1 verification failure, 2 validation error or any
+other uncaught exception, 3 numeric-resource error (dimension budget or Fock
+truncation).  An exception never exits with 1.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bound import ghz_state, lower_bound_from_channel
+from .bound import channel_output, ghz_state, lower_bound_from_state
 from .channels import (
     EXPONENTIAL_FORM,
     TRUNCATED_FORM,
@@ -33,12 +34,8 @@ from .channels import (
     phase_covariant_family,
     rotation_family,
 )
-from .errors import (
-    DimensionBudgetExceeded,
-    QfiboundError,
-    TruncationInsufficient,
-)
-from .liouville import product_family, vectorize
+from .errors import DimensionBudgetExceeded, TruncationInsufficient
+from .liouville import product_family
 from .metrology import (
     PrecisionConfig,
     ecs_lower_bound_closed,
@@ -408,11 +405,8 @@ def _run_bound(opts: dict) -> tuple[dict, list[str], list[list]]:
             rho0 = np.load(state_arg)
         except OSError as exc:
             raise _UsageError(f"cannot load state file {state_arg!r}: {exc}")
-    prod = product_family(family, n)
-    result = lower_bound_from_channel(prod, omega, rho0)
-    vec = vectorize(np.asarray(rho0, dtype=complex))
-    rho = prod.evaluate(omega).apply(vec).devectorize()
-    rho_prime = prod.derivative_at(omega).apply(vec).devectorize()
+    rho, rho_prime = channel_output(product_family(family, n), omega, rho0)
+    result = lower_bound_from_state(rho, rho_prime)
     f_exact = exact_qfi(rho, rho_prime).qfi
     ratio = result.f_lower / f_exact if f_exact > 1e-300 else None
     meta = {
@@ -564,10 +558,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve_options(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "verify":
             report = run_verification(
                 int(opts["seed"]), corrupt_channels=bool(opts["corrupt_channels"])
@@ -588,13 +578,10 @@ def main(argv: list[str] | None = None) -> int:
             content = render_csv(meta, columns, rows)
         _emit(content, opts["output"])
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TruncationInsufficient, DimensionBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (QfiboundError, ValueError, OSError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

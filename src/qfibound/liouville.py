@@ -2,10 +2,10 @@
 
 Operators on a d-dimensional Hilbert space are flattened row-major, so the
 basis element |mu><nu| sits at index mu*d + nu.  Channels become d^2 x d^2
-matrices ("superoperators") acting on these vectors; a Kronecker power of a
-channel acts on the tensor-product space with the *same* global row-major
-convention, which requires an index permutation relative to the naive
-Kronecker power (see :func:`tensor_power`).
+matrices ("superoperators") acting on these vectors.  An N-fold product
+channel acts on a composite vector site by site, on axes (i, N+i) of the
+vector reshaped to (mu_1..mu_N, nu_1..nu_N); its dense Kronecker power
+needs an index permutation relative to the naive one (see :func:`tensor_power`).
 
 The Gram matrix of a differentiable channel family x -> Phi(x) is
 G = Phi'^dag Phi'.  For an N-fold product channel the product rule expands
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -181,9 +182,7 @@ class Superoperator:
         return out
 
     def dagger(self) -> "Superoperator":
-        if self._diag is not None:
-            return Superoperator(diag=self._diag.conj())
-        return Superoperator(self._matrix.conj().T)
+        return _superop((self._diag if self.is_diagonal else self._matrix).conj().T)
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """The map self . other (other acts first)."""
@@ -191,14 +190,27 @@ class Superoperator:
             raise DimensionMismatch(
                 f"cannot compose maps on dims {self.hilbert_dim} and {other.hilbert_dim}"
             )
+        a, b = _site_arrays(self, other)
         tp = self.trace_preserving and other.trace_preserving
-        if self.is_diagonal and other.is_diagonal:
-            return Superoperator(diag=self._diag * other._diag, trace_preserving=tp)
-        return Superoperator(self.matrix @ other.matrix, trace_preserving=tp)
+        return _superop(a * b if a.ndim == 1 else a @ b, tp)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "diagonal" if self.is_diagonal else "dense"
         return f"Superoperator({kind}, hilbert_dim={self.hilbert_dim})"
+
+
+def _superop(arr: np.ndarray, trace_preserving: bool = False) -> Superoperator:
+    """The map whose diagonal (1-D) or dense matrix (2-D) is ``arr``."""
+    if arr.ndim == 1:
+        return Superoperator(diag=arr, trace_preserving=trace_preserving)
+    return Superoperator(arr, trace_preserving=trace_preserving)
+
+
+def _site_arrays(*ops: Superoperator) -> list[np.ndarray]:
+    """The diagonals when every map is diagonal, else the dense matrices."""
+    if all(op.is_diagonal for op in ops):
+        return [op.diag for op in ops]
+    return [op.matrix for op in ops]
 
 
 @dataclass(frozen=True)
@@ -222,6 +234,13 @@ class ChannelFamily:
         if self.derivative is not None:
             return self.derivative(x)
         return finite_diff_superop(self, x, self.fd_step)
+
+    def apply_with_derivative(
+        self, x: float, v: "LiouvilleVector | np.ndarray"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The amplitude pair (Phi(x) v, Phi'(x) v)."""
+        amps = _amplitudes(v)
+        return self.evaluate(x).apply(amps), self.derivative_at(x).apply(amps)
 
 
 def superop_from_kraus(
@@ -261,23 +280,28 @@ def site_permutation(d: int, n: int) -> np.ndarray:
     n-fold Kronecker-power ordering (site 0 most significant, each site
     contributing its own pair digit d*mu_i + nu_i).
     """
-    dim = d**n
-    g = np.arange(dim * dim)
-    mu, nu = np.divmod(g, dim)
-    s = np.zeros_like(g)
-    for i in range(n):
-        shift = d ** (n - 1 - i)
-        mu_i = (mu // shift) % d
-        nu_i = (nu // shift) % d
-        s = s * (d * d) + (d * mu_i + nu_i)
-    return s
+    site_major = np.arange(d ** (2 * n)).reshape((d,) * (2 * n))
+    # axes (mu_1, nu_1, ..., mu_n, nu_n) -> (mu_1..mu_n, nu_1..nu_n)
+    return site_major.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1)
 
 
-def _budget_rows(rows: int) -> None:
-    if rows > MAX_DENSE_ROWS:
+def _checked_power(n: int, d: int | None = None) -> int:
+    """Validate an N-fold exponent and, given the site dim d, the dense budget."""
+    if n < 1 or n != int(n):
+        raise ValueError(f"tensor power requires integer n >= 1, got {n}")
+    n = int(n)
+    rows = (d * d) ** n if d is not None else 1
+    if n > 1 and rows > MAX_DENSE_ROWS:
         raise DimensionBudgetExceeded(
             f"tensor power needs {rows} Liouville rows; budget is {MAX_DENSE_ROWS}"
         )
+    return n
+
+
+def _to_global(out: np.ndarray, d: int, n: int, trace_preserving: bool = False) -> Superoperator:
+    """Re-index a site-major Kronecker power (diagonal or dense) to row-major."""
+    perm = site_permutation(d, n)
+    return _superop(out[perm] if out.ndim == 1 else out[np.ix_(perm, perm)], trace_preserving)
 
 
 def tensor_power(s: Superoperator, n: int) -> Superoperator:
@@ -287,27 +311,11 @@ def tensor_power(s: Superoperator, n: int) -> Superoperator:
     result here is re-indexed so that it acts on vectorize() of composite
     operators directly.
     """
-    if n < 1 or n != int(n):
-        raise ValueError(f"tensor power requires integer n >= 1, got {n}")
-    n = int(n)
+    n = _checked_power(n, s.hilbert_dim)
     if n == 1:
         return s
-    rows = (s.hilbert_dim**2) ** n
-    _budget_rows(rows)
-    perm = site_permutation(s.hilbert_dim, n)
-    if s.is_diagonal:
-        diag = s.diag
-        out = diag
-        for _ in range(n - 1):
-            out = np.kron(out, diag)
-        return Superoperator(diag=out[perm], trace_preserving=s.trace_preserving)
-    mat = s.matrix
-    out = mat
-    for _ in range(n - 1):
-        out = np.kron(out, mat)
-    return Superoperator(
-        out[np.ix_(perm, perm)], trace_preserving=s.trace_preserving
-    )
+    base = s.diag if s.is_diagonal else s.matrix
+    return _to_global(reduce(np.kron, [base] * n), s.hilbert_dim, n, s.trace_preserving)
 
 
 @dataclass(frozen=True)
@@ -365,22 +373,12 @@ def gram_tensor_power(triple: GramTriple, n: int) -> Superoperator:
     both sums are accumulated in one left-to-right recursion.  Output is in
     the global row-major basis.
     """
-    if n < 1 or n != int(n):
-        raise ValueError(f"tensor power requires integer n >= 1, got {n}")
-    n = int(n)
+    d = triple.a.hilbert_dim
+    n = _checked_power(n, d)
     if n == 1:
         return triple.b
-    d = triple.a.hilbert_dim
-    rows = (d**2) ** n
-    _budget_rows(rows)
-    perm = site_permutation(d, n)
-    diagonal = triple.a.is_diagonal and triple.b.is_diagonal and triple.c.is_diagonal
-    if diagonal:
-        a, b, c = triple.a.diag, triple.b.diag, triple.c.diag
-        cd = c.conj()
-    else:
-        a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
-        cd = c.conj().T
+    a, b, c = _site_arrays(triple.a, triple.b, triple.c)
+    cd = c.conj().T
     apow = a
     one_site = b  # all placements of a single b factor
     left_c = c  # all placements of a single c factor
@@ -392,10 +390,7 @@ def gram_tensor_power(triple: GramTriple, n: int) -> Superoperator:
         left_c = np.kron(left_c, a) + np.kron(apow, c)
         left_cd = np.kron(left_cd, a) + np.kron(apow, cd)
         apow = np.kron(apow, a)
-    total = one_site + cross
-    if diagonal:
-        return Superoperator(diag=total[perm])
-    return Superoperator(total[np.ix_(perm, perm)])
+    return _to_global(one_site + cross, d, n)
 
 
 def tensor_power_derivative(
@@ -407,53 +402,74 @@ def tensor_power_derivative(
     sum_i Phi x ... x Phi'_(site i) x ... x Phi in the global row-major
     basis.
     """
-    if n < 1 or n != int(n):
-        raise ValueError(f"tensor power requires integer n >= 1, got {n}")
-    n = int(n)
+    n = _checked_power(n, value.hilbert_dim)
     if value.hilbert_dim != deriv.hilbert_dim:
         raise DimensionMismatch(
             f"value and derivative dims differ: {value.hilbert_dim} vs {deriv.hilbert_dim}"
         )
     if n == 1:
         return deriv
-    rows = (value.hilbert_dim**2) ** n
-    _budget_rows(rows)
-    perm = site_permutation(value.hilbert_dim, n)
-    if value.is_diagonal and deriv.is_diagonal:
-        base, dbase = value.diag, deriv.diag
-        cur, dcur = base, dbase
-        for _ in range(n - 1):
-            dcur = np.kron(dcur, base) + np.kron(cur, dbase)
-            cur = np.kron(cur, base)
-        return Superoperator(diag=dcur[perm])
-    base, dbase = value.matrix, deriv.matrix
+    base, dbase = _site_arrays(value, deriv)
     cur, dcur = base, dbase
     for _ in range(n - 1):
         dcur = np.kron(dcur, base) + np.kron(cur, dbase)
         cur = np.kron(cur, base)
-    return Superoperator(dcur[np.ix_(perm, perm)])
+    return _to_global(dcur, value.hilbert_dim, n)
+
+
+def _apply_site(site: np.ndarray, w: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Apply a site map, reshaped to (mu', nu', mu, nu), on axes (i, n+i) of w."""
+    out = np.tensordot(site, w, axes=([2, 3], [i, n + i]))
+    return np.moveaxis(out, [0, 1], [i, n + i])
+
+
+@dataclass(frozen=True, kw_only=True)
+class _ProductFamily(ChannelFamily):
+    """x -> Phi(x)^xN whose action on a vector never forms the N-fold power."""
+
+    site: ChannelFamily
+    n: int
+
+    def apply_with_derivative(
+        self, x: float, v: "LiouvilleVector | np.ndarray"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi^xN v, (Phi^xN)' v), applied site by site.
+
+        Value and derivative advance together by the forward-mode product
+        rule w1 <- Phi w1 + Phi' w0, then w0 <- Phi w0.
+        """
+        amps, n = _amplitudes(v), self.n
+        phi, dphi = self.site.evaluate(x), self.site.derivative_at(x)
+        d = phi.hilbert_dim
+        if amps.size != d ** (2 * n):
+            raise DimensionMismatch(
+                f"vector of length {amps.size} does not match {n} sites of Hilbert dim {d}"
+            )
+        phi, dphi = phi.matrix.reshape(d, d, d, d), dphi.matrix.reshape(d, d, d, d)
+        w0 = amps.reshape((d,) * (2 * n))
+        w1 = np.zeros_like(w0)
+        for i in range(n):
+            w1 = _apply_site(phi, w1, i, n) + _apply_site(dphi, w0, i, n)
+            w0 = _apply_site(phi, w0, i, n)
+        return w0.reshape(-1), w1.reshape(-1)
 
 
 def product_family(family: ChannelFamily, n: int) -> ChannelFamily:
     """The N-fold product family x -> Phi(x)^xN with product-rule derivative."""
+    n = _checked_power(n)
     if n == 1:
         return family
-
-    def evaluate(x: float) -> Superoperator:
-        return tensor_power(family.evaluate(x), n)
-
-    def derivative(x: float) -> Superoperator:
-        return tensor_power_derivative(family.evaluate(x), family.derivative_at(x), n)
-
-    return ChannelFamily(evaluate=evaluate, derivative=derivative)
+    return _ProductFamily(
+        evaluate=lambda x: tensor_power(family.evaluate(x), n),
+        derivative=lambda x: tensor_power_derivative(family.evaluate(x), family.derivative_at(x), n),
+        site=family,
+        n=n,
+    )
 
 
 def finite_diff_superop(family: ChannelFamily, x: float, h: float) -> Superoperator:
     """Central-difference derivative (Phi(x+h) - Phi(x-h)) / 2h."""
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    plus = family.evaluate(x + h)
-    minus = family.evaluate(x - h)
-    if plus.is_diagonal and minus.is_diagonal:
-        return Superoperator(diag=(plus.diag - minus.diag) / (2.0 * h))
-    return Superoperator((plus.matrix - minus.matrix) / (2.0 * h))
+    plus, minus = _site_arrays(family.evaluate(x + h), family.evaluate(x - h))
+    return _superop((plus - minus) / (2.0 * h))

@@ -24,6 +24,8 @@ from .channels import (
     ShortTimeModel,
     correlated_dephasing_family,
     loss_kraus,
+    loss_weight_rows,
+    loss_weights,
 )
 from .errors import (
     IndexOutOfRange,
@@ -254,17 +256,6 @@ def precision_scaling(
 # lossy interferometer: optimal Fock superposition |N> + |m>
 
 
-def _loss_weights(n_photons: int, eta: float) -> np.ndarray:
-    """W[k, l] = C(k, l) eta^{k-l} (1-eta)^l (zero for l > k)."""
-    w = np.zeros((n_photons + 1, n_photons + 1))
-    for k in range(n_photons + 1):
-        for level in range(k + 1):
-            w[k, level] = (
-                math.comb(k, level) * eta ** (k - level) * (1.0 - eta) ** level
-            )
-    return w
-
-
 def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> float:
     """Gram diagonal for the |k><m| coherence under loss + phase encoding.
 
@@ -280,14 +271,12 @@ def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> floa
             raise IndexOutOfRange(
                 f"{name} = {idx} outside the Fock range 0..{n_photons}"
             )
-    total = sum(
-        math.comb(k, level)
-        * math.comb(m, level)
-        * eta ** (k + m - 2 * level)
-        * (1.0 - eta) ** (2 * level)
-        for level in range(min(k, m) + 1)
-    )
-    return float((k - m) ** 2 * total)
+    low, high = sorted((k, m))
+    for level, row in enumerate(loss_weight_rows(high, eta, low)):
+        if level == low:
+            w_low = row
+    # the loop ends on row `high`; levels above `low` add nothing to the sum
+    return float((k - m) ** 2 * (row @ w_low))
 
 
 def interferometer_optimal_m(n_photons: int, eta: float) -> int:
@@ -301,7 +290,7 @@ def interferometer_optimal_m(n_photons: int, eta: float) -> int:
         raise ValueError(f"photon number must be >= 1, got {n_photons}")
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
-    w = _loss_weights(n_photons, eta)
+    w = loss_weights(n_photons, eta)
     overlap = w @ w.T
     levels = np.arange(n_photons + 1)
     diag = (levels[:, None] - levels[None, :]).astype(float) ** 2 * overlap

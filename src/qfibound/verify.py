@@ -15,6 +15,7 @@ import numpy as np
 from .bound import (
     analytic_max_phase_covariant,
     associated_qfi,
+    channel_output,
     ghz_state,
     lower_bound_from_channel,
     lower_bound_from_state,
@@ -30,7 +31,7 @@ from .channels import (
     rotation_family,
 )
 from .errors import CptpViolation, RangeViolation
-from .liouville import ChannelFamily, Superoperator, product_family, vectorize
+from .liouville import ChannelFamily, Superoperator, product_family
 from .metrology import (
     correlated_gram_max,
     ecs_lower_bound_closed,
@@ -121,13 +122,6 @@ def _result(name: str, violation: float, tolerance: float, detail: str) -> Check
     )
 
 
-def _apply_family(family: ChannelFamily, x: float, rho0: np.ndarray):
-    vec = vectorize(rho0)
-    rho = family.evaluate(x).apply(vec).devectorize()
-    rho_prime = family.derivative_at(x).apply(vec).devectorize()
-    return rho, rho_prime
-
-
 def _check_half_qfi(rng: np.random.Generator, corrupt: bool) -> CheckResult:
     worst = 0.0
     n_instances = 20
@@ -139,7 +133,7 @@ def _check_half_qfi(rng: np.random.Generator, corrupt: bool) -> CheckResult:
         rho0 = random_pure_state(rng, dim)
         x = float(rng.uniform(-1.0, 1.0))
         f_lower = lower_bound_from_channel(family, x, rho0).f_lower
-        rho, rho_prime = _apply_family(family, x, rho0)
+        rho, rho_prime = channel_output(family, x, rho0)
         f_exact = exact_qfi(rho, rho_prime).qfi
         worst = max(worst, abs(f_lower - 0.5 * f_exact) / max(0.5 * f_exact, 1e-300))
     return _result(
@@ -159,7 +153,7 @@ def _check_orthogonality(rng: np.random.Generator, corrupt: bool) -> CheckResult
         if corrupt:
             family = corrupt_family(family)
         rho0 = random_pure_state(rng, dim)
-        rho, rho_prime = _apply_family(family, float(rng.uniform(-1.0, 1.0)), rho0)
+        rho, rho_prime = channel_output(family, float(rng.uniform(-1.0, 1.0)), rho0)
         worst = max(worst, abs(frobenius_inner(rho, rho_prime)))
     return _result(
         "pure-unitary-orthogonality",
@@ -180,7 +174,7 @@ def _check_bound_validity(rng: np.random.Generator, corrupt: bool) -> CheckResul
         rho0 = random_mixed_state(rng, dim)
         x = float(rng.uniform(-1.0, 1.0))
         f_lower = lower_bound_from_channel(family, x, rho0).f_lower
-        rho, rho_prime = _apply_family(family, x, rho0)
+        rho, rho_prime = channel_output(family, x, rho0)
         f_exact = exact_qfi(rho, rho_prime).qfi
         worst = max(worst, (f_lower - f_exact) / max(f_exact, 1.0))
     return _result(
@@ -250,7 +244,7 @@ def _check_additivity(rng: np.random.Generator, corrupt: bool) -> CheckResult:
             dim = 2
             family = random_unitary_family(rng, dim)
             rho0 = random_mixed_state(rng, dim)
-            parts.append(_apply_family(family, 0.4, rho0))
+            parts.append(channel_output(family, 0.4, rho0))
         (r1, d1), (r2, d2) = parts
         rho = np.kron(r1, r2)
         rho_prime = np.kron(d1, r2) + np.kron(r1, d2)
@@ -279,7 +273,7 @@ def _check_cfi_under_qfi(rng: np.random.Generator, corrupt: bool) -> CheckResult
         dim = int(rng.integers(2, 5))
         family = random_unitary_family(rng, dim)
         rho0 = random_mixed_state(rng, dim)
-        rho, rho_prime = _apply_family(family, 0.6, rho0)
+        rho, rho_prime = channel_output(family, 0.6, rho0)
         basis = random_unitary(rng, dim)
         povm = Povm(
             elements=tuple(

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qfibound import cli
 from qfibound.cli import main, render_csv, render_json
 from qfibound.verify import VERIFY_REPORT_SCHEMA
 
@@ -149,6 +150,14 @@ class TestInterferometerCommand:
     def test_probe_needs_both_indices(self, capsys):
         assert main(["interferometer", "--N", "2", "--k", "2"]) == 2
 
+    def test_large_photon_number_rows_are_finite(self, capsys):
+        # C(1100, l) does not fit a float; the loss weights must not need it
+        assert main(["interferometer", "--N", "1100", "--eta-list", "0.5,0.9,1.0"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.split(","))
+
     def test_scan_mode_columns(self, capsys):
         assert main(["interferometer", "--N", "20", "--eta-list", "1.0"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
@@ -233,6 +242,15 @@ class TestArgumentValidation:
 
     def test_negative_time_is_usage_error(self, capsys):
         assert main(["bound", "--channel", "dephasing", "--t", "-1.0"]) == 2
+
+    def test_uncaught_exception_exits_2_not_1(self, monkeypatch, capsys):
+        # exit code 1 means "verification failed"; a crash must never claim it
+        def crash(opts):
+            raise RuntimeError("unexpected failure")
+
+        monkeypatch.setitem(cli._RUNNERS, "sweep", crash)
+        assert main(["sweep"]) == 2
+        assert capsys.readouterr().err == "error: unexpected failure\n"
 
 
 class TestRenderers:

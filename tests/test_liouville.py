@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qfibound.channels import rotation_family, rotation_superop
+from qfibound.channels import (
+    named_noise,
+    phase_covariant_family,
+    rotation_family,
+    rotation_superop,
+)
 from qfibound.errors import (
     CompletenessViolation,
     DimensionBudgetExceeded,
@@ -14,6 +19,7 @@ from qfibound.errors import (
     NonHermitian,
 )
 from qfibound.liouville import (
+    MAX_DENSE_ROWS,
     ChannelFamily,
     GramTriple,
     LiouvilleVector,
@@ -30,6 +36,7 @@ from qfibound.liouville import (
     tensor_power_derivative,
     vectorize,
 )
+from qfibound.sampling import random_cptp_params, random_unitary_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -250,6 +257,68 @@ class TestGramTensorPower:
         g = gram_tensor_power(triple, 3)
         top = np.max(np.abs(g.diag.real)) if g.is_diagonal else np.max(np.linalg.eigvalsh(g.matrix))
         assert_allclose(top, 9.0 * t * t, rtol=1e-12)
+
+
+def _amplitude_damping():
+    return phase_covariant_family(0.8, named_noise("amplitude_damping", 0.5, 0.8))
+
+
+def _random_phase_covariant():
+    return phase_covariant_family(0.5, random_cptp_params(np.random.default_rng(7), 0.5))
+
+
+def _finite_difference():
+    return ChannelFamily(evaluate=_amplitude_damping().evaluate, derivative=None)
+
+
+def _qutrit_unitary():
+    return random_unitary_family(np.random.default_rng(11), 3)
+
+
+# name -> (family factory, site Hilbert dimension)
+_PRODUCT_FAMILIES = {
+    "amplitude-damping": (_amplitude_damping, 2),
+    "rotation": (lambda: rotation_family(0.9), 2),
+    "random-phase-covariant": (_random_phase_covariant, 2),
+    "finite-difference": (_finite_difference, 2),
+    "qutrit": (_qutrit_unitary, 3),
+}
+
+
+class TestProductAction:
+    """The site-by-site action of product_family against the dense powers."""
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [
+            (name, n)
+            for name, (_, d) in _PRODUCT_FAMILIES.items()
+            for n in (1, 2, 3, 4)
+            if (d * d) ** n <= MAX_DENSE_ROWS
+        ],
+    )
+    def test_matches_dense_oracle(self, name, n, rng):
+        family = _PRODUCT_FAMILIES[name][0]()
+        site = family.evaluate(0.4)
+        rows = site.hilbert_dim ** (2 * n)
+        v = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+        value, deriv = product_family(family, n).apply_with_derivative(0.4, v)
+        oracle = tensor_power(site, n).apply(v)
+        d_oracle = tensor_power_derivative(site, family.derivative_at(0.4), n).apply(v)
+        assert_allclose(value, oracle, rtol=0, atol=1e-12)
+        assert_allclose(deriv, d_oracle, rtol=0, atol=1e-12)
+
+    def test_accepts_liouville_vector(self, rng):
+        rho = random_density(rng, 4)
+        prod = product_family(rotation_family(0.9), 2)
+        from_vector = prod.apply_with_derivative(0.4, vectorize(rho))
+        from_array = prod.apply_with_derivative(0.4, rho.reshape(-1))
+        for got, want in zip(from_vector, from_array):
+            assert_allclose(got, want, rtol=0, atol=0)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            product_family(rotation_family(0.9), 3).apply_with_derivative(0.4, np.ones(16))
 
 
 class TestFamilies:

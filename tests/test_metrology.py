@@ -176,6 +176,15 @@ class TestInterferometerGram:
     def test_zero_on_diagonal(self):
         assert interferometer_gram_diag(5, 0.7, 3, 3) == 0.0
 
+    def test_far_level_matches_binomial_sum(self):
+        # only the levels l <= min(k, m) enter, however large k is
+        k, m, eta = 20_000, 3, 0.9995
+        direct = sum(
+            math.comb(k, l) * math.comb(m, l) * eta ** (k + m - 2 * l) * (1 - eta) ** (2 * l)
+            for l in range(m + 1)
+        )
+        assert_allclose(interferometer_gram_diag(k, eta, k, m), (k - m) ** 2 * direct, rtol=1e-9)
+
     def test_lossless_coherence(self):
         # eta = 1 keeps only l = 0: value (k - m)^2
         assert_allclose(interferometer_gram_diag(6, 1.0, 6, 0), 36.0)
