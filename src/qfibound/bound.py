@@ -17,19 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionBudgetExceeded,
     InvalidState,
     NonTraceless,
     NoPhysicalState,
     ZeroOperator,
 )
 from .liouville import (
-    MAX_DENSE_ROWS,
     ChannelFamily,
     LiouvilleVector,
     gram_tensor_power,
     gram_triple,
     product_family,
+    require_budget,
 )
 from .numerics import TOP_EIGENSPACE_RTOL, largest_eigval_psd
 
@@ -106,9 +105,15 @@ def _check_derivative(rho_prime: np.ndarray, *, tol: float = STATE_TOL) -> np.nd
 
 
 def _bound_from_vectors(rho_vec: np.ndarray, prime_vec: np.ndarray) -> BoundResult:
-    term_grad = float(np.vdot(prime_vec, prime_vec).real)
-    overlap = complex(np.vdot(rho_vec, prime_vec))
-    purity = float(np.vdot(rho_vec, rho_vec).real)
+    return _bound_from_products(
+        term_grad=float(np.vdot(prime_vec, prime_vec).real),
+        overlap=complex(np.vdot(rho_vec, prime_vec)),
+        purity=float(np.vdot(rho_vec, rho_vec).real),
+    )
+
+
+def _bound_from_products(term_grad: float, overlap: complex, purity: float) -> BoundResult:
+    """The bound from (rho'|rho'), (rho|rho') and (rho|rho)."""
     if purity <= 0.0:
         raise InvalidState("state has vanishing Hilbert-Schmidt norm")
     term_proj = abs(overlap) ** 2 / purity
@@ -127,6 +132,36 @@ def lower_bound_from_state(rho: np.ndarray, rho_prime: np.ndarray) -> BoundResul
     if m.shape != mp.shape:
         raise InvalidState(f"shape mismatch: {m.shape} vs {mp.shape}")
     return _bound_from_vectors(m.reshape(-1), mp.reshape(-1))
+
+
+def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
+    """The bound for rho = V V^dag and rho' = V' V^dag + V V'^dag, never forming rho.
+
+    V and V' are dim x k.  With the k x k matrices A = V^dag V, B = V^dag V'
+    and C = V'^dag V', the inner products are (rho|rho) = ||A||_F^2,
+    (rho|rho') = 2 Re tr(AB) and (rho'|rho') = 2 Re tr(B^2) + 2 tr(AC).
+    The checks of :func:`lower_bound_from_state` apply to the factor: rho
+    and rho' are Hermitian by construction, A has the nonzero spectrum and
+    the trace of rho, and tr rho' = 2 Re tr B.
+    """
+    f = np.asarray(v, dtype=complex)
+    fp = np.asarray(v_prime, dtype=complex)
+    if f.ndim != 2 or f.shape != fp.shape:
+        raise InvalidState(f"factors must be matrices of one shape, got {f.shape} and {fp.shape}")
+    for name, m in (("state", f), ("derivative", fp)):
+        if not np.all(np.isfinite(m)):
+            raise InvalidState(f"{name} factor has non-finite entries")
+    a = _check_density(f.conj().T @ f)
+    b = f.conj().T @ fp
+    prime_trace = 2.0 * float(np.trace(b).real)
+    if abs(prime_trace) > STATE_TOL:
+        raise NonTraceless(f"derivative trace {prime_trace:.3e} is not 0")
+    # tr(XY) = vdot(X, Y) for Hermitian X; tr(B^2) = sum_ij B_ij B_ji
+    return _bound_from_products(
+        term_grad=2.0 * float(np.sum(b * b.T).real + np.vdot(a, fp.conj().T @ fp).real),
+        overlap=2.0 * float(np.vdot(a, b).real),
+        purity=float(np.vdot(a, a).real),
+    )
 
 
 def channel_output(family: ChannelFamily, x: float, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,11 +221,7 @@ def ghz_state(n: int) -> np.ndarray:
     if n < 1 or n != int(n):
         raise ValueError(f"need an integer n >= 1, got {n}")
     n = int(n)
-    if 4**n > MAX_DENSE_ROWS:
-        raise DimensionBudgetExceeded(
-            f"GHZ projector on {n} qubits needs {4**n} Liouville entries; "
-            f"budget is {MAX_DENSE_ROWS}"
-        )
+    require_budget(4**n, f"Liouville entries of a GHZ projector on {n} qubits")
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
     for i in (0, dim - 1):

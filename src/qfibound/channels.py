@@ -29,11 +29,10 @@ import numpy as np
 
 from .errors import (
     CptpViolation,
-    DimensionBudgetExceeded,
     RangeViolation,
     TruncationInsufficient,
 )
-from .liouville import MAX_DENSE_ROWS, ChannelFamily, Superoperator, superop_from_kraus
+from .liouville import ChannelFamily, Superoperator, require_budget, superop_from_kraus
 
 #: Slack for complete-positivity checks; amplitude damping sits exactly on
 #: the boundary 1 + eta_par = sqrt(k^2 + 4 eta_perp^2).
@@ -304,11 +303,7 @@ def _correlated_alphas(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
     n_qubits = 2 * n_probes
     dim = 2**n_qubits
     rows = dim * dim
-    if rows > MAX_DENSE_ROWS:
-        raise DimensionBudgetExceeded(
-            f"correlated dephasing on {n_probes} probes needs {rows} diagonal "
-            f"entries; budget is {MAX_DENSE_ROWS}"
-        )
+    require_budget(rows, f"diagonal entries of correlated dephasing on {n_probes} probes")
     g = np.arange(rows)
     mu, nu = np.divmod(g, dim)
     alpha1 = np.zeros(rows, dtype=np.int64)
@@ -400,8 +395,9 @@ def loss_weight_rows(n_max: int, eta: float, max_level: int) -> Iterator[np.ndar
 
 
 def loss_weights(n_max: int, eta: float) -> np.ndarray:
-    """The (n_max+1)^2 matrix W of :func:`loss_weight_rows`."""
-    return np.array(list(loss_weight_rows(n_max, eta, n_max)))
+    """The (n_max+1)^2 matrix W of :func:`loss_weight_rows`, filled row by row."""
+    rows = loss_weight_rows(n_max, eta, n_max)
+    return np.fromiter(rows, np.dtype((float, n_max + 1)), count=n_max + 1)
 
 
 def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:

@@ -285,16 +285,20 @@ def site_permutation(d: int, n: int) -> np.ndarray:
     return site_major.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(-1)
 
 
+def require_budget(count: int, what: str, budget: int = MAX_DENSE_ROWS) -> None:
+    """Raise DimensionBudgetExceeded, before anything is allocated, when the
+    ``count`` of ``what`` exceeds ``budget``."""
+    if count > budget:
+        raise DimensionBudgetExceeded(f"{what}: {count} exceeds the budget of {budget}")
+
+
 def _checked_power(n: int, d: int | None = None) -> int:
     """Validate an N-fold exponent and, given the site dim d, the dense budget."""
     if n < 1 or n != int(n):
         raise ValueError(f"tensor power requires integer n >= 1, got {n}")
     n = int(n)
-    rows = (d * d) ** n if d is not None else 1
-    if n > 1 and rows > MAX_DENSE_ROWS:
-        raise DimensionBudgetExceeded(
-            f"tensor power needs {rows} Liouville rows; budget is {MAX_DENSE_ROWS}"
-        )
+    if n > 1 and d is not None:
+        require_budget((d * d) ** n, f"Liouville rows of a {n}-fold tensor power")
     return n
 
 

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import analytic_max_phase_covariant, lower_bound_from_state
+from .bound import analytic_max_phase_covariant, lower_bound_from_factor
 from .channels import (
     EXPONENTIAL_FORM,
     EcsSpec,
     ShortTimeModel,
     correlated_dephasing_family,
+    ecs_vector,
     loss_kraus,
     loss_weight_rows,
     loss_weights,
@@ -34,7 +35,7 @@ from .errors import (
     NoRoot,
     RangeViolation,
 )
-from .liouville import gram_triple
+from .liouville import MAX_DENSE_ROWS, gram_triple, require_budget
 from .numerics import loglog_slope, minimize_unimodal, solve_root_bisect
 
 #: Scan resolution for locating the rightmost root of the crossover
@@ -283,21 +284,29 @@ def interferometer_optimal_m(n_photons: int, eta: float) -> int:
     """Partner level m maximizing the Gram diagonal at k = N.
 
     Scans m in {0, ..., N-1}; ties break toward smaller m.  An exhaustive
-    scan over all (k, m) pairs double-checks that the k = N row hosts the
-    global maximum and emits :class:`MaxRowMismatch` if it does not.
+    scan over all (k, m) pairs, in blocks of rows, double-checks that the
+    k = N row hosts the global maximum and emits :class:`MaxRowMismatch` if
+    it does not.  N + 1 > MAX_DENSE_ROWS raises DimensionBudgetExceeded.
     """
     if n_photons < 1:
         raise ValueError(f"photon number must be >= 1, got {n_photons}")
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
+    size = n_photons + 1
+    require_budget(size, f"loss-weight rows at N = {n_photons}")
     w = loss_weights(n_photons, eta)
-    overlap = w @ w.T
-    levels = np.arange(n_photons + 1)
-    diag = (levels[:, None] - levels[None, :]).astype(float) ** 2 * overlap
-    row = diag[n_photons, :n_photons]
+    levels = np.arange(float(size))
+    step = max(1, 2**21 // size)  # blocks of at most 2^21 entries
+    global_max = 0.0
+    for start in range(0, size, step):
+        # the diagonal is symmetric: rows start..stop-1 need columns 0..stop-1
+        stop = min(start + step, size)
+        block = (levels[start:stop, None] - levels[:stop]) ** 2 * (w[start:stop] @ w[:stop].T)
+        global_max = max(global_max, float(np.max(block)))
+    # the last block ends on row k = N and spans every column
+    row = block[-1, :n_photons]
     m_best = int(np.argmax(row))
     row_max = float(row[m_best])
-    global_max = float(np.max(diag))
     if global_max > row_max * (1.0 + 1e-12):
         warnings.warn(
             f"largest Gram diagonal {global_max:.6g} lies off the k = N row "
@@ -368,43 +377,40 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
 
     Phase encoding acts on arm a; photon loss with the same transmissivity
     acts on each arm independently (the symmetric-loss interferometer the
-    closed form describes).  The output state is assembled branch by branch
-    from the Kraus pairs; pairs that annihilate the state (losing photons
-    from a vacuum arm) drop out exactly.  The result is phi-independent for
-    this family.
+    closed form describes).  The output state rho = V V^dag is never formed:
+    each Kraus pair gives one column of V (and of its derivative V'), pairs
+    that annihilate the state (losing photons from a vacuum arm) are skipped
+    before any product, and :func:`lower_bound_from_factor` takes the bound
+    from the k x k products of the k <= 2 n_max + 1 remaining columns.  The
+    result is phi-independent for this family.  DimensionBudgetExceeded is
+    raised before any allocation when V would exceed MAX_DENSE_ROWS^2 entries.
     """
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
-    spec.require_truncation()
-    c = spec.coherent_amplitudes()
     dim = spec.n_max + 1
-    vacuum = np.zeros(dim, dtype=complex)
-    vacuum[0] = 1.0
-    psi = spec.norm_const * (np.kron(c, vacuum) + np.kron(vacuum, c))
+    entries = dim * dim * (2 * dim - 1)
+    require_budget(entries, f"ECS factor entries at n_max = {spec.n_max}", MAX_DENSE_ROWS**2)
     # mode a indexes rows, mode b columns; phase acts on rows only
-    branch = psi.reshape(dim, dim)
+    branch = ecs_vector(spec).reshape(dim, dim)
     levels = np.arange(dim)
     phase = np.exp(-1j * phi * levels)
     encoded = phase[:, None] * branch
     encoded_prime = (-1j * levels * phase)[:, None] * branch
     kraus = loss_kraus(spec.n_max, eta)
-    lossy_a = [op @ encoded for op in kraus]
-    lossy_a_prime = [op @ encoded_prime for op in kraus]
+    supports = [op.any(axis=0) for op in kraus]
     columns = []
     prime_columns = []
-    for left, left_prime in zip(lossy_a, lossy_a_prime):
-        for right in kraus:
-            vec = (left @ right.T).reshape(-1)
-            vec_prime = (left_prime @ right.T).reshape(-1)
-            if not (vec.any() or vec_prime.any()):
+    for op in kraus:
+        left, left_prime = op @ encoded, op @ encoded_prime
+        reach = left.any(axis=0) | left_prime.any(axis=0)
+        for right, support in zip(kraus, supports):
+            # (left @ right.T)[i, k] sums left[i, j] right[k, j]: zero unless
+            # some column j is nonzero in both
+            if not (reach & support).any():
                 continue
-            columns.append(vec)
-            prime_columns.append(vec_prime)
-    v = np.stack(columns, axis=1)
-    v_prime = np.stack(prime_columns, axis=1)
-    rho = v @ v.conj().T
-    rho_prime = v_prime @ v.conj().T + v @ v_prime.conj().T
-    return lower_bound_from_state(rho, rho_prime).f_lower
+            columns.append((left @ right.T).reshape(-1))
+            prime_columns.append((left_prime @ right.T).reshape(-1))
+    return lower_bound_from_factor(np.stack(columns, axis=1), np.stack(prime_columns, axis=1)).f_lower
 
 
 # ---------------------------------------------------------------------------

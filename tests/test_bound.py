@@ -12,6 +12,7 @@ from qfibound.bound import (
     bures_distance_liouville,
     ghz_state,
     lower_bound_from_channel,
+    lower_bound_from_factor,
     lower_bound_from_state,
     max_bound_over_states,
 )
@@ -96,6 +97,55 @@ class TestLowerBoundFromState:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidState):
             lower_bound_from_state(PLUS, np.zeros((3, 3)))
+
+
+def random_factor(rng, dim, k):
+    """(V, V') with tr(V V^dag) = 1 and tr(V' V^dag + V V'^dag) = 0."""
+    v = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    v /= np.linalg.norm(v)
+    v_prime = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    v_prime -= np.vdot(v, v_prime).real * v
+    return v, v_prime
+
+
+def dense_pair(v, v_prime):
+    """(rho, rho') built as dense matrices, the reference for the factored path."""
+    with np.errstate(invalid="ignore"):
+        return v @ v.conj().T, v_prime @ v.conj().T + v @ v_prime.conj().T
+
+
+class TestLowerBoundFromFactor:
+    @pytest.mark.parametrize("dim,k", [(6, 1), (6, 3), (6, 9), (2, 5)])
+    def test_matches_dense_state(self, rng, dim, k):
+        for _ in range(5):
+            v, v_prime = random_factor(rng, dim, k)
+            got = lower_bound_from_factor(v, v_prime)
+            want = lower_bound_from_state(*dense_pair(v, v_prime))
+            for field in ("f_lower", "term_grad", "term_proj", "purity"):
+                assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "corrupt,error",
+        [
+            (lambda v, vp: (v * np.sqrt(1.0 + 1e-6), vp), InvalidState),
+            (lambda v, vp: (np.where(np.arange(v.size).reshape(v.shape) == 4, np.nan, v), vp), InvalidState),
+            (lambda v, vp: (v, np.where(np.arange(vp.size).reshape(vp.shape) == 4, np.inf, vp)), InvalidState),
+            (lambda v, vp: (v, vp + 0.1 * v), NonTraceless),
+        ],
+        ids=["trace-off-by-1e-6", "non-finite-state", "non-finite-derivative", "traceful-derivative"],
+    )
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_rejects_what_the_dense_path_rejects(self, rng, corrupt, error, k):
+        v, v_prime = corrupt(*random_factor(rng, 6, k))
+        with pytest.raises(error):
+            lower_bound_from_state(*dense_pair(v, v_prime))
+        with pytest.raises(error):
+            lower_bound_from_factor(v, v_prime)
+
+    def test_rejects_mismatched_factors(self, rng):
+        v, v_prime = random_factor(rng, 4, 2)
+        with pytest.raises(InvalidState):
+            lower_bound_from_factor(v, v_prime[:, :1])
 
 
 class TestAssociatedQfi:

@@ -158,6 +158,10 @@ class TestInterferometerCommand:
         for row in rows:
             assert all(math.isfinite(float(v)) for v in row.split(","))
 
+    def test_weight_budget_maps_to_exit_3(self, capsys):
+        assert main(["interferometer", "--N", "4096", "--eta-list", "0.9"]) == 3
+        assert "budget" in capsys.readouterr().err
+
     def test_scan_mode_columns(self, capsys):
         assert main(["interferometer", "--N", "20", "--eta-list", "1.0"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
@@ -177,6 +181,11 @@ class TestEcsCommand:
     def test_truncation_failure_exit_code(self, capsys):
         code = main(["ecs", "--alpha-sq-list", "4", "--n-max", "4", "--oracle"])
         assert code == 3
+
+    def test_oracle_budget_exit_code(self, capsys):
+        # V at n_max = 300 would hold 301^2 x 601 = 54 451 201 entries, over 4096^2
+        assert main(["ecs", "--n-max", "300", "--oracle"]) == 3
+        assert "budget" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qfibound import metrology
+from qfibound.bound import lower_bound_from_state
 from qfibound.channels import (
     EXPONENTIAL_FORM,
     TRUNCATED_FORM,
     EcsSpec,
     ShortTimeModel,
     ecs_vector,
+    loss_kraus,
 )
 from qfibound.errors import (
     DimensionBudgetExceeded,
     IndexOutOfRange,
+    MaxRowMismatch,
     NoInteriorMinimum,
     NoRoot,
     RangeViolation,
@@ -37,6 +41,14 @@ from qfibound.metrology import (
     t_opt_paper,
     tau_solve,
 )
+
+
+class _Unreached(Exception):
+    """Raised by a stand-in for the first allocating call."""
+
+
+def _unreached(*args, **kwargs):
+    raise _Unreached
 
 
 class TestTOptPaper:
@@ -210,6 +222,25 @@ class TestInterferometerOptimalM:
         ms = [interferometer_optimal_m(20, float(e)) for e in etas]
         assert all(b <= a for a, b in zip(ms, ms[1:]))
 
+    def test_weight_budget_edge(self, monkeypatch):
+        # W is (N+1)^2: exactly 4096^2 entries at N = 4095
+        monkeypatch.setattr(metrology, "loss_weights", _unreached)
+        with pytest.raises(_Unreached):
+            interferometer_optimal_m(4095, 0.9)
+        with pytest.raises(DimensionBudgetExceeded):
+            interferometer_optimal_m(4096, 0.9)
+
+    @pytest.mark.parametrize("k,m,printed", [(1300, 5, "1.67702e"), (1450, 5, "2.08802e")])
+    def test_off_row_maximum_found_in_any_block(self, monkeypatch, k, m, printed):
+        # at N = 1500 the diagonal is scanned in two blocks of rows, 0..1396
+        # and 1397..1500; the only nonzero entries off the k = N row are
+        # (k, m) and (m, k), worth (k - m)^2
+        w = np.zeros((1501, 1501))
+        w[k, 0] = w[m, 0] = 1.0
+        monkeypatch.setattr(metrology, "loss_weights", lambda n, eta: w)
+        with pytest.warns(MaxRowMismatch, match=printed):
+            interferometer_optimal_m(1500, 0.9)
+
     def test_no_off_row_warning_in_working_range(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -270,7 +301,53 @@ class TestEcsPractical:
         assert_allclose((f_c, f_h), (0.5, 0.5))
 
 
+def ecs_numeric_dense(spec, eta, phi=0.0):
+    """Reference ECS bound: assembles the dense (n_max+1)^2 state rho = V V^dag
+    and its derivative rho' = V' V^dag + V V'^dag, then bounds them directly."""
+    dim = spec.n_max + 1
+    branch = ecs_vector(spec).reshape(dim, dim)
+    levels = np.arange(dim)
+    phase = np.exp(-1j * phi * levels)
+    encoded = phase[:, None] * branch
+    encoded_prime = (-1j * levels * phase)[:, None] * branch
+    kraus = loss_kraus(spec.n_max, eta)
+    columns = []
+    prime_columns = []
+    for left in kraus:
+        for right in kraus:
+            vec = (left @ encoded @ right.T).reshape(-1)
+            vec_prime = (left @ encoded_prime @ right.T).reshape(-1)
+            if vec.any() or vec_prime.any():
+                columns.append(vec)
+                prime_columns.append(vec_prime)
+    v = np.stack(columns, axis=1)
+    v_prime = np.stack(prime_columns, axis=1)
+    rho = v @ v.conj().T
+    rho_prime = v_prime @ v.conj().T + v @ v_prime.conj().T
+    return lower_bound_from_state(rho, rho_prime).f_lower
+
+
 class TestEcsNumeric:
+    @pytest.mark.parametrize("phi", [0.0, 1.7])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("alpha_sq", [0.5, 1.0, 2.0])
+    def test_matches_dense_oracle(self, alpha_sq, eta, phi):
+        spec = EcsSpec.for_alpha(math.sqrt(alpha_sq))
+        want = ecs_numeric_dense(spec, eta, phi)
+        # at eta = 0 the bound is exactly 0, and each path leaves its own
+        # round-off: the absolute floor is 1e-12 of the lossless bound
+        floor = 1e-12 * ecs_lower_bound_closed(spec, 1.0).f_lower
+        assert_allclose(ecs_lower_bound_numeric(spec, eta, phi), want, rtol=1e-12, atol=floor)
+
+    def test_factor_budget_edge(self, monkeypatch):
+        # V is (n_max+1)^2 x (2 n_max + 1): 16 689 645 entries at n_max = 202,
+        # 16 937 712 at 203, against a budget of 4096^2 = 16 777 216
+        monkeypatch.setattr(metrology, "ecs_vector", _unreached)
+        with pytest.raises(_Unreached):
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=202), 0.9)
+        with pytest.raises(DimensionBudgetExceeded):
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=203), 0.9)
+
     def test_matches_closed_form(self):
         spec = EcsSpec.for_alpha(1.0)
         closed = ecs_lower_bound_closed(spec, 0.9).f_lower
