@@ -9,6 +9,11 @@ channel level with rho_x = Phi(x)[rho_0], the bound over physical initial
 states never exceeds half the largest eigenvalue of the Gram matrix
 G = Phi'^dag Phi'; for commuting-noise product channels the GHZ projector
 attains F_down = ||G|| / 2 exactly below the crossover time.
+
+For an N-fold product of a phase-covariant qubit channel, detected from its
+single-site Gram triple, ||G|| and its top eigenspace come in closed form
+(:func:`.liouville.covariant_gram_top`); every other family falls back to
+the dense N-fold Gram matrix and its eigendecomposition.
 """
 from __future__ import annotations
 
@@ -25,12 +30,13 @@ from .errors import (
 from .liouville import (
     ChannelFamily,
     LiouvilleVector,
+    covariant_gram_top,
     gram_tensor_power,
     gram_triple,
     product_family,
     require_budget,
 )
-from .numerics import TOP_EIGENSPACE_RTOL, largest_eigval_psd
+from .numerics import TOP_EIGENSPACE_RTOL, TopEigenspace, largest_eigval_psd
 
 #: Absolute tolerance on density-matrix checks (Hermiticity defect, trace
 #: deviation, negative-eigenvalue excursion).
@@ -61,9 +67,12 @@ class OptimalStateResult:
 
     norm_bound is ||G|| for the N-fold Gram matrix; top_eigenspace spans
     the eigenvectors within 1e-8 relative of norm_bound (empty when the
-    norm vanishes).  initial_state is a physical density matrix whose
-    channel bound equals norm_bound/2 (the GHZ projector for commuting
-    qubit noise) or None when no such state was constructed.
+    norm vanishes).  For a phase-covariant qubit family its basis is the
+    closed form's unit and site-wise product vectors; for any other family,
+    which takes the dense path, it is the eigendecomposition's basis.
+    initial_state is a physical density matrix whose channel bound equals
+    norm_bound/2 (the GHZ projector for commuting qubit noise) or None when
+    no such state was constructed.
     """
 
     norm_bound: float
@@ -216,11 +225,15 @@ def bures_distance_liouville(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return 2.0 * (1.0 - min(overlap, 1.0))
 
 
-def ghz_state(n: int) -> np.ndarray:
-    """The N-qubit GHZ projector |GHZ><GHZ|, GHZ = (|0..0> + |1..1>)/sqrt(2)."""
+def _probe_count(n: int) -> int:
     if n < 1 or n != int(n):
         raise ValueError(f"need an integer n >= 1, got {n}")
-    n = int(n)
+    return int(n)
+
+
+def ghz_state(n: int) -> np.ndarray:
+    """The N-qubit GHZ projector |GHZ><GHZ|, GHZ = (|0..0> + |1..1>)/sqrt(2)."""
+    n = _probe_count(n)
     require_budget(4**n, f"Liouville entries of a GHZ projector on {n} qubits")
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
@@ -233,8 +246,7 @@ def ghz_state(n: int) -> np.ndarray:
 def analytic_max_phase_covariant(n: int, t: float, eta_perp: float) -> float:
     """Closed form of the Gram norm for phase-covariant noise below the
     crossover time: N^2 t^2 eta_perp^(2N)."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"need an integer n >= 1, got {n}")
+    n = _probe_count(n)
     if not 0.0 <= eta_perp <= 1.0:
         raise ValueError(f"eta_perp must lie in [0, 1], got {eta_perp}")
     return float(n) ** 2 * t**2 * eta_perp ** (2 * n)
@@ -247,40 +259,26 @@ def max_bound_over_states(
 
     norm_bound is the largest eigenvalue of the tensor-power Gram matrix;
     over physical initial states the bound attains at most norm_bound / 2.
-    For qubit families the GHZ projector is tried as the optimal state and
-    returned when its channel bound equals norm_bound / 2; otherwise
-    initial_state is None (or, with require_state=True, NoPhysicalState is
-    raised).
+    A qubit family whose single-site Gram triple is phase covariant (see
+    :func:`covariant_gram_top`) takes the closed form, with no N-fold Gram
+    matrix; any other family falls back to the dense Gram matrix and its
+    eigendecomposition.  For qubit families the GHZ projector is tried as
+    the optimal state and returned when its channel bound equals
+    norm_bound / 2; otherwise initial_state is None (or, with
+    require_state=True, NoPhysicalState is raised).
     """
+    n = _probe_count(n)
     triple = gram_triple(family, x)
-    gram = gram_tensor_power(triple, n)
-    dim = gram.hilbert_dim**2
-    if gram.is_diagonal:
-        values = gram.diag
-        if np.max(np.abs(values.imag)) > 1e-12 * max(float(np.max(np.abs(values))), 1.0):
-            raise InvalidState("Gram diagonal has a non-real entry")
-        values = values.real
-        norm_bound = float(np.max(values)) if values.size else 0.0
-        if norm_bound > 0.0:
-            idx = np.flatnonzero(values >= norm_bound * (1.0 - TOP_EIGENSPACE_RTOL))
-            vectors = [
-                LiouvilleVector(amplitudes=np.eye(1, dim, i), hilbert_dim=gram.hilbert_dim)
-                for i in idx
-            ]
-        else:
-            vectors = []
-    else:
-        top = largest_eigval_psd(gram.matrix)
-        norm_bound = top.value
-        if norm_bound > 0.0:
-            vectors = [
-                LiouvilleVector(amplitudes=top.vectors[:, i], hilbert_dim=gram.hilbert_dim)
-                for i in range(top.vectors.shape[1])
-            ]
-        else:
-            vectors = []
-    initial_state: np.ndarray | None = None
+    top = covariant_gram_top(triple, n)
+    if top is None:
+        gram = gram_tensor_power(triple, n)
+        top = _diagonal_top(gram.diag) if gram.is_diagonal else largest_eigval_psd(gram.matrix)
+    norm_bound = top.value
     site_dim = triple.a.hilbert_dim
+    vectors = [
+        LiouvilleVector(amplitudes=column, hilbert_dim=site_dim**n) for column in top.vectors.T
+    ] if norm_bound > 0.0 else []
+    initial_state: np.ndarray | None = None
     if norm_bound > 0.0 and site_dim == 2:
         candidate = ghz_state(n)
         result = lower_bound_from_channel(product_family(family, n), x, candidate)
@@ -294,3 +292,15 @@ def max_bound_over_states(
     return OptimalStateResult(
         norm_bound=norm_bound, top_eigenspace=vectors, initial_state=initial_state
     )
+
+
+def _diagonal_top(values: np.ndarray) -> TopEigenspace:
+    """The top eigenpair of a diagonal Gram matrix, as unit vectors."""
+    if np.max(np.abs(values.imag)) > 1e-12 * max(float(np.max(np.abs(values))), 1.0):
+        raise InvalidState("Gram diagonal has a non-real entry")
+    values = values.real
+    top = float(np.max(values)) if values.size else 0.0
+    idx = np.flatnonzero(values >= top * (1.0 - TOP_EIGENSPACE_RTOL)) if top > 0.0 else np.arange(0)
+    vectors = np.zeros((values.size, idx.size))
+    vectors[idx, np.arange(idx.size)] = 1.0
+    return TopEigenspace(value=top, vectors=vectors)

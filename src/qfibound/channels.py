@@ -419,9 +419,11 @@ def interferometer_family(spec: InterferometerSpec) -> ChannelFamily:
 
     The two operations commute, so the order is conventional.  The phase
     superoperator is diagonal with entries e^{-i phi (k - m)}; its
-    derivative carries the analytic factor -i(k - m).
+    derivative carries the analytic factor -i(k - m).  The loss map is a
+    dense (N+1)^2-row superoperator, so N <= 63 fits the dense budget.
     """
     n = spec.n_photons
+    require_budget((n + 1) ** 2, f"Liouville rows of the photon-loss map on {n} photons")
     loss = superop_from_kraus(loss_kraus(n, spec.eta))
     k_grid = np.arange(n + 1)
     delta = (k_grid[:, None] - k_grid[None, :]).reshape(-1)

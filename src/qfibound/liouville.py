@@ -11,7 +11,9 @@ The Gram matrix of a differentiable channel family x -> Phi(x) is
 G = Phi'^dag Phi'.  For an N-fold product channel the product rule expands
 G into N single-site terms plus N(N-1) cross terms; :func:`gram_tensor_power`
 assembles that expansion from the single-site Gram triple without ever
-differentiating the N-site channel directly.
+differentiating the N-site channel directly.  For a phase-covariant qubit
+triple, :func:`covariant_gram_top` gives the top eigenpair of that matrix in
+closed form without building it.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .errors import (
     NonHermitian,
     NonSquare,
 )
-from .numerics import HERMITICITY_RTOL
+from .numerics import HERMITICITY_RTOL, TOP_EIGENSPACE_RTOL, TopEigenspace
 
 #: Basis convention tag carried by every Superoperator.
 BASIS_TAG = "row-major |mu><nu|"
@@ -395,6 +397,89 @@ def gram_tensor_power(triple: GramTriple, n: int) -> Superoperator:
         left_cd = np.kron(left_cd, a) + np.kron(apow, cd)
         apow = np.kron(apow, a)
     return _to_global(one_site + cross, d, n)
+
+
+#: Off-block entries of a phase-covariant triple vanish to this relative
+#: round-off: a against max|a|, b against max|b|, c against the
+#: Cauchy-Schwarz scale sqrt(max|a| max|b|).
+COVARIANT_RTOL = 1e-12
+
+# q = nu - mu of the qubit basis |mu><nu| at index 2 mu + nu
+_CHARGE = np.array([0, 1, -1, 0])
+# b and c live only on the coherence diagonal (|0><1| and |1><0|)
+_COHERENCE = np.diag([False, True, True, False])
+
+
+def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
+    """Top eigenpair of ``gram_tensor_power(triple, n)`` in closed form, or
+    None when the triple is not that of a phase-covariant qubit channel.
+
+    The closed form applies when a, b and c are block-diagonal in the site
+    charge q = nu - mu (populations {0, 3}, |0><1| at index 1, |1><0| at
+    index 2) and b and c vanish on the populations.  Each coherence site
+    then contributes scalars a_q, b_q, c_q, and the Gram block of n+ sites
+    at |0><1| and n- at |1><0| (s = n+ + n-) is g(n+, n-) A_pop^(x N-s),
+    A_pop the population block of a, with
+
+        g = n+ b+ a+^(n+-1) a-^n- + n- b- a+^n+ a-^(n- -1)
+            + n+(n+-1) |c+|^2 a+^(n+-2) a-^n- + n-(n- -1) |c-|^2 a+^n+ a-^(n- -2)
+            + 2 n+ n- Re(conj(c+) c-) a+^(n+-1) a-^(n- -1),
+
+    where a term with a negative power is 0.  So ||G|| is the largest
+    g lambda_A^(N-s), found from O(N^2) scalars.  Every eigenvalue of G is
+    g lambda_A^(N-s-j) lambda_B^j, with j population sites in the second
+    eigenvector of A_pop, and the top eigenspace keeps the rule of
+    :func:`largest_eigval_psd` on that spectrum (within
+    ``TOP_EIGENSPACE_RTOL`` of the norm, empty when the norm vanishes).
+    Its basis is the site-wise products of |0><1|, |1><0| and the
+    eigenvectors of A_pop, laid out in the global row-major order.  Any
+    other triple returns None, for the dense path.
+    """
+    n = _checked_power(n)
+    if triple.a.hilbert_dim != 2:
+        return None
+    a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
+    scale_a, scale_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    off_charge = _CHARGE[:, None] != _CHARGE[None, :]
+    if (
+        np.max(np.abs(a[off_charge])) > COVARIANT_RTOL * scale_a
+        or np.max(np.abs(b[~_COHERENCE])) > COVARIANT_RTOL * scale_b
+        or np.max(np.abs(c[~_COHERENCE])) > COVARIANT_RTOL * math.sqrt(scale_a * scale_b)
+    ):
+        return None
+    ap, am = a[1, 1].real, a[2, 2].real
+    bp, bm = b[1, 1].real, b[2, 2].real
+    cp, cm = c[1, 1], c[2, 2]
+    k = np.arange(n + 1)
+    # the two trailing zeros make a power of index -1 or -2 vanish
+    pp, pm = np.append(ap**k, [0.0, 0.0]), np.append(am**k, [0.0, 0.0])
+    p, m = k[:, None], k[None, :]
+    g = (
+        p * bp * pp[p - 1] * pm[m]
+        + m * bm * pp[p] * pm[m - 1]
+        + p * (p - 1) * abs(cp) ** 2 * pp[p - 2] * pm[m]
+        + m * (m - 1) * abs(cm) ** 2 * pp[p] * pm[m - 2]
+        + 2 * p * m * (np.conj(cp) * cm).real * pp[p - 1] * pm[m - 1]
+    )
+    (lam_b, lam_a), pop_vectors = np.linalg.eigh(a[np.ix_([0, 3], [0, 3])])
+    rest = n - p - m
+    norm = max(float(np.max(np.where(rest >= 0, g * lam_a ** np.maximum(rest, 0), 0.0))), 0.0)
+    require_budget(4**n, f"Liouville rows of the top eigenvectors of a {n}-fold Gram matrix")
+    if norm == 0.0:
+        return TopEigenspace(value=0.0, vectors=np.empty((4**n, 0)))
+    # site eigenbasis, by label: 0 is |0><1|, 1 is |1><0|, 2 and 3 the A_pop
+    # eigenvectors of lam_a and lam_b on the populations
+    site = np.zeros((4, 4), dtype=complex)
+    site[1, 0] = site[2, 1] = 1.0
+    site[np.ix_([0, 3], [2, 3])] = pop_vectors[:, ::-1]
+    labels = np.indices((4,) * n).reshape(n, -1)
+    n_plus, n_minus, n_b = ((labels == label).sum(axis=0) for label in (0, 1, 3))
+    values = g[n_plus, n_minus] * lam_a ** (n - n_plus - n_minus - n_b) * lam_b**n_b
+    chosen = labels[:, values >= norm - TOP_EIGENSPACE_RTOL * norm]
+    vectors = site[:, chosen[0]]
+    for lab in chosen[1:]:  # site-major Kronecker product, column by column
+        vectors = (vectors[:, None, :] * site[:, lab][None]).reshape(-1, lab.size)
+    return TopEigenspace(value=norm, vectors=vectors[site_permutation(2, n)])
 
 
 def tensor_power_derivative(

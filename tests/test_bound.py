@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,19 +19,44 @@ from qfibound.bound import (
     max_bound_over_states,
 )
 from qfibound.channels import (
+    AMPLITUDE_DAMPING,
+    DEPOLARIZING,
     NoiseParams,
+    correlated_dephasing_family,
+    named_noise,
+    params_at,
     phase_covariant_family,
     rotation_family,
 )
 from qfibound.errors import (
+    CptpViolation,
     DimensionBudgetExceeded,
     InvalidState,
     NonTraceless,
     NoPhysicalState,
+    RangeViolation,
 )
-from qfibound.liouville import devectorize, product_family, vectorize
+from qfibound.liouville import (
+    ChannelFamily,
+    GramTriple,
+    Superoperator,
+    covariant_gram_top,
+    devectorize,
+    gram_tensor_power,
+    gram_triple,
+    product_family,
+    vectorize,
+)
+from qfibound.metrology import tau_solve
+from qfibound.numerics import largest_eigval_psd
 from qfibound.qfi_oracle import exact_qfi
-from qfibound.sampling import random_mixed_state, random_unitary_family
+from qfibound.sampling import (
+    random_mixed_state,
+    random_noisy_family,
+    random_short_time_model,
+    random_unitary_family,
+)
+from qfibound.verify import corrupt_family
 
 PLUS = np.full((2, 2), 0.5)
 
@@ -259,30 +286,237 @@ class TestMaxBoundOverStates:
         # |00><11| and |11><00| in global row-major indexing
         assert hot == [dim - 1, dim * (dim - 1)]
 
+    def test_diagonal_family_outside_the_closed_form(self):
+        # correlated dephasing on two probes: a diagonal map on a 16-dim site,
+        # maximal on the two decoherence-free coherences with alpha1 = +-2
+        family = correlated_dephasing_family(2, omega2=0.3, gamma=0.5, t=0.7)
+        assert covariant_gram_top(gram_triple(family, 0.1), 1) is None
+        result = max_bound_over_states(family, 0.1, 1)
+        assert_allclose(result.norm_bound, 4 * 0.49, rtol=1e-12)
+        assert len(result.top_eigenspace) == 2
+
     def test_no_state_raises_when_required(self):
         # a qutrit family has no GHZ candidate wired up
-        u = np.diag([1.0, np.exp(-0.3j), np.exp(-0.9j)])
-
-        def evaluate(x):
-            from qfibound.liouville import Superoperator
-
-            w = np.diag([1.0, np.exp(-1j * x), np.exp(-3j * x)])
-            return Superoperator(np.kron(w, w.conj()), trace_preserving=True)
-
-        def derivative(x):
-            from qfibound.liouville import Superoperator
-
-            w = np.diag([1.0, np.exp(-1j * x), np.exp(-3j * x)])
-            dw = np.diag([0.0, -1j * np.exp(-1j * x), -3j * np.exp(-3j * x)])
-            return Superoperator(
-                np.kron(dw, w.conj()) + np.kron(w, dw.conj())
-            )
-
-        from qfibound.liouville import ChannelFamily
-
-        family = ChannelFamily(evaluate=evaluate, derivative=derivative)
         with pytest.raises(NoPhysicalState):
-            max_bound_over_states(family, 0.2, 1, require_state=True)
+            max_bound_over_states(qutrit_family(), 0.2, 1, require_state=True)
+
+    def test_budget_edge(self):
+        # below the crossover (eta_perp > 5/6 at N = 6), so GHZ is optimal
+        family = phase_covariant_family(1.0, NoiseParams(eta_perp=0.9))
+        result = max_bound_over_states(family, 0.0, 6, require_state=True)
+        assert_allclose(result.norm_bound, analytic_max_phase_covariant(6, 1.0, 0.9), rtol=1e-12)
+        assert len(result.top_eigenspace) == 2
+        with pytest.raises(DimensionBudgetExceeded):
+            max_bound_over_states(family, 0.0, 7)
+        # the closed form's own guard, ahead of the one in ghz_state
+        with pytest.raises(DimensionBudgetExceeded):
+            covariant_gram_top(gram_triple(family, 0.0), 7)
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_rejects_bad_probe_count(self, n):
+        family = phase_covariant_family(1.0, NoiseParams(eta_perp=0.9))
+        with pytest.raises(ValueError):
+            max_bound_over_states(family, 0.0, n)
+
+    def test_integral_float_probe_count(self):
+        family = phase_covariant_family(1.0, NoiseParams(eta_perp=0.9))
+        result = max_bound_over_states(family, 0.0, 2.0)
+        assert [v.devectorize().shape for v in result.top_eigenspace] == [(4, 4), (4, 4)]
+
+
+def qutrit_family() -> ChannelFamily:
+    """A unitary qutrit family x -> W(x) rho W(x)^dag, W = diag(1, e^-ix, e^-3ix)."""
+
+    def evaluate(x):
+        w = np.diag([1.0, np.exp(-1j * x), np.exp(-3j * x)])
+        return Superoperator(np.kron(w, w.conj()), trace_preserving=True)
+
+    def derivative(x):
+        w = np.diag([1.0, np.exp(-1j * x), np.exp(-3j * x)])
+        dw = np.diag([0.0, -1j * np.exp(-1j * x), -3j * np.exp(-3j * x)])
+        return Superoperator(np.kron(dw, w.conj()) + np.kron(w, dw.conj()))
+
+    return ChannelFamily(evaluate=evaluate, derivative=derivative)
+
+
+TAU_FACTORS = (0.5, 0.8, 1.0, 1.5, 3.0)
+
+
+def short_time_models(seed: int, count: int) -> list[tuple]:
+    """(model, theta) pairs that stay CPTP at every factor of tau(N), N = 1..6."""
+    rng = np.random.default_rng(seed)
+    models = []
+    while len(models) < count:
+        model = random_short_time_model(rng)
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        try:
+            for n in range(1, 7):
+                for factor in TAU_FACTORS:
+                    params_at(model, factor * tau_solve(model, n), theta)
+        except (CptpViolation, RangeViolation):
+            continue
+        models.append((model, theta))
+    return models
+
+
+MODELS = short_time_models(7, 3)
+
+
+def model_family(index: int, factor: float, n: int, *, diagonal: bool = False) -> ChannelFamily:
+    """Short-time model ``index`` at ``factor`` times its crossover time tau(N)."""
+    model, theta = MODELS[index]
+    t = factor * tau_solve(model, n)
+    return phase_covariant_family(t, params_at(model, t, theta), coherence_diagonal=diagonal)
+
+
+def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """||U U^dag - V V^dag||_F for two matrices of orthonormal columns.
+
+    Its square is ||(1 - U U^dag) V||_F^2 + ||(1 - V V^dag) U||_F^2; the two
+    residuals are formed directly, since k_U + k_V - 2 ||U^dag V||_F^2
+    cancels to round-off and would leave a distance of order 1e-8.
+    """
+    residual_v = v - u @ (u.conj().T @ v)
+    residual_u = u - v @ (v.conj().T @ u)
+    return math.hypot(np.linalg.norm(residual_v), np.linalg.norm(residual_u))
+
+
+def coherence_sites(vectors, n: int) -> set[int]:
+    """The numbers s of sites at |0><1| or |1><0| over the support of the
+    vectors: popcount(mu XOR nu) of each index mu 2^N + nu."""
+    amplitudes = np.column_stack(vectors)
+    support = np.flatnonzero(np.any(np.abs(amplitudes) > 1e-12, axis=1))
+    mu, nu = np.divmod(support, 2**n)
+    return {bin(int(bits)).count("1") for bits in mu ^ nu}
+
+
+def covariant_map_family(seed: int, *, mirrored: bool = False) -> ChannelFamily:
+    """A linear (not trace-preserving) qubit map family with the covariant
+    block pattern and independent random entries: a random population block
+    and coherence scalars phi+- with derivatives phi'+-.  Unlike a physical
+    phase-covariant channel it has a+ != a-, b+ != b- and, over the seeds
+    0, 1, 7 and 9, both signs of Re(conj(c+) c-).  ``mirrored`` copies
+    phi+ and phi'+ to the minus site, so that every split of s coherence
+    sites into n+ and n- ties and the mixed pairs decide the eigenspace."""
+    rng = np.random.default_rng(seed)
+    value = np.zeros((4, 4), dtype=complex)
+    value[np.ix_([0, 3], [0, 3])] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    value[1, 1], value[2, 2], prime_plus, prime_minus = rng.normal(size=4) + 1j * rng.normal(size=4)
+    if mirrored:
+        value[2, 2], prime_minus = value[1, 1], prime_plus
+    prime = np.diag([0.0, prime_plus, prime_minus, 0.0])
+    return ChannelFamily(evaluate=lambda x: Superoperator(value), derivative=lambda x: Superoperator(prime))
+
+
+# (id, family at N, largest N checked against the dense oracle, first N past tau)
+ORACLE_CASES = [
+    *(
+        (f"model{i}-{factor}tau-{'diagonal' if diagonal else 'verbatim'}",
+         lambda n, i=i, factor=factor, diagonal=diagonal: model_family(i, factor, n, diagonal=diagonal),
+         # a dense 1024-row eigh costs about a second: N = 5 for one layout per time
+         5 if i == 0 and diagonal == (j % 2 == 1) else 4,
+         2 if factor > 1.0 else None)
+        for i in (0, 1)
+        for j, factor in enumerate((0.5, 0.8, 1.5, 3.0))
+        for diagonal in (False, True)
+    ),
+    # pure dephasing: A_pop = I is degenerate; eta_perp = 0.7 < (N-1)/N from N = 4 on
+    ("dephasing", lambda n: phase_covariant_family(1.3, NoiseParams(eta_perp=0.7)), 5, 4),
+    ("depolarizing", lambda n: phase_covariant_family(1.3, named_noise(DEPOLARIZING, 0.3, 1.3)), 5, None),
+    ("amplitude-damping", lambda n: phase_covariant_family(1.3, named_noise(AMPLITUDE_DAMPING, 0.5, 1.3)), 5, None),
+    ("corrupted", lambda n: corrupt_family(model_family(1, 1.5, n)), 5, 2),
+    # 1e-4 past tau the s = N block trails the winner by far more than
+    # TOP_EIGENSPACE_RTOL, and stays out of the top eigenspace
+    ("model0-1.0001tau", lambda n: model_family(0, 1.0001, n), 4, 2),
+    ("rotation", lambda n: rotation_family(0.7), 4, None),
+    ("covariant-map-mirrored", lambda n: covariant_map_family(0, mirrored=True), 4, None),
+    *((f"covariant-map{seed}", lambda n, seed=seed: covariant_map_family(seed), 4, None) for seed in (0, 1, 7, 9)),
+    ("eta-perp-zero", lambda n: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.5, eta_perp=0.0)), 4, None),
+]
+
+
+class TestCovariantGramOracle:
+    """The closed-form Gram norm and top eigenspace against the dense
+    gram_tensor_power + largest_eigval_psd."""
+
+    @pytest.mark.parametrize("make_family,n_max,past_from", [c[1:] for c in ORACLE_CASES],
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_dense(self, make_family, n_max, past_from):
+        for n in range(1, n_max + 1):
+            triple = gram_triple(make_family(n), 0.3)
+            got = covariant_gram_top(triple, n)
+            want = largest_eigval_psd(gram_tensor_power(triple, n).matrix)
+            assert got is not None
+            assert_allclose(got.value, want.value, rtol=1e-12, atol=0.0)
+            if want.value == 0.0:
+                assert got.vectors.shape == (4**n, 0)
+                continue
+            assert projector_distance(got.vectors, want.vectors) <= 1e-8
+            if past_from is not None and n >= past_from:
+                sites = coherence_sites(got.vectors.T, n)
+                assert 0 < min(sites) and max(sites) < n, sites
+
+    def test_degenerate_populations_span_many_products(self):
+        # pure dephasing past tau at N = 5: the s* = 3 blocks with A_pop = I
+        # span C(5, 3) * 2 * 2^2 = 80 dimensions
+        family = phase_covariant_family(1.3, NoiseParams(eta_perp=0.7))
+        top = covariant_gram_top(gram_triple(family, 0.3), 5)
+        assert top.vectors.shape == (4**5, 80)
+        assert coherence_sites(top.vectors.T, 5) == {3}
+        assert_allclose(top.vectors.conj().T @ top.vectors, np.eye(80), atol=1e-15)
+
+    def test_zero_coherence_has_no_eigenspace(self):
+        family = phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.5, eta_perp=0.0))
+        result = max_bound_over_states(family, 0.3, 5)
+        assert result.norm_bound == 0.0
+        assert result.top_eigenspace == []
+        assert result.initial_state is None
+
+    @pytest.mark.parametrize("name,i,j", [("a", 0, 1), ("b", 0, 0), ("b", 1, 2), ("c", 3, 3), ("c", 2, 1)])
+    def test_each_condition_is_checked(self, name, i, j):
+        # one entry outside the covariant pattern, Hermitian for a and b:
+        # beyond round-off it routes the triple to the dense path
+        triple = gram_triple(covariant_map_family(0), 0.0)
+        for size, covariant in ((1e-14, True), (1e-9, False)):
+            parts = {key: getattr(triple, key).matrix.copy() for key in "abc"}
+            parts[name][i, j] += size * np.max(np.abs(parts[name]))
+            if name != "c":
+                parts[name][j, i] = parts[name][i, j].conjugate()
+            changed = GramTriple(**{key: Superoperator(m) for key, m in parts.items()})
+            assert (covariant_gram_top(changed, 2) is not None) == covariant
+
+    def test_other_triples_fail_the_detection(self, rng):
+        for _ in range(10):
+            for family in (random_unitary_family(rng, 2), random_noisy_family(rng, 2, 2)):
+                assert covariant_gram_top(gram_triple(family, 0.3), 2) is None
+        assert covariant_gram_top(gram_triple(qutrit_family(), 0.2), 1) is None
+
+
+class TestGhzCrossover:
+    """tau_solve against the closed-form Gram norm: the winning block has
+    s = N coherence sites until tau, and fewer after it."""
+
+    @pytest.mark.parametrize("index", range(len(MODELS)))
+    def test_winning_block_leaves_s_equal_n_at_tau(self, index):
+        x = 0.3
+        for n in range(2, 7):
+            below = max_bound_over_states(model_family(index, 0.8, n), x, n)
+            assert coherence_sites([v.amplitudes for v in below.top_eigenspace], n) == {n}
+            above = max_bound_over_states(model_family(index, 1.5, n), x, n)
+            assert max(coherence_sites([v.amplitudes for v in above.top_eigenspace], n)) < n
+            # at tau both blocks hold the norm; their values are Rayleigh
+            # quotients ||(Phi^xN)' v||^2 from the matrix-free product kernel
+            family = model_family(index, 1.0, n)
+            at_tau = max_bound_over_states(family, x, n)
+            product = product_family(family, n)
+            values: dict[int, list[float]] = {}
+            for v in at_tau.top_eigenspace:
+                (s,) = coherence_sites([v.amplitudes], n)
+                _, prime = product.apply_with_derivative(x, v)
+                values.setdefault(s, []).append(float(np.vdot(prime, prime).real))
+            assert set(values) == {n - 1, n}
+            assert_allclose(values[n - 1], at_tau.norm_bound, rtol=1e-9)
+            assert_allclose(values[n], at_tau.norm_bound, rtol=1e-9)
 
 
 class TestBuresLiouville:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qfibound import channels
 from qfibound.channels import (
     AMPLITUDE_DAMPING,
     DEPHASING,
@@ -37,6 +38,14 @@ from qfibound.errors import (
     TruncationInsufficient,
 )
 from qfibound.liouville import devectorize, finite_diff_superop, vectorize
+
+
+class _Unreached(Exception):
+    """Raised by a stand-in for the first allocating call."""
+
+
+def _unreached(*args, **kwargs):
+    raise _Unreached
 
 
 class TestNoiseParams:
@@ -277,6 +286,14 @@ class TestInterferometerFamily:
     def test_rejects_zero_photons(self):
         with pytest.raises(ValueError):
             InterferometerSpec(n_photons=0, eta=0.5)
+
+    def test_loss_map_budget_edge(self, monkeypatch):
+        # the dense loss map has (N+1)^2 rows: exactly 4096 at N = 63
+        monkeypatch.setattr(channels, "loss_kraus", _unreached)
+        with pytest.raises(_Unreached):
+            interferometer_family(InterferometerSpec(n_photons=63, eta=0.9))
+        with pytest.raises(DimensionBudgetExceeded):
+            interferometer_family(InterferometerSpec(n_photons=64, eta=0.9))
 
 
 class TestEcsSpec:
