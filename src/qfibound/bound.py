@@ -30,6 +30,7 @@ from .errors import (
 from .liouville import (
     ChannelFamily,
     LiouvilleVector,
+    _checked_power,
     covariant_gram_top,
     gram_tensor_power,
     gram_triple,
@@ -225,15 +226,9 @@ def bures_distance_liouville(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return 2.0 * (1.0 - min(overlap, 1.0))
 
 
-def _probe_count(n: int) -> int:
-    if n < 1 or n != int(n):
-        raise ValueError(f"need an integer n >= 1, got {n}")
-    return int(n)
-
-
 def ghz_state(n: int) -> np.ndarray:
     """The N-qubit GHZ projector |GHZ><GHZ|, GHZ = (|0..0> + |1..1>)/sqrt(2)."""
-    n = _probe_count(n)
+    n = _checked_power(n)
     require_budget(4**n, f"Liouville entries of a GHZ projector on {n} qubits")
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
@@ -246,7 +241,7 @@ def ghz_state(n: int) -> np.ndarray:
 def analytic_max_phase_covariant(n: int, t: float, eta_perp: float) -> float:
     """Closed form of the Gram norm for phase-covariant noise below the
     crossover time: N^2 t^2 eta_perp^(2N)."""
-    n = _probe_count(n)
+    n = _checked_power(n)
     if not 0.0 <= eta_perp <= 1.0:
         raise ValueError(f"eta_perp must lie in [0, 1], got {eta_perp}")
     return float(n) ** 2 * t**2 * eta_perp ** (2 * n)
@@ -267,7 +262,7 @@ def max_bound_over_states(
     norm_bound / 2; otherwise initial_state is None (or, with
     require_state=True, NoPhysicalState is raised).
     """
-    n = _probe_count(n)
+    n = _checked_power(n)
     triple = gram_triple(family, x)
     top = covariant_gram_top(triple, n)
     if top is None:

@@ -8,6 +8,14 @@ exception: each ``max_violation`` in the ``verify`` report is measured
 floating-point round-off, whose digits can differ with the BLAS build and
 its thread count.  It is gated by its tolerance, not reproduced.
 
+Each subcommand's options are declared once, in a table of kebab-case key
+-> (default, converter, help).  The same table builds the argparse flags
+(``--help`` describes every option with its default), names the keys a JSON
+config file may set, and checks a config value with the converter its flag
+uses.  List options (``N-list``, ``eta-list``, ``alpha-sq-list``) accept a
+comma-separated string or a JSON array and must not be empty.  An explicit
+flag overrides the config file, which overrides the default.
+
 Exit codes: 0 success, 1 verification failure, 2 validation error or any
 other uncaught exception, 3 numeric-resource error (dimension budget or Fock
 truncation).  An exception never exits with 1.
@@ -18,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from argparse import ArgumentTypeError
 from pathlib import Path
 from typing import Callable
 
@@ -56,104 +65,129 @@ class _UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# option tables: kebab-case key -> (default, converter-for-config-values)
+# option tables: kebab-case key -> (default, converter, help).  The converter
+# is argparse's ``type`` for the flag and checks the config-file value too.
 
 
-def _as_float(v: object) -> float:
+def number(v: object) -> float:
     if isinstance(v, bool):
-        raise ValueError(f"expected a number, got {v!r}")
+        raise ArgumentTypeError(f"expected a number, got {v!r}")
     return float(v)  # type: ignore[arg-type]
 
 
-def _as_int(v: object) -> int:
+def integer(v: object) -> int:
     if isinstance(v, bool):
-        raise ValueError(f"expected an integer, got {v!r}")
+        raise ArgumentTypeError(f"expected an integer, got {v!r}")
     i = int(v)  # type: ignore[arg-type]
     if isinstance(v, float) and v != i:
-        raise ValueError(f"expected an integer, got {v!r}")
+        raise ArgumentTypeError(f"expected an integer, got {v!r}")
     return i
 
 
-def _as_str(v: object) -> str:
+def text(v: object) -> str:
     if not isinstance(v, str):
-        raise ValueError(f"expected a string, got {v!r}")
+        raise ArgumentTypeError(f"expected a string, got {v!r}")
     return v
 
 
-def _as_bool(v: object) -> bool:
+def boolean(v: object) -> bool:
     if not isinstance(v, bool):
-        raise ValueError(f"expected true or false, got {v!r}")
+        raise ArgumentTypeError(f"expected true or false, got {v!r}")
     return v
 
 
-def _as_list(v: object) -> object:
-    if isinstance(v, (str, list, tuple)):
-        return v
-    raise ValueError(f"expected a comma-separated string or an array, got {v!r}")
+def number_list(v: object) -> list[float]:
+    """A comma-separated string or an array of numbers; empty items in a
+    string are skipped, and the list must not come out empty."""
+    if isinstance(v, str):
+        v = [piece for piece in (p.strip() for p in v.split(",")) if piece]
+    elif not isinstance(v, (list, tuple)):
+        raise ArgumentTypeError(f"expected a comma-separated string or an array, got {v!r}")
+    if not v:
+        raise ArgumentTypeError("the list must not be empty")
+    return [float(x) for x in v]
+
+
+def integer_list(v: object) -> list[int]:
+    values = number_list(v)
+    for x in values:
+        if not x.is_integer():
+            raise ArgumentTypeError(f"expected integers, got {x}")
+    return [int(x) for x in values]
 
 
 def _choice(*allowed: str) -> Callable[[object], str]:
-    def convert(v: object) -> str:
-        s = _as_str(v)
+    def choice(v: object) -> str:
+        s = text(v)
         if s not in allowed:
-            raise ValueError(f"expected one of {allowed}, got {s!r}")
+            raise ArgumentTypeError(f"expected one of {allowed}, got {s!r}")
         return s
 
-    return convert
+    choice.choices = allowed  # type: ignore[attr-defined]
+    return choice
 
 
-_GLOBAL_TABLE: dict[str, tuple[object, Callable[[object], object]]] = {
-    "output": (None, _as_str),
-    "format": ("csv", _choice("csv", "json")),
-    "seed": (DEFAULT_SEED, _as_int),
+_Table = dict[str, tuple[object, Callable[[object], object], str]]
+
+_GLOBAL_OPTIONS: _Table = {
+    "output": (None, text, "write to this path instead of stdout"),
+    "format": ("csv", _choice("csv", "json"), "output format"),
+    "seed": (DEFAULT_SEED, integer, "seed for randomized suites"),
 }
 
-_COMMAND_TABLE: dict[str, dict[str, tuple[object, Callable[[object], object]]]] = {
-    "bound": {
+#: subcommand -> (help, options)
+_COMMANDS: dict[str, tuple[str, _Table]] = {
+    "bound": ("lower bound and exact QFI for one channel/state", {
         "channel": (
             "unitary",
             _choice("unitary", "dephasing", "depolarizing", "amplitude-damping", "custom"),
+            "single-probe channel",
         ),
-        "gamma": (0.0, _as_float),
-        "k": (0.0, _as_float),
-        "eta-par": (1.0, _as_float),
-        "eta-perp": (1.0, _as_float),
-        "theta": (0.0, _as_float),
-        "N": (1, _as_int),
-        "t": (1.0, _as_float),
-        "omega": (0.0, _as_float),
-        "state": ("ghz", _as_str),
-    },
-    "sweep": {
-        "alpha-perp": (0.5, _as_float),
-        "beta-perp": (1.0, _as_float),
-        "alpha-par": (0.0, _as_float),
-        "beta-par": (1.0, _as_float),
-        "alpha-k": (0.0, _as_float),
-        "beta-k": (1.0, _as_float),
-        "form": ("exponential", _choice("truncated", "exponential")),
-        "N-list": ("8,16,32,64,128,256,512,1024", _as_list),
-        "T": (1.0, _as_float),
-    },
-    "interferometer": {
-        "N": (20, _as_int),
+        "gamma": (0.0, number, "named-noise rate"),
+        "k": (0.0, number, "custom channel: displacement"),
+        "eta-par": (1.0, number, "custom channel: z contraction"),
+        "eta-perp": (1.0, number, "custom channel: xy contraction"),
+        "theta": (0.0, number, "custom channel: coherence phase offset"),
+        "N": (1, integer, "probe count"),
+        "t": (1.0, number, "interrogation time"),
+        "omega": (0.0, number, "working point of the estimated frequency"),
+        "state": ("ghz", text, "'ghz' or a .npy density-matrix file"),
+    }),
+    "sweep": ("optimal-time cost scaling over probe counts", {
+        "alpha-perp": (0.5, number, "xy contraction rate"),
+        "beta-perp": (1.0, number, "xy contraction time exponent"),
+        "alpha-par": (0.0, number, "z contraction rate"),
+        "beta-par": (1.0, number, "z contraction time exponent"),
+        "alpha-k": (0.0, number, "z displacement rate"),
+        "beta-k": (1.0, number, "z displacement time exponent"),
+        "form": ("exponential", _choice("truncated", "exponential"), "short-time law"),
+        "N-list": ([8, 16, 32, 64, 128, 256, 512, 1024], integer_list, "probe counts"),
+        "T": (1.0, number, "total time budget"),
+    }),
+    "interferometer": ("optimal |N>+|m> superposition under loss", {
+        "N": (20, integer, "photon number"),
         "eta-list": (
-            "0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0",
-            _as_list,
+            [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0],
+            number_list,
+            "transmissivities",
         ),
-        "k": (None, _as_int),
-        "m": (None, _as_int),
-    },
-    "ecs": {
-        "alpha-sq-list": ("1,2,4", _as_list),
-        "eta-list": ("0.8,0.9,1.0", _as_list),
-        "oracle": (False, _as_bool),
-        "phi": (0.0, _as_float),
-        "n-max": (None, _as_int),
-    },
-    "verify": {
-        "corrupt-channels": (False, _as_bool),
-    },
+        "k": (None, integer, "probe a single Gram entry: row level"),
+        "m": (None, integer, "probe a single Gram entry: column level"),
+    }),
+    "ecs": ("entangled-coherent-state bound breakdown", {
+        "alpha-sq-list": ([1.0, 2.0, 4.0], number_list, "|alpha|^2 values"),
+        "eta-list": ([0.8, 0.9, 1.0], number_list, "transmissivities"),
+        "oracle": (False, boolean, "add truncated-Fock oracle columns"),
+        "phi": (0.0, number, "phase working point for the oracle"),
+        "n-max": (None, integer, "Fock truncation override"),
+    }),
+    "verify": ("run the seeded invariant suite (always emits JSON)", {
+        "corrupt-channels": (
+            False,
+            boolean,
+            "negative control: scale channel derivatives by 1.5 (must fail)",
+        ),
+    }),
 }
 
 
@@ -165,93 +199,39 @@ def _build_parser() -> argparse.ArgumentParser:
         "scans, entangled-coherent-state breakdowns, and self-verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_global(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--seed", default=None, type=int, help="seed for randomized suites")
+    for command, (command_help, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for key, (default, convert, help_text) in {**table, **_GLOBAL_OPTIONS}.items():
+            if convert is boolean:
+                kwargs: dict = {"action": "store_true"}
+            else:
+                kwargs = {"type": convert, "choices": getattr(convert, "choices", None)}
+                if default is not None:
+                    help_text += f" (default: {default})"
+            p.add_argument(f"--{key}", default=None, help=help_text, **kwargs)
         p.add_argument("--config", default=None, help="JSON config file (flags override it)")
-
-    p = sub.add_parser("bound", help="lower bound and exact QFI for one channel/state")
-    p.add_argument(
-        "--channel",
-        default=None,
-        choices=("unitary", "dephasing", "depolarizing", "amplitude-damping", "custom"),
-    )
-    p.add_argument("--gamma", default=None, type=float, help="named-noise rate")
-    p.add_argument("--k", default=None, type=float, help="custom channel: displacement")
-    p.add_argument("--eta-par", default=None, type=float, help="custom channel: z contraction")
-    p.add_argument("--eta-perp", default=None, type=float, help="custom channel: xy contraction")
-    p.add_argument("--theta", default=None, type=float, help="custom channel: coherence phase offset")
-    p.add_argument("--N", default=None, type=int, help="probe count")
-    p.add_argument("--t", default=None, type=float, help="interrogation time")
-    p.add_argument("--omega", default=None, type=float, help="working point of the estimated frequency")
-    p.add_argument("--state", default=None, help="'ghz' or a .npy density-matrix file")
-    add_global(p)
-
-    p = sub.add_parser("sweep", help="optimal-time cost scaling over probe counts")
-    p.add_argument("--alpha-perp", default=None, type=float)
-    p.add_argument("--beta-perp", default=None, type=float)
-    p.add_argument("--alpha-par", default=None, type=float)
-    p.add_argument("--beta-par", default=None, type=float)
-    p.add_argument("--alpha-k", default=None, type=float)
-    p.add_argument("--beta-k", default=None, type=float)
-    p.add_argument("--form", default=None, choices=("truncated", "exponential"))
-    p.add_argument("--N-list", default=None, help="comma-separated probe counts")
-    p.add_argument("--T", default=None, type=float, help="total time budget")
-    add_global(p)
-
-    p = sub.add_parser("interferometer", help="optimal |N>+|m> superposition under loss")
-    p.add_argument("--N", default=None, type=int, help="photon number")
-    p.add_argument("--eta-list", default=None, help="comma-separated transmissivities")
-    p.add_argument("--k", default=None, type=int, help="probe a single Gram entry: row level")
-    p.add_argument("--m", default=None, type=int, help="probe a single Gram entry: column level")
-    add_global(p)
-
-    p = sub.add_parser("ecs", help="entangled-coherent-state bound breakdown")
-    p.add_argument("--alpha-sq-list", default=None, help="comma-separated |alpha|^2 values")
-    p.add_argument("--eta-list", default=None, help="comma-separated transmissivities")
-    p.add_argument("--oracle", action="store_true", default=None, help="add truncated-Fock oracle columns")
-    p.add_argument("--phi", default=None, type=float, help="phase working point for the oracle")
-    p.add_argument("--n-max", default=None, type=int, help="Fock truncation override")
-    add_global(p)
-
-    p = sub.add_parser(
-        "verify",
-        help="run the seeded invariant suite (always emits JSON)",
-    )
-    p.add_argument(
-        "--corrupt-channels",
-        action="store_true",
-        default=None,
-        help="negative control: scale channel derivatives by 1.5 (must fail)",
-    )
-    add_global(p)
-
     return parser
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
-    table: dict[str, tuple[object, Callable[[object], object]]] = dict(_GLOBAL_TABLE)
-    table.update(_COMMAND_TABLE[args.command])
+    table = {**_GLOBAL_OPTIONS, **_COMMANDS[args.command][1]}
     config_values: dict[str, object] = {}
     if args.config is not None:
         try:
-            raw = json.loads(Path(args.config).read_text())
+            config_values = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise _UsageError(f"cannot read config file {args.config!r}: {exc}")
         except json.JSONDecodeError as exc:
             raise _UsageError(f"config file {args.config!r} is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
+        if not isinstance(config_values, dict):
             raise _UsageError("config file must contain a JSON object")
-        for key, value in raw.items():
+        for key in config_values:
             if key not in table:
                 raise _UsageError(
                     f"unknown config key {key!r} for command {args.command!r}"
                 )
-            config_values[key] = value
     opts: dict[str, object] = {}
-    for key, (default, convert) in table.items():
+    for key, (default, convert, _) in table.items():
         dest = key.replace("-", "_")
         flag_value = getattr(args, dest, None)
         if flag_value is not None:
@@ -259,7 +239,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         elif key in config_values:
             try:
                 opts[dest] = convert(config_values[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ArgumentTypeError) as exc:
                 raise _UsageError(f"bad config value for {key!r}: {exc}")
         else:
             opts[dest] = default
@@ -330,34 +310,6 @@ def _emit(content: str, output: object) -> None:
 # helpers
 
 
-def _float_list(v: object, label: str) -> list[float]:
-    if isinstance(v, str):
-        parts = [piece.strip() for piece in v.split(",")]
-        items = [p for p in parts if p]
-        if not items:
-            raise _UsageError(f"{label} must not be empty")
-        try:
-            return [float(p) for p in items]
-        except ValueError as exc:
-            raise _UsageError(f"bad value in {label}: {exc}")
-    if isinstance(v, (list, tuple)):
-        try:
-            return [float(x) for x in v]
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"bad value in {label}: {exc}")
-    raise _UsageError(f"{label} must be a comma-separated string or an array")
-
-
-def _int_list(v: object, label: str) -> list[int]:
-    floats = _float_list(v, label)
-    out = []
-    for x in floats:
-        if x != int(x):
-            raise _UsageError(f"{label} must contain integers, got {x}")
-        out.append(int(x))
-    return out
-
-
 def _model_from_opts(opts: dict) -> ShortTimeModel:
     form = TRUNCATED_FORM if opts["form"] == "truncated" else EXPONENTIAL_FORM
     return ShortTimeModel(
@@ -376,10 +328,10 @@ def _model_from_opts(opts: dict) -> ShortTimeModel:
 
 
 def _run_bound(opts: dict) -> tuple[dict, list[str], list[list]]:
-    n = int(opts["N"])
-    t = float(opts["t"])
-    omega = float(opts["omega"])
-    channel = str(opts["channel"])
+    n = opts["N"]
+    t = opts["t"]
+    omega = opts["omega"]
+    channel = opts["channel"]
     if n < 1:
         raise _UsageError(f"probe count must be >= 1, got {n}")
     if channel == "unitary":
@@ -388,16 +340,16 @@ def _run_bound(opts: dict) -> tuple[dict, list[str], list[list]]:
     else:
         if channel == "custom":
             params = NoiseParams(
-                k=float(opts["k"]),
-                eta_par=float(opts["eta_par"]),
-                eta_perp=float(opts["eta_perp"]),
-                theta=float(opts["theta"]),
+                k=opts["k"],
+                eta_par=opts["eta_par"],
+                eta_perp=opts["eta_perp"],
+                theta=opts["theta"],
             )
         else:
-            params = named_noise(channel.replace("-", "_"), float(opts["gamma"]), t)
+            params = named_noise(channel.replace("-", "_"), opts["gamma"], t)
         family = phase_covariant_family(t, params)
         eta_perp = params.eta_perp
-    state_arg = str(opts["state"])
+    state_arg = opts["state"]
     if state_arg == "ghz":
         rho0 = ghz_state(n)
     else:
@@ -412,13 +364,13 @@ def _run_bound(opts: dict) -> tuple[dict, list[str], list[list]]:
     meta = {
         "command": "bound",
         "channel": channel,
-        "gamma": float(opts["gamma"]),
-        "k": float(opts["k"]),
-        "eta-par": float(opts["eta_par"]),
-        "theta": float(opts["theta"]),
+        "gamma": opts["gamma"],
+        "k": opts["k"],
+        "eta-par": opts["eta_par"],
+        "theta": opts["theta"],
         "omega": omega,
         "state": state_arg,
-        "seed": int(opts["seed"]),
+        "seed": opts["seed"],
         "purity": result.purity,
     }
     columns = ["N", "t", "eta_perp", "f_lower", "f_exact", "ratio"]
@@ -428,9 +380,8 @@ def _run_bound(opts: dict) -> tuple[dict, list[str], list[list]]:
 
 def _run_sweep(opts: dict) -> tuple[dict, list[str], list[list]]:
     model = _model_from_opts(opts)
-    ns = _int_list(opts["N_list"], "N-list")
     config = PrecisionConfig(
-        total_time_T=float(opts["T"]), N_range=tuple(ns), model=model
+        total_time_T=opts["T"], N_range=tuple(opts["N_list"]), model=model
     )
     scaling = precision_scaling(config, driver="numeric")
     rows = []
@@ -452,9 +403,9 @@ def _run_sweep(opts: dict) -> tuple[dict, list[str], list[list]]:
         "beta-par": model.beta_par,
         "alpha-k": model.alpha_k,
         "beta-k": model.beta_k,
-        "form": str(opts["form"]),
-        "T": float(opts["T"]),
-        "seed": int(opts["seed"]),
+        "form": opts["form"],
+        "T": opts["T"],
+        "seed": opts["seed"],
         "predicted-exponent": scaling.predicted_exponent,
         "c-lower": scaling.c_lower,
     }
@@ -467,43 +418,40 @@ def _run_sweep(opts: dict) -> tuple[dict, list[str], list[list]]:
 
 
 def _run_interferometer(opts: dict) -> tuple[dict, list[str], list[list]]:
-    n = int(opts["N"])
-    etas = _float_list(opts["eta_list"], "eta-list")
+    n = opts["N"]
     probe_k, probe_m = opts["k"], opts["m"]
     if (probe_k is None) != (probe_m is None):
         raise _UsageError("--k and --m must be supplied together")
-    meta = {"command": "interferometer", "N": n, "seed": int(opts["seed"])}
+    meta = {"command": "interferometer", "N": n, "seed": opts["seed"]}
     if probe_k is not None:
-        meta["k"] = int(probe_k)
-        meta["m"] = int(probe_m)
+        meta["k"] = probe_k
+        meta["m"] = probe_m
         columns = ["eta", "k", "m", "gram_value"]
         rows = [
-            [eta, int(probe_k), int(probe_m), interferometer_gram_diag(n, eta, int(probe_k), int(probe_m))]
-            for eta in etas
+            [eta, probe_k, probe_m, interferometer_gram_diag(n, eta, probe_k, probe_m)]
+            for eta in opts["eta_list"]
         ]
         return meta, columns, rows
     columns = ["eta", "m_max", "gram_value"]
     rows = []
-    for eta in etas:
+    for eta in opts["eta_list"]:
         m_best = interferometer_optimal_m(n, eta)
         rows.append([eta, m_best, interferometer_gram_diag(n, eta, n, m_best)])
     return meta, columns, rows
 
 
 def _run_ecs(opts: dict) -> tuple[dict, list[str], list[list]]:
-    alpha_sqs = _float_list(opts["alpha_sq_list"], "alpha-sq-list")
-    etas = _float_list(opts["eta_list"], "eta-list")
-    oracle = bool(opts["oracle"])
-    phi = float(opts["phi"])
+    oracle = opts["oracle"]
+    phi = opts["phi"]
     n_max = opts["n_max"]
     meta = {
         "command": "ecs",
         "oracle": oracle,
         "phi": phi,
-        "seed": int(opts["seed"]),
+        "seed": opts["seed"],
     }
     if n_max is not None:
-        meta["n-max"] = int(n_max)
+        meta["n-max"] = n_max
     columns = [
         "alpha_sq",
         "eta",
@@ -516,16 +464,16 @@ def _run_ecs(opts: dict) -> tuple[dict, list[str], list[list]]:
     if oracle:
         columns += ["f_lower_numeric", "rel_err"]
     rows = []
-    for alpha_sq in alpha_sqs:
+    for alpha_sq in opts["alpha_sq_list"]:
         if alpha_sq < 0.0:
             raise _UsageError(f"|alpha|^2 must be >= 0, got {alpha_sq}")
         alpha = math.sqrt(alpha_sq)
         spec = (
-            EcsSpec(alpha=alpha, n_max=int(n_max))
+            EcsSpec(alpha=alpha, n_max=n_max)
             if n_max is not None
             else EcsSpec.for_alpha(alpha)
         )
-        for eta in etas:
+        for eta in opts["eta_list"]:
             breakdown = ecs_lower_bound_closed(spec, eta)
             f_c_practical, f_h_practical = ecs_practical_forms(spec, eta)
             row = [
@@ -560,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         opts = _resolve_options(args)
         if args.command == "verify":
             report = run_verification(
-                int(opts["seed"]), corrupt_channels=bool(opts["corrupt_channels"])
+                opts["seed"], corrupt_channels=opts["corrupt_channels"]
             )
             _emit(render_json(report), opts["output"])
             return 0 if report["all_passed"] else 1

@@ -297,7 +297,7 @@ def require_budget(count: int, what: str, budget: int = MAX_DENSE_ROWS) -> None:
 def _checked_power(n: int, d: int | None = None) -> int:
     """Validate an N-fold exponent and, given the site dim d, the dense budget."""
     if n < 1 or n != int(n):
-        raise ValueError(f"tensor power requires integer n >= 1, got {n}")
+        raise ValueError(f"an N-fold product needs an integer n >= 1, got {n}")
     n = int(n)
     if n > 1 and d is not None:
         require_budget((d * d) ** n, f"Liouville rows of a {n}-fold tensor power")

@@ -102,11 +102,6 @@ def herm_eig(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the usual row-major block convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product (A|B) = tr(A^dag B)."""
     x = np.asarray(a)
@@ -116,30 +111,23 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(np.conj(x) * y))
 
 
-def largest_eigval_psd(m: np.ndarray, *, want_vectors: bool = True) -> TopEigenspace:
+def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
     """Largest eigenvalue of a Hermitian PSD matrix plus its top eigenspace.
 
     The smallest eigenvalue may be slightly negative (down to
     ``-1e-9 * |M|``) from round-off; anything below that raises
-    :class:`NegativeSpectrum`.  With ``want_vectors=False`` only the
-    eigenvalues are computed, which is roughly four times faster for the
-    large Gram matrices; ``vectors`` is then an empty array.
+    :class:`NegativeSpectrum`.
     """
     a = _require_hermitian(m)
     scale = float(np.linalg.norm(a))
-    if want_vectors:
-        spectrum = herm_eig(a)
-        eigenvalues = spectrum.eigenvalues
-    else:
-        eigenvalues = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    spectrum = herm_eig(a)
+    eigenvalues = spectrum.eigenvalues
     lo = float(eigenvalues[0])
     if lo < -PSD_CLIP_RTOL * max(scale, 1e-300):
         raise NegativeSpectrum(
             f"matrix is not PSD: min eigenvalue {lo:.3e} with norm {scale:.3e}"
         )
     top = float(eigenvalues[-1])
-    if not want_vectors:
-        return TopEigenspace(value=max(top, 0.0), vectors=np.empty((a.shape[0], 0)))
     cut = top - TOP_EIGENSPACE_RTOL * abs(top)
     mask = eigenvalues >= cut
     return TopEigenspace(value=max(top, 0.0), vectors=spectrum.eigenvectors[:, mask])

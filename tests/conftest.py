@@ -42,6 +42,18 @@ def assert_matches_golden(name: str, got: bytes) -> None:
         assert math.isfinite(value) and value <= check["tolerance"], check
 
 
+def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """||U U^dag - V V^dag||_F for two matrices of orthonormal columns.
+
+    Its square is ||(1 - U U^dag) V||_F^2 + ||(1 - V V^dag) U||_F^2; the two
+    residuals are formed directly, since k_U + k_V - 2 ||U^dag V||_F^2
+    cancels to round-off and would leave a distance of order 1e-8.
+    """
+    residual_v = v - u @ (u.conj().T @ v)
+    residual_u = u - v @ (v.conj().T @ u)
+    return math.hypot(np.linalg.norm(residual_v), np.linalg.norm(residual_u))
+
+
 @pytest.fixture
 def golden_check():
     """The golden-file comparison, shared by the CLI and acceptance suites."""

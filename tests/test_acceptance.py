@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import projector_distance
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
@@ -107,14 +108,10 @@ def test_criterion_02_unitary_norm_and_eigenspace():
             target = n * n * t * t
             worst_norm = max(worst_norm, abs(result.norm_bound - target) / target)
             # expected top eigenspace: |0..0><1..1| and |1..1><0..0|
-            hot = (dim - 1, dim * (dim - 1))
-            k_num = len(result.top_eigenspace)
-            overlap = sum(
-                float(np.abs(v.amplitudes[hot[0]]) ** 2 + np.abs(v.amplitudes[hot[1]]) ** 2)
-                for v in result.top_eigenspace
-            )
-            dist_sq = k_num + 2.0 - 2.0 * overlap
-            worst_proj = max(worst_proj, math.sqrt(max(dist_sq, 0.0)))
+            expected = np.zeros((dim * dim, 2))
+            expected[[dim - 1, dim * (dim - 1)], [0, 1]] = 1.0
+            got = np.column_stack([v.amplitudes for v in result.top_eigenspace])
+            worst_proj = max(worst_proj, projector_distance(expected, got))
     assert worst_norm <= 1e-10, f"worst norm deviation {worst_norm:.3e}"
     assert worst_proj <= 1e-8, f"worst projector distance {worst_proj:.3e}"
     report(2, f"unitary Gram norm N^2 t^2 and doubly degenerate eigenspace "

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import projector_distance
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
@@ -367,18 +366,6 @@ def model_family(index: int, factor: float, n: int, *, diagonal: bool = False) -
     model, theta = MODELS[index]
     t = factor * tau_solve(model, n)
     return phase_covariant_family(t, params_at(model, t, theta), coherence_diagonal=diagonal)
-
-
-def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """||U U^dag - V V^dag||_F for two matrices of orthonormal columns.
-
-    Its square is ||(1 - U U^dag) V||_F^2 + ||(1 - V V^dag) U||_F^2; the two
-    residuals are formed directly, since k_U + k_V - 2 ||U^dag V||_F^2
-    cancels to round-off and would leave a distance of order 1e-8.
-    """
-    residual_v = v - u @ (u.conj().T @ v)
-    residual_u = u - v @ (v.conj().T @ u)
-    return math.hypot(np.linalg.norm(residual_v), np.linalg.norm(residual_u))
 
 
 def coherence_sites(vectors, n: int) -> set[int]:

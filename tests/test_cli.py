@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -231,6 +233,130 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"N": "three"}))
         assert main(["bound", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("interferometer", "eta-list"),
+            ("ecs", "alpha-sq-list"),
+            ("ecs", "eta-list"),
+            ("sweep", "N-list"),
+        ],
+    )
+    def test_empty_list_rejected_like_its_flag(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: []}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out == ""
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{key}", ","])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["8.0,16", [8.0, 16], ["8", "16"], " 8 , ,16 "])
+    def test_list_spellings_keep_their_meaning(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N-list": value}))
+        assert resolve(["sweep", "--config", str(cfg)])["N_list"] == [8, 16]
+        if isinstance(value, str):
+            assert resolve(["sweep", "--N-list", value])["N_list"] == [8, 16]
+
+
+#: The long flags of each subcommand, as the parser declared them before the
+#: option tables drove it.  No flag may be added or lost.
+PINNED_FLAGS = {
+    "bound": [
+        "--channel", "--gamma", "--k", "--eta-par", "--eta-perp", "--theta", "--N",
+        "--t", "--omega", "--state", "--output", "--format", "--seed", "--config",
+    ],
+    "sweep": [
+        "--alpha-perp", "--beta-perp", "--alpha-par", "--beta-par", "--alpha-k",
+        "--beta-k", "--form", "--N-list", "--T", "--output", "--format", "--seed", "--config",
+    ],
+    "interferometer": [
+        "--N", "--eta-list", "--k", "--m", "--output", "--format", "--seed", "--config",
+    ],
+    "ecs": [
+        "--alpha-sq-list", "--eta-list", "--oracle", "--phi", "--n-max",
+        "--output", "--format", "--seed", "--config",
+    ],
+    "verify": ["--corrupt-channels", "--output", "--format", "--seed", "--config"],
+}
+
+#: converter -> (flag text, the same value in a config file, parsed value,
+#: a wrongly typed flag text or None, a wrongly typed config value)
+SAMPLES = {
+    cli.number: ("0.25", 0.25, 0.25, "abc", True),
+    cli.integer: ("3", 3, 3, "3.5", 3.5),
+    cli.text: ("x.npy", "x.npy", "x.npy", None, 5),
+    cli.number_list: ("0.5,1", [0.5, 1], [0.5, 1.0], "a,b", ["a"]),
+    cli.integer_list: ("4,8", [4.0, 8], [4, 8], "4.5", [4.5]),
+}
+
+
+def resolve(argv):
+    return cli._resolve_options(cli._build_parser().parse_args(argv))
+
+
+def subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def table_entries():
+    for command, (_, table) in cli._COMMANDS.items():
+        for key, entry in {**table, **cli._GLOBAL_OPTIONS}.items():
+            yield pytest.param(command, key, entry, id=f"{command}-{key}")
+
+
+def sample(convert, default):
+    """Valid and wrongly typed inputs for one converter."""
+    if convert is cli.boolean:
+        return None, True, True, "=yes", "yes"
+    choices = getattr(convert, "choices", None)
+    if choices is not None:
+        choice = next(c for c in choices if c != default)
+        return choice, choice, choice, "bogus", "bogus"
+    return SAMPLES[convert]
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
+    def test_flag_set_is_pinned(self, command):
+        sub = subparsers()[command]
+        flags = [s for a in sub._actions for s in a.option_strings if s != "--help"]
+        flags = [s for s in flags if s.startswith("--")]
+        assert flags == PINNED_FLAGS[command]
+        assert all(a.help for a in sub._actions)
+        assert all(a.default is None for a in sub._actions if a.dest != "help")
+
+    @pytest.mark.parametrize("command,key,entry", table_entries())
+    def test_flag_and_config_agree(self, tmp_path, capsys, command, key, entry):
+        default, convert, _ = entry
+        dest = key.replace("-", "_")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert re.search(rf"--{re.escape(key)}(?=[\s\]])", capsys.readouterr().out)
+
+        flag_text, config_value, parsed, bad_flag, bad_config = sample(convert, default)
+        assert resolve([command])[dest] == default
+        flag_argv = [f"--{key}"] if flag_text is None else [f"--{key}", flag_text]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: config_value}))
+        from_flag = resolve([command, *flag_argv])[dest]
+        from_config = resolve([command, "--config", str(cfg)])[dest]
+        assert from_flag == from_config == parsed
+        assert type(from_flag) is type(from_config)
+
+        cfg.write_text(json.dumps({key: bad_config}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "bad config value" in capsys.readouterr().err
+        if bad_flag is not None:  # a flag value is always a string, so text has no wrong type
+            bad_argv = [f"--{key}{bad_flag}"] if bad_flag.startswith("=") else [f"--{key}", bad_flag]
+            with pytest.raises(SystemExit) as exc:
+                main([command, *bad_argv])
+            assert exc.value.code == 2
 
 
 class TestArgumentValidation:

@@ -17,7 +17,6 @@ from qfibound.errors import (
 from qfibound.numerics import (
     frobenius_inner,
     herm_eig,
-    kron,
     largest_eigval_psd,
     loglog_slope,
     minimize_unimodal,
@@ -65,12 +64,6 @@ def test_frobenius_inner_conjugate_symmetry(rng):
     assert_allclose(frobenius_inner(a, b), np.conj(frobenius_inner(b, a)))
 
 
-def test_kron_matches_numpy(rng):
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
-    assert_allclose(kron(a, b), np.kron(a, b))
-
-
 class TestLargestEigvalPsd:
     def test_diagonal(self):
         top = largest_eigval_psd(np.diag([0.2, 0.5, 0.3]))
@@ -91,10 +84,6 @@ class TestLargestEigvalPsd:
     def test_rejects_negative_spectrum(self):
         with pytest.raises(NegativeSpectrum):
             largest_eigval_psd(np.diag([1.0, -0.5]))
-
-    def test_skip_vectors(self):
-        top = largest_eigval_psd(np.diag([0.25, 0.75]), want_vectors=False)
-        assert_allclose(top.value, 0.75)
 
 
 class TestPsdSqrt:
