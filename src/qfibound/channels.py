@@ -503,9 +503,3 @@ def ecs_vector(spec: EcsSpec) -> np.ndarray:
     vacuum[0] = 1.0
     psi = spec.norm_const * (np.kron(c, vacuum) + np.kron(vacuum, c))
     return psi
-
-
-def ecs_state(spec: EcsSpec) -> np.ndarray:
-    """Two-mode density matrix of the ECS (rank 1, trace 1 up to the tail)."""
-    psi = ecs_vector(spec)
-    return np.outer(psi, psi.conj())

@@ -76,12 +76,14 @@ def number(v: object) -> float:
 
 
 def integer(v: object) -> int:
-    if isinstance(v, bool):
+    """A whole number, spelled 3, 3.0 or "3.0" on a flag or in a config file."""
+    x = number(v)
+    if not x.is_integer():
         raise ArgumentTypeError(f"expected an integer, got {v!r}")
-    i = int(v)  # type: ignore[arg-type]
-    if isinstance(v, float) and v != i:
-        raise ArgumentTypeError(f"expected an integer, got {v!r}")
-    return i
+    try:
+        return int(v)  # type: ignore[arg-type]
+    except ValueError:  # text such as "3.0"; int() keeps other integer text exact
+        return int(x)
 
 
 def text(v: object) -> str:
@@ -96,24 +98,24 @@ def boolean(v: object) -> bool:
     return v
 
 
-def number_list(v: object) -> list[float]:
-    """A comma-separated string or an array of numbers; empty items in a
-    string are skipped, and the list must not come out empty."""
+def _items(v: object) -> list:
+    """A comma-separated string or an array; empty items in a string are
+    skipped, and the list must not come out empty."""
     if isinstance(v, str):
         v = [piece for piece in (p.strip() for p in v.split(",")) if piece]
     elif not isinstance(v, (list, tuple)):
         raise ArgumentTypeError(f"expected a comma-separated string or an array, got {v!r}")
     if not v:
         raise ArgumentTypeError("the list must not be empty")
-    return [float(x) for x in v]
+    return list(v)
+
+
+def number_list(v: object) -> list[float]:
+    return [number(x) for x in _items(v)]
 
 
 def integer_list(v: object) -> list[int]:
-    values = number_list(v)
-    for x in values:
-        if not x.is_integer():
-            raise ArgumentTypeError(f"expected integers, got {x}")
-    return [int(x) for x in values]
+    return [integer(x) for x in _items(v)]
 
 
 def _choice(*allowed: str) -> Callable[[object], str]:

@@ -24,7 +24,6 @@ from .channels import (
     ShortTimeModel,
     correlated_dephasing_family,
     ecs_vector,
-    loss_kraus,
     loss_weight_rows,
     loss_weights,
 )
@@ -377,40 +376,37 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
 
     Phase encoding acts on arm a; photon loss with the same transmissivity
     acts on each arm independently (the symmetric-loss interferometer the
-    closed form describes).  The output state rho = V V^dag is never formed:
-    each Kraus pair gives one column of V (and of its derivative V'), pairs
-    that annihilate the state (losing photons from a vacuum arm) are skipped
-    before any product, and :func:`lower_bound_from_factor` takes the bound
-    from the k x k products of the k <= 2 n_max + 1 remaining columns.  The
-    result is phi-independent for this family.  DimensionBudgetExceeded is
-    raised before any allocation when V would exceed MAX_DENSE_ROWS^2 entries.
+    closed form describes).  rho = V V^dag is never formed.  K_l is a shifted
+    diagonal, so Kraus pair (l, r) maps the encoded amplitudes E to
+    sqrt(W[i+l, l] W[k+r, r]) E[i+l, k+r] at output levels (i, k), with W =
+    loss_weights.  The suffix-OR mask reach[i, k] = any(E or E' nonzero on
+    [i:, k:]) names both the surviving pairs and the rows where V or V' can
+    be nonzero, so V and V' are gathered as reachable rows x kept pairs
+    ((2 n_max + 1)^2 entries for the ECS) for :func:`lower_bound_from_factor`.
+    The result is phi-independent for this family.  DimensionBudgetExceeded
+    is raised before the (n_max+1)^2 amplitudes and before the gather when
+    either exceeds MAX_DENSE_ROWS^2 entries; n_max <= 2047 passes both.
     """
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
     dim = spec.n_max + 1
-    entries = dim * dim * (2 * dim - 1)
-    require_budget(entries, f"ECS factor entries at n_max = {spec.n_max}", MAX_DENSE_ROWS**2)
-    # mode a indexes rows, mode b columns; phase acts on rows only
+    require_budget(dim * dim, f"ECS amplitudes at n_max = {spec.n_max}", MAX_DENSE_ROWS**2)
+    # mode a indexes rows, mode b columns; the phase never vanishes, so E and
+    # E' are nonzero only where the branch amplitudes are
     branch = ecs_vector(spec).reshape(dim, dim)
-    levels = np.arange(dim)
-    phase = np.exp(-1j * phi * levels)
-    encoded = phase[:, None] * branch
-    encoded_prime = (-1j * levels * phase)[:, None] * branch
-    kraus = loss_kraus(spec.n_max, eta)
-    supports = [op.any(axis=0) for op in kraus]
-    columns = []
-    prime_columns = []
-    for op in kraus:
-        left, left_prime = op @ encoded, op @ encoded_prime
-        reach = left.any(axis=0) | left_prime.any(axis=0)
-        for right, support in zip(kraus, supports):
-            # (left @ right.T)[i, k] sums left[i, j] right[k, j]: zero unless
-            # some column j is nonzero in both
-            if not (reach & support).any():
-                continue
-            columns.append((left @ right.T).reshape(-1))
-            prime_columns.append((left_prime @ right.T).reshape(-1))
-    return lower_bound_from_factor(np.stack(columns, axis=1), np.stack(prime_columns, axis=1)).f_lower
+    reach = np.logical_or.accumulate(branch[::-1] != 0, axis=0)[::-1]
+    reach = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
+    kept_a, kept_b = np.nonzero(reach)  # output levels (i, k), and lost photons (l, r)
+    require_budget(kept_a.size**2, f"ECS factor entries at n_max = {spec.n_max}", MAX_DENSE_ROWS**2)
+    amplitudes = np.sqrt(loss_weights(spec.n_max, eta))
+    # levels i + l and k + r before the loss; a branch from past n_max is zero
+    source_a, source_b = kept_a[:, None] + kept_a, kept_b[:, None] + kept_b
+    inside = (source_a < dim) & (source_b < dim)
+    source_a, source_b = source_a * inside, source_b * inside
+    v = inside * amplitudes[source_a, kept_a] * amplitudes[source_b, kept_b] * branch[source_a, source_b]
+    v = v * np.exp(-1j * phi * source_a)
+    # the derivative of e^{-i phi n} is -i n e^{-i phi n}, at the encoded level n = i + l
+    return lower_bound_from_factor(v, -1j * source_a * v).f_lower
 
 
 # ---------------------------------------------------------------------------

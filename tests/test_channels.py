@@ -19,7 +19,6 @@ from qfibound.channels import (
     ShortTimeModel,
     correlated_dephasing_diag,
     correlated_dephasing_family,
-    ecs_state,
     ecs_vector,
     interferometer_family,
     loss_kraus,
@@ -46,6 +45,12 @@ class _Unreached(Exception):
 
 def _unreached(*args, **kwargs):
     raise _Unreached
+
+
+def ecs_state(spec):
+    """Two-mode density matrix of the ECS (rank 1, trace 1 up to the tail)."""
+    psi = ecs_vector(spec)
+    return np.outer(psi, psi.conj())
 
 
 class TestNoiseParams:

@@ -185,8 +185,9 @@ class TestEcsCommand:
         assert code == 3
 
     def test_oracle_budget_exit_code(self, capsys):
-        # V at n_max = 300 would hold 301^2 x 601 = 54 451 201 entries, over 4096^2
-        assert main(["ecs", "--n-max", "300", "--oracle"]) == 3
+        # the amplitudes at n_max = 4096 would hold 4097^2 = 16 785 409
+        # entries, over 4096^2
+        assert main(["ecs", "--n-max", "4096", "--oracle"]) == 3
         assert "budget" in capsys.readouterr().err
 
 
@@ -259,6 +260,47 @@ class TestConfigFile:
         assert resolve(["sweep", "--config", str(cfg)])["N_list"] == [8, 16]
         if isinstance(value, str):
             assert resolve(["sweep", "--N-list", value])["N_list"] == [8, 16]
+
+    @pytest.mark.parametrize("value", [3, 3.0, "3", "3.0"], ids=["int", "float", "text", "float-text"])
+    def test_whole_number_spellings_agree(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": value}))
+        assert resolve(["bound", "--config", str(cfg)])["N"] == 3
+        assert resolve(["bound", "--N", str(value)])["N"] == 3
+        cfg.write_text(json.dumps({"N-list": [value, 8]}))
+        assert resolve(["sweep", "--config", str(cfg)])["N_list"] == [3, 8]
+        assert resolve(["sweep", "--N-list", f"{value},8"])["N_list"] == [3, 8]
+
+    @pytest.mark.parametrize("value", [3.5, "3.5"], ids=["float", "text"])
+    def test_fractional_integer_refused_on_both_paths(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        for command, key, config_value, flag_text in [
+            ("bound", "N", value, str(value)),
+            ("sweep", "N-list", [8, value], f"8,{value}"),
+        ]:
+            cfg.write_text(json.dumps({key: config_value}))
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "bad config value" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                main([command, f"--{key}", flag_text])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("sweep", "N-list", [True, 8]),
+            ("interferometer", "eta-list", [True, 0.9]),
+            ("ecs", "alpha-sq-list", [2.0, False]),
+            ("ecs", "eta-list", [True, 0.9]),
+        ],
+    )
+    def test_boolean_in_a_list_rejected_like_a_scalar(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad config value" in err
 
 
 #: The long flags of each subcommand, as the parser declared them before the

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qfibound import metrology
 from qfibound.bound import lower_bound_from_state
@@ -49,6 +50,15 @@ class _Unreached(Exception):
 
 def _unreached(*args, **kwargs):
     raise _Unreached
+
+
+def _ecs_support(spec):
+    """A stand-in for ecs_vector with the ECS support (one arm in vacuum);
+    the other pages of its array are never written."""
+    dim = spec.n_max + 1
+    psi = np.zeros((dim, dim))
+    psi[0, :] = psi[:, 0] = 1.0
+    return psi.reshape(-1)
 
 
 class TestTOptPaper:
@@ -301,11 +311,12 @@ class TestEcsPractical:
         assert_allclose((f_c, f_h), (0.5, 0.5))
 
 
-def ecs_numeric_dense(spec, eta, phi=0.0):
+def ecs_numeric_dense(spec, eta, phi=0.0, psi=None):
     """Reference ECS bound: assembles the dense (n_max+1)^2 state rho = V V^dag
-    and its derivative rho' = V' V^dag + V V'^dag, then bounds them directly."""
+    and its derivative rho' = V' V^dag + V V'^dag, then bounds them directly.
+    A two-mode vector ``psi`` replaces the ECS when given."""
     dim = spec.n_max + 1
-    branch = ecs_vector(spec).reshape(dim, dim)
+    branch = (ecs_vector(spec) if psi is None else psi).reshape(dim, dim)
     levels = np.arange(dim)
     phase = np.exp(-1j * phi * levels)
     encoded = phase[:, None] * branch
@@ -339,14 +350,60 @@ class TestEcsNumeric:
         floor = 1e-12 * ecs_lower_bound_closed(spec, 1.0).f_lower
         assert_allclose(ecs_lower_bound_numeric(spec, eta, phi), want, rtol=1e-12, atol=floor)
 
-    def test_factor_budget_edge(self, monkeypatch):
-        # V is (n_max+1)^2 x (2 n_max + 1): 16 689 645 entries at n_max = 202,
-        # 16 937 712 at 203, against a budget of 4096^2 = 16 777 216
+    @pytest.mark.parametrize("eta", [0.3, 0.8])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_dense_oracle_on_any_support(self, monkeypatch, seed, eta):
+        # the mask and the gather use no ECS structure, so a two-mode state
+        # with a scattered, asymmetric support must match the dense assembly
+        rng = np.random.default_rng(seed)
+        spec = EcsSpec(alpha=1.0, n_max=6)
+        shape = (spec.n_max + 1, spec.n_max + 1)
+        psi = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.3)
+        psi = (psi / np.linalg.norm(psi)).reshape(-1)
+        monkeypatch.setattr(metrology, "ecs_vector", lambda _: psi)
+        want = ecs_numeric_dense(spec, eta, 0.9, psi=psi)
+        assert_allclose(ecs_lower_bound_numeric(spec, eta, 0.9), want, rtol=1e-12)
+
+    def test_amplitude_budget_edge(self, monkeypatch):
+        # the (n_max+1)^2 amplitudes and weights: 4096^2 entries at n_max =
+        # 4095, 4097^2 at 4096, against a budget of 4096^2
         monkeypatch.setattr(metrology, "ecs_vector", _unreached)
         with pytest.raises(_Unreached):
-            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=202), 0.9)
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=4095), 0.9)
         with pytest.raises(DimensionBudgetExceeded):
-            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=203), 0.9)
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=4096), 0.9)
+
+    def test_factor_budget_edge(self, monkeypatch):
+        # on the ECS support V is (2 n_max + 1)^2: 4095^2 = 16 769 025
+        # entries at n_max = 2047, 4097^2 = 16 785 409 at 2048, against a
+        # budget of 4096^2 = 16 777 216
+        small = EcsSpec.for_alpha(2.0)
+        assert_array_equal(_ecs_support(small) != 0, ecs_vector(small) != 0)
+        monkeypatch.setattr(metrology, "ecs_vector", _ecs_support)
+        monkeypatch.setattr(metrology, "loss_weights", _unreached)
+        with pytest.raises(_Unreached):
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=2047), 0.9)
+        with pytest.raises(DimensionBudgetExceeded):
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=2048), 0.9)
+
+    @pytest.mark.parametrize("alpha_sq", [16.0, 25.0])
+    def test_matches_closed_form_at_large_alpha(self, alpha_sq):
+        spec = EcsSpec.for_alpha(math.sqrt(alpha_sq))
+        assert spec.n_max == {16.0: 66, 25.0: 85}[alpha_sq]
+        closed = ecs_lower_bound_closed(spec, 0.9).f_lower
+        assert_allclose(ecs_lower_bound_numeric(spec, 0.9), closed, rtol=1e-10)
+
+    def test_peak_memory_at_n_max_100(self):
+        # the factor is (2 n_max + 1)^2 = 201^2 entries (0.65 MB); the dense
+        # Kraus-pair assembly peaked at 175 MB
+        spec = EcsSpec(alpha=3.0, n_max=100)
+        tracemalloc.start()
+        try:
+            ecs_lower_bound_numeric(spec, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_matches_closed_form(self):
         spec = EcsSpec.for_alpha(1.0)
