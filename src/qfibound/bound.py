@@ -13,7 +13,11 @@ attains F_down = ||G|| / 2 exactly below the crossover time.
 For an N-fold product of a phase-covariant qubit channel, detected from its
 single-site Gram triple, ||G|| and its top eigenspace come in closed form
 (:func:`.liouville.covariant_gram_top`); every other family falls back to
-the dense N-fold Gram matrix and its eigendecomposition.
+the dense N-fold Gram matrix and its eigendecomposition.  The GHZ bound of a
+qubit product channel also comes from that triple (:func:`ghz_lower_bound`):
+the GHZ projector is a sum of four product operators, so its three inner
+products are sums of elementwise powers of 4 x 4 matrices, and nothing of
+size 4^N is built.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidState,
     NonTraceless,
     NoPhysicalState,
@@ -29,12 +34,12 @@ from .errors import (
 )
 from .liouville import (
     ChannelFamily,
+    GramTriple,
     LiouvilleVector,
     _checked_power,
     covariant_gram_top,
     gram_tensor_power,
     gram_triple,
-    product_family,
     require_budget,
 )
 from .numerics import TOP_EIGENSPACE_RTOL, TopEigenspace, largest_eigval_psd
@@ -73,7 +78,9 @@ class OptimalStateResult:
     which takes the dense path, it is the eigendecomposition's basis.
     initial_state is a physical density matrix whose channel bound equals
     norm_bound/2 (the GHZ projector for commuting qubit noise) or None when
-    no such state was constructed.
+    no such state was found.  The GHZ candidate is tested from the
+    single-site Gram triple (:func:`ghz_lower_bound`), and the dense
+    projector is built only when it is returned.
     """
 
     norm_bound: float
@@ -149,10 +156,12 @@ def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
 
     V and V' are dim x k.  With the k x k matrices A = V^dag V, B = V^dag V'
     and C = V'^dag V', the inner products are (rho|rho) = ||A||_F^2,
-    (rho|rho') = 2 Re tr(AB) and (rho'|rho') = 2 Re tr(B^2) + 2 tr(AC).
-    The checks of :func:`lower_bound_from_state` apply to the factor: rho
-    and rho' are Hermitian by construction, A has the nonzero spectrum and
-    the trace of rho, and tr rho' = 2 Re tr B.
+    (rho|rho') = 2 Re tr(AB) and (rho'|rho') = 2 Re tr(B^2) + 2 tr(AC), with
+    tr(AC) = (V'|V' A) so that C is never formed.  rho and rho' are
+    Hermitian and rho is PSD by construction, so of the checks of
+    :func:`lower_bound_from_state` the finite entries and the two traces
+    remain: tr rho = ||V||_F^2 and tr rho' = 2 Re tr B.  Besides V and V',
+    the call holds at most three k x k matrices and one dim x k copy.
     """
     f = np.asarray(v, dtype=complex)
     fp = np.asarray(v_prime, dtype=complex)
@@ -161,14 +170,19 @@ def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
     for name, m in (("state", f), ("derivative", fp)):
         if not np.all(np.isfinite(m)):
             raise InvalidState(f"{name} factor has non-finite entries")
-    a = _check_density(f.conj().T @ f)
-    b = f.conj().T @ fp
+    trace = float(np.vdot(f, f).real)
+    if abs(trace - 1.0) > STATE_TOL:
+        raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
+    f_dag = f.conj().T
+    a = f_dag @ f
+    b = f_dag @ fp
+    del f_dag
     prime_trace = 2.0 * float(np.trace(b).real)
     if abs(prime_trace) > STATE_TOL:
         raise NonTraceless(f"derivative trace {prime_trace:.3e} is not 0")
     # tr(XY) = vdot(X, Y) for Hermitian X; tr(B^2) = sum_ij B_ij B_ji
     return _bound_from_products(
-        term_grad=2.0 * float(np.sum(b * b.T).real + np.vdot(a, fp.conj().T @ fp).real),
+        term_grad=2.0 * float(np.sum(b * b.T).real + np.vdot(fp, fp @ a).real),
         overlap=2.0 * float(np.vdot(a, b).real),
         purity=float(np.vdot(a, a).real),
     )
@@ -238,6 +252,59 @@ def ghz_state(n: int) -> np.ndarray:
     return rho
 
 
+def ghz_lower_bound(family: ChannelFamily, x: float, n: int) -> BoundResult:
+    """The bound of the N-qubit GHZ projector through the N-fold product of a
+    qubit family, from its single-site Gram triple alone.
+
+    Equals ``lower_bound_from_channel(product_family(family, n), x,
+    ghz_state(n))`` to round-off, but builds nothing of size 4^N, so N may
+    run to the thousands.
+    """
+    return _ghz_bound(gram_triple(family, x), _checked_power(n))
+
+
+def _ghz_bound(triple: GramTriple, n: int) -> BoundResult:
+    """The GHZ bound of an N-fold qubit product channel from its Gram triple.
+
+    GHZ = 1/2 sum_k X_k^xN over the four basis operators X_k = |mu><nu|, so
+    with g = Phi^dag Phi = a, h = Phi^dag Phi' = c^dag and e = Phi'^dag Phi'
+    = b, and powers and products taken elementwise,
+
+        (rho|rho)   = 1/4 sum g^N,
+        (rho|rho')  = 1/4 sum N g^(N-1) h,
+        (rho'|rho') = 1/4 sum [N g^(N-1) e + N(N-1) g^(N-2) conj(h^T) h].
+
+    where conj(h^T) = c.  The sums run on g / max|g| and the bound is scaled
+    back by max|g|^N, so g^N does not underflow at large N.  The g^(N-2)
+    term is absent at N = 1.
+    """
+    if triple.a.hilbert_dim != 2:
+        raise DimensionMismatch(
+            f"a GHZ state needs a qubit family, got Hilbert dim {triple.a.hilbert_dim}"
+        )
+    scale = float(np.max(np.abs(triple.a.matrix)))
+    if scale == 0.0:
+        raise InvalidState("state has vanishing Hilbert-Schmidt norm")
+    g, e, c = (op.matrix / scale for op in (triple.a, triple.b, triple.c))
+    h = c.conj().T
+    lead = g ** (n - 1)
+    term_grad = n * np.sum(lead * e)
+    if n > 1:
+        term_grad += n * (n - 1) * np.sum(g ** (n - 2) * c * h)
+    scaled = _bound_from_products(
+        term_grad=float(term_grad.real) / 4.0,
+        overlap=n * complex(np.sum(lead * h)) / 4.0,
+        purity=float(np.sum(lead * g).real) / 4.0,
+    )
+    factor = scale**n
+    return BoundResult(
+        f_lower=factor * scaled.f_lower,
+        term_grad=factor * scaled.term_grad,
+        term_proj=factor * scaled.term_proj,
+        purity=factor * scaled.purity,
+    )
+
+
 def analytic_max_phase_covariant(n: int, t: float, eta_perp: float) -> float:
     """Closed form of the Gram norm for phase-covariant noise below the
     crossover time: N^2 t^2 eta_perp^(2N)."""
@@ -258,7 +325,8 @@ def max_bound_over_states(
     :func:`covariant_gram_top`) takes the closed form, with no N-fold Gram
     matrix; any other family falls back to the dense Gram matrix and its
     eigendecomposition.  For qubit families the GHZ projector is tried as
-    the optimal state and returned when its channel bound equals
+    the optimal state, its bound taken from the same triple (as in
+    :func:`ghz_lower_bound`), and returned when that bound equals
     norm_bound / 2; otherwise initial_state is None (or, with
     require_state=True, NoPhysicalState is raised).
     """
@@ -275,11 +343,9 @@ def max_bound_over_states(
     ] if norm_bound > 0.0 else []
     initial_state: np.ndarray | None = None
     if norm_bound > 0.0 and site_dim == 2:
-        candidate = ghz_state(n)
-        result = lower_bound_from_channel(product_family(family, n), x, candidate)
         target = norm_bound / 2.0
-        if abs(result.f_lower - target) <= ACHIEVES_RTOL * max(target, 1.0):
-            initial_state = candidate
+        if abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * max(target, 1.0):
+            initial_state = ghz_state(n)
     if require_state and initial_state is None and norm_bound > 0.0:
         raise NoPhysicalState(
             "no physical initial state achieving norm_bound/2 was constructed"

@@ -318,6 +318,17 @@ def _correlated_alphas(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha1, alpha2
 
 
+def _correlated_diag(
+    alphas: tuple[np.ndarray, np.ndarray], omega1: float, omega2: float, gamma: float, t: float
+) -> Superoperator:
+    alpha1, alpha2 = alphas
+    alpha = alpha1 + alpha2
+    diag = np.exp(
+        1j * (alpha1 * omega1 + alpha2 * omega2) * t - alpha**2 * gamma * t
+    )
+    return Superoperator(diag=diag, trace_preserving=True)
+
+
 def correlated_dephasing_diag(
     n_probes: int, omega1: float, omega2: float, gamma: float, t: float
 ) -> Superoperator:
@@ -328,12 +339,7 @@ def correlated_dephasing_diag(
     alpha2.  Elements with alpha = 0 keep magnitude 1 for every gamma
     (the decoherence-free subspace).
     """
-    alpha1, alpha2 = _correlated_alphas(n_probes)
-    alpha = alpha1 + alpha2
-    diag = np.exp(
-        1j * (alpha1 * omega1 + alpha2 * omega2) * t - alpha**2 * gamma * t
-    )
-    return Superoperator(diag=diag, trace_preserving=True)
+    return _correlated_diag(_correlated_alphas(n_probes), omega1, omega2, gamma, t)
 
 
 def correlated_dephasing_family(
@@ -342,17 +348,16 @@ def correlated_dephasing_family(
     """Family in the frequency difference w_bar = w1 - w2 (w2 held fixed).
 
     Each diagonal element depends on w_bar only through e^{i alpha1 w_bar t},
-    so the analytic derivative multiplies by i alpha1 t.
+    so the analytic derivative multiplies by i alpha1 t.  The index sums
+    alpha1 and alpha2 are computed once per family, not per evaluation.
     """
-    alpha1, _ = _correlated_alphas(n_probes)
+    alphas = _correlated_alphas(n_probes)
 
     def evaluate(omega_bar: float) -> Superoperator:
-        return correlated_dephasing_diag(
-            n_probes, omega_bar + omega2, omega2, gamma, t
-        )
+        return _correlated_diag(alphas, omega_bar + omega2, omega2, gamma, t)
 
     def derivative(omega_bar: float) -> Superoperator:
-        return Superoperator(diag=1j * alpha1 * t * evaluate(omega_bar).diag)
+        return Superoperator(diag=1j * alphas[0] * t * evaluate(omega_bar).diag)
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
@@ -496,10 +501,16 @@ class EcsSpec:
 
 
 def ecs_vector(spec: EcsSpec) -> np.ndarray:
-    """Two-mode state vector of the ECS in the kron(|n_a>, |n_b>) basis."""
+    """Two-mode state vector of the ECS in the kron(|n_a>, |n_b>) basis.
+
+    Only the 2 n_max + 1 entries of |alpha, 0> + |0, alpha> are written:
+    mode a's branch on column n_b = 0, mode b's on row n_a = 0.
+    """
     spec.require_truncation()
     c = spec.coherent_amplitudes()
-    vacuum = np.zeros_like(c)
-    vacuum[0] = 1.0
-    psi = spec.norm_const * (np.kron(c, vacuum) + np.kron(vacuum, c))
+    dim = c.size
+    psi = np.zeros(dim * dim, dtype=complex)
+    psi[::dim] = c
+    psi[:dim] += c
+    psi *= spec.norm_const
     return psi

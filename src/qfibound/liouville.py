@@ -506,12 +506,6 @@ def tensor_power_derivative(
     return _to_global(dcur, value.hilbert_dim, n)
 
 
-def _apply_site(site: np.ndarray, w: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Apply a site map, reshaped to (mu', nu', mu, nu), on axes (i, n+i) of w."""
-    out = np.tensordot(site, w, axes=([2, 3], [i, n + i]))
-    return np.moveaxis(out, [0, 1], [i, n + i])
-
-
 @dataclass(frozen=True, kw_only=True)
 class _ProductFamily(ChannelFamily):
     """x -> Phi(x)^xN whose action on a vector never forms the N-fold power."""
@@ -524,8 +518,13 @@ class _ProductFamily(ChannelFamily):
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Phi^xN v, (Phi^xN)' v), applied site by site.
 
-        Value and derivative advance together by the forward-mode product
-        rule w1 <- Phi w1 + Phi' w0, then w0 <- Phi w0.
+        Value and derivative are stacked as w = (w0, w1) and advance together
+        by the forward-mode product rule w1 <- Phi w1 + Phi' w0, w0 <- Phi w0,
+        which is the block map [[Phi, 0], [Phi', Phi]] on one site.  The
+        vector is permuted once into site-major order (mu_1 nu_1, ...,
+        mu_N nu_N); each step applies the block map to the leading site with
+        one matmul and rotates that site to the back, so after N steps the
+        sites are in order again and one permutation restores row-major.
         """
         amps, n = _amplitudes(v), self.n
         phi, dphi = self.site.evaluate(x), self.site.derivative_at(x)
@@ -534,13 +533,19 @@ class _ProductFamily(ChannelFamily):
             raise DimensionMismatch(
                 f"vector of length {amps.size} does not match {n} sites of Hilbert dim {d}"
             )
-        phi, dphi = phi.matrix.reshape(d, d, d, d), dphi.matrix.reshape(d, d, d, d)
-        w0 = amps.reshape((d,) * (2 * n))
-        w1 = np.zeros_like(w0)
-        for i in range(n):
-            w1 = _apply_site(phi, w1, i, n) + _apply_site(dphi, w0, i, n)
-            w0 = _apply_site(phi, w0, i, n)
-        return w0.reshape(-1), w1.reshape(-1)
+        phi, dphi = phi.matrix, dphi.matrix
+        block = np.block([[phi, np.zeros_like(phi)], [dphi, phi]])
+        w = np.zeros((2, d * d, d ** (2 * n - 2)), dtype=complex)
+        w[0] = amps.reshape((d,) * (2 * n)).transpose(
+            [axis for i in range(n) for axis in (i, n + i)]
+        ).reshape(d * d, -1)
+        for _ in range(n):
+            w = block @ w.reshape(2 * d * d, -1)
+            w = w.reshape(2, d * d, -1).transpose(0, 2, 1).reshape(2, d * d, -1)
+        out = w.reshape((2,) + (d,) * (2 * n)).transpose(
+            0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 2, 2)
+        ).reshape(2, -1)
+        return out[0], out[1]
 
 
 def product_family(family: ChannelFamily, n: int) -> ChannelFamily:

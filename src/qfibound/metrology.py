@@ -34,7 +34,7 @@ from .errors import (
     NoRoot,
     RangeViolation,
 )
-from .liouville import MAX_DENSE_ROWS, gram_triple, require_budget
+from .liouville import MAX_DENSE_ROWS, require_budget
 from .numerics import loglog_slope, minimize_unimodal, solve_root_bisect
 
 #: Scan resolution for locating the rightmost root of the crossover
@@ -46,6 +46,11 @@ TAU_ETA_FLOOR = 0.01
 
 #: Relative tolerance for the first-order condition at t_opt_numeric.
 STATIONARITY_RTOL = 1e-6
+
+#: Copies of the ECS factor V that ecs_lower_bound_numeric holds at its peak,
+#: charged to its budget: V and V', V^dag and the k x k products of
+#: lower_bound_from_factor, which tracemalloc puts at 5.4 V for n_max 200-400.
+ECS_FACTOR_COPIES = 6
 
 
 @dataclass(frozen=True)
@@ -384,8 +389,10 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     be nonzero, so V and V' are gathered as reachable rows x kept pairs
     ((2 n_max + 1)^2 entries for the ECS) for :func:`lower_bound_from_factor`.
     The result is phi-independent for this family.  DimensionBudgetExceeded
-    is raised before the (n_max+1)^2 amplitudes and before the gather when
-    either exceeds MAX_DENSE_ROWS^2 entries; n_max <= 2047 passes both.
+    is raised before the (n_max+1)^2 amplitudes when they exceed
+    MAX_DENSE_ROWS^2 entries (n_max <= 4095 passes), and before the gather
+    when ECS_FACTOR_COPIES copies of V would (n_max <= 835 passes on the ECS
+    support).
     """
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
@@ -397,16 +404,30 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     reach = np.logical_or.accumulate(branch[::-1] != 0, axis=0)[::-1]
     reach = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
     kept_a, kept_b = np.nonzero(reach)  # output levels (i, k), and lost photons (l, r)
-    require_budget(kept_a.size**2, f"ECS factor entries at n_max = {spec.n_max}", MAX_DENSE_ROWS**2)
+    require_budget(
+        ECS_FACTOR_COPIES * kept_a.size**2,
+        f"entries of {ECS_FACTOR_COPIES} ECS factor copies at n_max = {spec.n_max}",
+        MAX_DENSE_ROWS**2,
+    )
     amplitudes = np.sqrt(loss_weights(spec.n_max, eta))
     # levels i + l and k + r before the loss; a branch from past n_max is zero
+    kept_a, kept_b = kept_a.astype(np.int32), kept_b.astype(np.int32)
     source_a, source_b = kept_a[:, None] + kept_a, kept_b[:, None] + kept_b
     inside = (source_a < dim) & (source_b < dim)
-    source_a, source_b = source_a * inside, source_b * inside
-    v = inside * amplitudes[source_a, kept_a] * amplitudes[source_b, kept_b] * branch[source_a, source_b]
-    v = v * np.exp(-1j * phi * source_a)
+    source_a *= inside
+    source_b *= inside
+    v = amplitudes[source_a, kept_a]
+    v *= amplitudes[source_b, kept_b]
+    v *= inside
+    v = v * branch[source_a, source_b]
+    phase = source_a * (-1j * phi)
+    v *= np.exp(phase, out=phase)
     # the derivative of e^{-i phi n} is -i n e^{-i phi n}, at the encoded level n = i + l
-    return lower_bound_from_factor(v, -1j * source_a * v).f_lower
+    v_prime = np.multiply(source_a, -1j, out=phase)
+    v_prime *= v
+    # only V and V' stay alive into lower_bound_from_factor, which holds the peak
+    del source_a, source_b, inside
+    return lower_bound_from_factor(v, v_prime).f_lower
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +441,8 @@ def correlated_gram_max(
 
     The maximum sits on coherences with alpha1 = +-N and alpha1 + alpha2 =
     0, which dephasing never touches, so the value N^2 t^2 is
-    gamma-independent.
+    gamma-independent.  The map is diagonal, so the Gram diagonal is
+    |Phi'|^2 elementwise and the rest of the Gram triple is not needed.
     """
     family = correlated_dephasing_family(n_probes, omega2, gamma, t)
-    triple = gram_triple(family, 0.0)
-    return float(np.max(triple.b.diag.real))
+    return float(np.max(np.abs(family.derivative_at(0.0).diag) ** 2))

@@ -11,6 +11,7 @@ from qfibound.bound import (
     analytic_max_phase_covariant,
     associated_qfi,
     bures_distance_liouville,
+    ghz_lower_bound,
     ghz_state,
     lower_bound_from_channel,
     lower_bound_from_factor,
@@ -30,11 +31,13 @@ from qfibound.channels import (
 from qfibound.errors import (
     CptpViolation,
     DimensionBudgetExceeded,
+    DimensionMismatch,
     InvalidState,
     NonTraceless,
     NoPhysicalState,
     RangeViolation,
 )
+from qfibound import liouville
 from qfibound.liouville import (
     ChannelFamily,
     GramTriple,
@@ -50,6 +53,7 @@ from qfibound.metrology import tau_solve
 from qfibound.numerics import largest_eigval_psd
 from qfibound.qfi_oracle import exact_qfi
 from qfibound.sampling import (
+    random_cptp_params,
     random_mixed_state,
     random_noisy_family,
     random_short_time_model,
@@ -504,6 +508,81 @@ class TestGhzCrossover:
             assert set(values) == {n - 1, n}
             assert_allclose(values[n - 1], at_tau.norm_bound, rtol=1e-9)
             assert_allclose(values[n], at_tau.norm_bound, rtol=1e-9)
+
+
+def ghz_families(seed: int) -> list[tuple[str, ChannelFamily]]:
+    """Qubit families for the GHZ-from-triple tests: random noisy channels,
+    phase-covariant sets, rotations and their corrupted derivatives."""
+    rng = np.random.default_rng(seed)
+    families = [(f"noisy-k{k}", random_noisy_family(rng, 2, k)) for k in (1, 2, 3)]
+    families += [(f"covariant{j}", phase_covariant_family(1.1, random_cptp_params(rng, 1.1))) for j in range(2)]
+    families += [
+        ("dephasing", phase_covariant_family(1.0, NoiseParams(eta_perp=0.8))),
+        ("amplitude-damping", phase_covariant_family(1.3, named_noise(AMPLITUDE_DAMPING, 0.5, 1.3))),
+        ("rotation", rotation_family(0.7)),
+    ]
+    families += [(f"corrupt-{name}", corrupt_family(family)) for name, family in families[2:]]
+    return families
+
+
+class TestGhzFromTriple:
+    """The GHZ bound from the single-site Gram triple against the product
+    kernel acting on the dense GHZ projector."""
+
+    @pytest.mark.parametrize("name,family", ghz_families(11), ids=[name for name, _ in ghz_families(11)])
+    def test_matches_kernel(self, name, family):
+        x = 0.3
+        for n in range(1, 7):
+            got = ghz_lower_bound(family, x, n)
+            want = lower_bound_from_channel(product_family(family, n), x, ghz_state(n))
+            for field in ("f_lower", "term_grad", "purity"):
+                assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=0.0)
+            # term_proj is round-off for the covariant sets, whose GHZ overlap vanishes
+            assert_allclose(got.term_proj, want.term_proj, rtol=1e-12, atol=1e-14 * want.term_grad)
+
+    def test_max_bound_needs_no_kernel(self, monkeypatch):
+        def refuse(self, x, v):
+            raise AssertionError("the GHZ candidate ran the product kernel")
+
+        monkeypatch.setattr(liouville._ProductFamily, "apply_with_derivative", refuse)
+        for family in (rotation_family(0.7), model_family(0, 0.8, 3)):
+            result = max_bound_over_states(family, 0.3, 3, require_state=True)
+            assert_allclose(result.initial_state, ghz_state(3))
+
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    @pytest.mark.parametrize("index", range(len(MODELS)))
+    def test_saturates_analytic_norm_below_tau(self, index, n):
+        model, theta = MODELS[index]
+        t = 0.8 * tau_solve(model, n)
+        params = params_at(model, t, theta)
+        got = ghz_lower_bound(phase_covariant_family(t, params), 0.3, n)
+        # eta_perp^(2N) carries the round-off of eta_perp 2N times over
+        assert_allclose(got.f_lower, analytic_max_phase_covariant(n, t, params.eta_perp) / 2, rtol=1e-12)
+
+    def test_scaled_family_at_large_n(self):
+        # c Phi scales the bound by c^(2N) exactly; at N = 300 and c = 1/2,
+        # |(rho|rho')|^2 ~ max|g|^(2N) would underflow without the scaling
+        # by max|g|, and the projection term would vanish
+        n, c = 300, 0.5
+        base = random_noisy_family(np.random.default_rng(3), 2, 2)
+        scaled = ChannelFamily(
+            evaluate=lambda x: Superoperator(c * base.evaluate(x).matrix),
+            derivative=lambda x: Superoperator(c * base.derivative_at(x).matrix),
+        )
+        want = ghz_lower_bound(base, 0.3, n)
+        got = ghz_lower_bound(scaled, 0.3, n)
+        assert want.term_proj > 1e-3 * want.f_lower
+        for field in ("f_lower", "term_grad", "term_proj", "purity"):
+            assert_allclose(getattr(got, field), c ** (2 * n) * getattr(want, field), rtol=1e-12)
+
+    def test_rejects_non_qubit_family(self):
+        with pytest.raises(DimensionMismatch):
+            ghz_lower_bound(qutrit_family(), 0.2, 2)
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_rejects_bad_probe_count(self, n):
+        with pytest.raises(ValueError):
+            ghz_lower_bound(rotation_family(0.7), 0.0, n)
 
 
 class TestBuresLiouville:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qfibound import channels
 from qfibound.channels import (
@@ -245,6 +246,26 @@ class TestCorrelatedDephasing:
         assert set(np.round(ratio.imag / 1.2).astype(int)) <= {-1, 0, 1}
         assert_allclose(ratio.real, 0.0, atol=1e-14)
 
+    def test_family_matches_diag(self):
+        fam = correlated_dephasing_family(2, omega2=0.7, gamma=0.5, t=1.2)
+        for omega_bar in (0.0, 0.4):
+            assert_array_equal(
+                fam.evaluate(omega_bar).diag,
+                correlated_dephasing_diag(2, omega_bar + 0.7, 0.7, 0.5, 1.2).diag,
+            )
+
+    def test_family_computes_index_sums_once(self, monkeypatch):
+        calls = []
+        original = channels._correlated_alphas
+        monkeypatch.setattr(
+            channels, "_correlated_alphas", lambda n: calls.append(n) or original(n)
+        )
+        fam = correlated_dephasing_family(2, omega2=0.7, gamma=0.5, t=1.2)
+        for omega_bar in (0.0, 0.4):
+            fam.evaluate(omega_bar)
+            fam.derivative_at(omega_bar)
+        assert calls == [2]
+
     def test_budget(self):
         with pytest.raises(DimensionBudgetExceeded):
             correlated_dephasing_diag(4, 0.1, 0.1, 0.1, 1.0)
@@ -333,6 +354,27 @@ class TestEcsSpec:
     def test_vector_is_normalized(self):
         psi = ecs_vector(EcsSpec.for_alpha(math.sqrt(2.0)))
         assert_allclose(np.vdot(psi, psi).real, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 + 0.5j, 3.0])
+    def test_vector_matches_kron_construction(self, alpha):
+        spec = EcsSpec.for_alpha(alpha)
+        c = spec.coherent_amplitudes()
+        vacuum = np.zeros_like(c)
+        vacuum[0] = 1.0
+        want = spec.norm_const * (np.kron(c, vacuum) + np.kron(vacuum, c))
+        assert_array_equal(ecs_vector(spec), want)
+
+    def test_vector_peak_memory_is_one_array(self):
+        # the kron construction held three (n_max+1)^2 arrays at once
+        spec = EcsSpec(alpha=3.0, n_max=400)
+        one_array = (spec.n_max + 1) ** 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            ecs_vector(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * one_array
 
     def test_state_is_rank_one(self):
         rho = ecs_state(EcsSpec.for_alpha(1.0))

@@ -374,17 +374,33 @@ class TestEcsNumeric:
             ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=4096), 0.9)
 
     def test_factor_budget_edge(self, monkeypatch):
-        # on the ECS support V is (2 n_max + 1)^2: 4095^2 = 16 769 025
-        # entries at n_max = 2047, 4097^2 = 16 785 409 at 2048, against a
-        # budget of 4096^2 = 16 777 216
+        # on the ECS support V is (2 n_max + 1)^2, charged ECS_FACTOR_COPIES
+        # = 6 times: 6 * 1671^2 = 16 753 446 entries at n_max = 835 and
+        # 6 * 1673^2 = 16 793 574 at 836, against a budget of 4096^2 =
+        # 16 777 216
+        assert metrology.ECS_FACTOR_COPIES == 6
         small = EcsSpec.for_alpha(2.0)
         assert_array_equal(_ecs_support(small) != 0, ecs_vector(small) != 0)
         monkeypatch.setattr(metrology, "ecs_vector", _ecs_support)
         monkeypatch.setattr(metrology, "loss_weights", _unreached)
         with pytest.raises(_Unreached):
-            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=2047), 0.9)
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=835), 0.9)
         with pytest.raises(DimensionBudgetExceeded):
-            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=2048), 0.9)
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=836), 0.9)
+
+    @pytest.mark.parametrize("n_max", [200, 300])
+    def test_peak_memory_within_charged_copies(self, n_max):
+        # the guard charges ECS_FACTOR_COPIES copies of V; the traced peak,
+        # everything the call allocates, must stay within that charge
+        spec = EcsSpec(alpha=3.0, n_max=n_max)
+        factor_bytes = (2 * n_max + 1) ** 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            ecs_lower_bound_numeric(spec, 0.9, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= metrology.ECS_FACTOR_COPIES * factor_bytes
 
     @pytest.mark.parametrize("alpha_sq", [16.0, 25.0])
     def test_matches_closed_form_at_large_alpha(self, alpha_sq):
