@@ -21,6 +21,7 @@ size 4^N is built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,13 @@ def _bound_from_vectors(rho_vec: np.ndarray, prime_vec: np.ndarray) -> BoundResu
 
 
 def _bound_from_products(term_grad: float, overlap: complex, purity: float) -> BoundResult:
-    """The bound from (rho'|rho'), (rho|rho') and (rho|rho)."""
+    """The bound from (rho'|rho'), (rho|rho') and (rho|rho); InvalidState
+    when any of the three is non-finite or the purity is not positive."""
+    if not (math.isfinite(term_grad) and math.isfinite(abs(overlap)) and math.isfinite(purity)):
+        raise InvalidState(
+            f"non-finite inner products: (rho'|rho') = {term_grad}, "
+            f"(rho|rho') = {overlap}, (rho|rho) = {purity}"
+        )
     if purity <= 0.0:
         raise InvalidState("state has vanishing Hilbert-Schmidt norm")
     term_proj = abs(overlap) ** 2 / purity
@@ -160,17 +167,20 @@ def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
     tr(AC) = (V'|V' A) so that C is never formed.  rho and rho' are
     Hermitian and rho is PSD by construction, so of the checks of
     :func:`lower_bound_from_state` the finite entries and the two traces
-    remain: tr rho = ||V||_F^2 and tr rho' = 2 Re tr B.  Besides V and V',
-    the call holds at most three k x k matrices and one dim x k copy.
+    remain: tr rho = ||V||_F^2 and tr rho' = 2 Re tr B.  Finiteness is read
+    off the squared norms ||V||_F^2 and ||V'||_F^2, which a NaN or infinite
+    entry (or an overflowing sum) makes non-finite, so no pass over the
+    entries is spent on it.  Besides V and V', the call holds at most three
+    k x k matrices and one dim x k copy.
     """
     f = np.asarray(v, dtype=complex)
     fp = np.asarray(v_prime, dtype=complex)
     if f.ndim != 2 or f.shape != fp.shape:
         raise InvalidState(f"factors must be matrices of one shape, got {f.shape} and {fp.shape}")
-    for name, m in (("state", f), ("derivative", fp)):
-        if not np.all(np.isfinite(m)):
-            raise InvalidState(f"{name} factor has non-finite entries")
     trace = float(np.vdot(f, f).real)
+    for name, norm_sq in (("state", trace), ("derivative", float(np.vdot(fp, fp).real))):
+        if not math.isfinite(norm_sq):
+            raise InvalidState(f"{name} factor has non-finite entries or norm")
     if abs(trace - 1.0) > STATE_TOL:
         raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
     f_dag = f.conj().T

@@ -389,18 +389,23 @@ def loss_weight_rows(n_max: int, eta: float, max_level: int) -> Iterator[np.ndar
     """Yield W[k, :max_level+1] for k = 0..n_max, where W[k, l] =
     C(k, l) eta^{k-l} (1-eta)^l is the chance that k photons lose l (0 for l > k).
 
-    Each row follows from the last by W[k, l] = eta W[k-1, l] + (1-eta) W[k-1, l-1];
-    the entries stay in [0, 1], so nothing overflows at any photon number.
+    Each row follows from the last by W[k, l] = eta W[k-1, l] + (1-eta) W[k-1, l-1],
+    written as eta times the row plus (1-eta) times the row shifted one level
+    up, into one new array per row: no row yielded earlier is changed.  The
+    entries stay in [0, 1], so nothing overflows at any photon number.
     """
     row = np.eye(1, max_level + 1)[0]
     for _ in range(n_max):
         yield row
-        row = eta * row + np.append(0.0, (1.0 - eta) * row[:-1])
+        nxt = eta * row
+        nxt[1:] += (1.0 - eta) * row[:-1]
+        row = nxt
     yield row
 
 
 def loss_weights(n_max: int, eta: float) -> np.ndarray:
-    """The (n_max+1)^2 matrix W of :func:`loss_weight_rows`, filled row by row."""
+    """The (n_max+1)^2 matrix W of :func:`loss_weight_rows`, its rows written
+    in turn into one preallocated table."""
     rows = loss_weight_rows(n_max, eta, n_max)
     return np.fromiter(rows, np.dtype((float, n_max + 1)), count=n_max + 1)
 
@@ -488,26 +493,35 @@ class EcsSpec:
 
     def tail_mass(self) -> float:
         """Probability of the coherent branch beyond the truncation."""
-        inside = float(np.sum(np.abs(self.coherent_amplitudes()) ** 2))
-        return max(1.0 - inside, 0.0)
+        return _tail_mass(self.coherent_amplitudes())
 
-    def require_truncation(self) -> None:
-        tail = self.tail_mass()
+    def require_truncation(self) -> np.ndarray:
+        """The amplitudes of :meth:`coherent_amplitudes`, once their tail mass
+        is checked: TruncationInsufficient when it reaches ECS_TAIL_TOL."""
+        amps = self.coherent_amplitudes()
+        tail = _tail_mass(amps)
         if tail >= ECS_TAIL_TOL:
             raise TruncationInsufficient(
                 f"coherent tail mass {tail:.3e} at n_max = {self.n_max} "
                 f"exceeds {ECS_TAIL_TOL:.0e}"
             )
+        return amps
+
+
+def _tail_mass(amps: np.ndarray) -> float:
+    """Probability beyond the Fock amplitudes ``amps`` of a unit vector."""
+    return max(1.0 - float(np.sum(np.abs(amps) ** 2)), 0.0)
 
 
 def ecs_vector(spec: EcsSpec) -> np.ndarray:
     """Two-mode state vector of the ECS in the kron(|n_a>, |n_b>) basis.
 
     Only the 2 n_max + 1 entries of |alpha, 0> + |0, alpha> are written:
-    mode a's branch on column n_b = 0, mode b's on row n_a = 0.
+    mode a's branch on column n_b = 0, mode b's on row n_a = 0.  The
+    coherent amplitudes are computed once, for the truncation check and
+    the state.
     """
-    spec.require_truncation()
-    c = spec.coherent_amplitudes()
+    c = spec.require_truncation()
     dim = c.size
     psi = np.zeros(dim * dim, dtype=complex)
     psi[::dim] = c

@@ -21,7 +21,8 @@ class NonSquare(QfiboundError):
 
 
 class NonHermitian(QfiboundError):
-    """Hermiticity check failed beyond the documented tolerance."""
+    """Hermiticity check failed beyond the documented tolerance, or the
+    matrix to check has non-finite entries."""
 
 
 class DimensionMismatch(QfiboundError):
@@ -82,7 +83,8 @@ class TruncationInsufficient(QfiboundError):
 
 
 class InvalidState(QfiboundError):
-    """Operator fails the density-matrix checks (Hermitian, PSD, trace 1)."""
+    """Operator fails the density-matrix checks (Hermitian, PSD, trace 1),
+    or the inner products that give the bound are not finite."""
 
 
 class NonTraceless(QfiboundError):

@@ -146,7 +146,7 @@ class Superoperator:
         ident = vectorize(np.eye(self.hilbert_dim)).amplitudes
         dual_on_ident = self.dagger().apply(ident)
         defect = float(np.max(np.abs(dual_on_ident - ident)))
-        if defect > tol:
+        if not defect <= tol:  # a NaN defect fails too
             raise CompletenessViolation(
                 f"map flagged trace-preserving but dual moves identity by {defect:.3e}"
             )
@@ -338,20 +338,20 @@ class GramTriple:
 
     def __post_init__(self) -> None:
         for name, op in (("a", self.a), ("b", self.b)):
+            m = op.diag if op.is_diagonal else op.matrix
+            scale = float(np.max(np.abs(m))) if m.size else 0.0
+            # a NaN or inf entry would pass the tests below, or stop eigvalsh
+            if not math.isfinite(scale):
+                raise NonHermitian(f"Gram component {name} has non-finite entries")
+            if scale == 0.0:
+                continue
             if op.is_diagonal:
-                diag = op.diag
-                scale = float(np.max(np.abs(diag))) if diag.size else 0.0
-                if scale == 0.0:
-                    continue
-                if float(np.max(np.abs(diag.imag))) > HERMITICITY_RTOL * scale:
+                if float(np.max(np.abs(m.imag))) > HERMITICITY_RTOL * scale:
                     raise NonHermitian(f"Gram component {name} is not Hermitian")
-                if float(np.min(diag.real)) < -1e-10 * scale:
+                if float(np.min(m.real)) < -1e-10 * scale:
                     raise NonHermitian(f"Gram component {name} is not PSD")
                 continue
-            m = op.matrix
             norm = np.linalg.norm(m)
-            if norm == 0.0:
-                continue
             if np.linalg.norm(m - m.conj().T) / norm > HERMITICITY_RTOL:
                 raise NonHermitian(f"Gram component {name} is not Hermitian")
             if float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) < -1e-10 * norm:

@@ -388,7 +388,10 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     [i:, k:]) names both the surviving pairs and the rows where V or V' can
     be nonzero, so V and V' are gathered as reachable rows x kept pairs
     ((2 n_max + 1)^2 entries for the ECS) for :func:`lower_bound_from_factor`.
-    The result is phi-independent for this family.  DimensionBudgetExceeded
+    The phase e^{-i phi n_a} and the factor -i n_a of E' are applied to the
+    dim x dim branch amplitudes, one exp per level, before the gather; V and
+    V' then take E and E' at one flat index per entry.  The result is
+    phi-independent for this family.  DimensionBudgetExceeded
     is raised before the (n_max+1)^2 amplitudes when they exceed
     MAX_DENSE_ROWS^2 entries (n_max <= 4095 passes), and before the gather
     when ECS_FACTOR_COPIES copies of V would (n_max <= 835 passes on the ECS
@@ -410,23 +413,29 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
         MAX_DENSE_ROWS**2,
     )
     amplitudes = np.sqrt(loss_weights(spec.n_max, eta))
+    # E = e^{-i phi n_a} branch and E' = -i n_a E: one exp per level n_a, and
+    # the derivative of e^{-i phi n} is -i n e^{-i phi n}
+    levels = np.arange(dim)
+    encoded = np.exp(-1j * phi * levels)[:, None] * branch
+    encoded_prime = (-1j * levels)[:, None] * encoded
     # levels i + l and k + r before the loss; a branch from past n_max is zero
     kept_a, kept_b = kept_a.astype(np.int32), kept_b.astype(np.int32)
     source_a, source_b = kept_a[:, None] + kept_a, kept_b[:, None] + kept_b
     inside = (source_a < dim) & (source_b < dim)
     source_a *= inside
     source_b *= inside
-    v = amplitudes[source_a, kept_a]
-    v *= amplitudes[source_b, kept_b]
-    v *= inside
-    v = v * branch[source_a, source_b]
-    phase = source_a * (-1j * phi)
-    v *= np.exp(phase, out=phase)
-    # the derivative of e^{-i phi n} is -i n e^{-i phi n}, at the encoded level n = i + l
-    v_prime = np.multiply(source_a, -1j, out=phase)
-    v_prime *= v
+    weight = amplitudes[source_a, kept_a]
+    weight *= amplitudes[source_b, kept_b]
+    weight *= inside
+    # one flat index into E and E' for the encoded levels (i + l, k + r)
+    source_a *= dim
+    source_a += source_b
+    v = encoded.take(source_a)
+    v *= weight
+    v_prime = encoded_prime.take(source_a)
+    v_prime *= weight
     # only V and V' stay alive into lower_bound_from_factor, which holds the peak
-    del source_a, source_b, inside
+    del source_a, source_b, inside, weight, encoded, encoded_prime
     return lower_bound_from_factor(v, v_prime).f_lower
 
 

@@ -26,13 +26,16 @@ from qfibound.channels import (
     named_noise,
     params_at,
     phase_covariant_family,
+    rotation_derivative,
     rotation_family,
+    rotation_superop,
 )
 from qfibound.errors import (
     CptpViolation,
     DimensionBudgetExceeded,
     DimensionMismatch,
     InvalidState,
+    NonHermitian,
     NonTraceless,
     NoPhysicalState,
     RangeViolation,
@@ -176,6 +179,46 @@ class TestLowerBoundFromFactor:
         v, v_prime = random_factor(rng, 4, 2)
         with pytest.raises(InvalidState):
             lower_bound_from_factor(v, v_prime[:, :1])
+
+
+def nan_derivative_family(dense):
+    """The rotation family with one NaN entry in its derivative map."""
+    def derivative(x):
+        entries = rotation_derivative(x, 1.0).diag.copy()
+        entries[1] = np.nan
+        return Superoperator(np.diag(entries)) if dense else Superoperator(diag=entries)
+
+    return ChannelFamily(evaluate=lambda x: rotation_superop(x, 1.0), derivative=derivative)
+
+
+class TestNonFiniteProducts:
+    """A non-finite inner product raises; no path returns a NaN or inf bound."""
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
+    def test_vector_path(self, dense):
+        family = product_family(nan_derivative_family(dense), 2)
+        with pytest.raises(InvalidState, match="non-finite"):
+            lower_bound_from_channel(family, 0.1, ghz_state(2))
+
+    def test_factor_path(self):
+        # finite entries and norms, B = V^dag V' = 0, but (rho'|rho') = 2 ||V'||^2 overflows
+        v = np.array([[1.0, 0.0], [0.0, 0.0]])
+        v_prime = np.array([[0.0, 0.0], [1.2e154, 0.0]])
+        with pytest.raises(InvalidState, match="non-finite"):
+            lower_bound_from_factor(v, v_prime)
+
+    def test_ghz_path(self):
+        # b = t^2 = 1e308 on the coherences: the GHZ sums overflow
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidState, match="non-finite"):
+            ghz_lower_bound(rotation_family(1e154), 0.3, 2)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
+    def test_gram_triple_rejects_before_eigvalsh(self, dense):
+        family = nan_derivative_family(dense)
+        with pytest.raises(NonHermitian, match="non-finite"):
+            ghz_lower_bound(family, 0.1, 2)
+        with pytest.raises(NonHermitian, match="non-finite"):
+            max_bound_over_states(family, 0.1, 2)
 
 
 class TestAssociatedQfi:

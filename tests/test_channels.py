@@ -23,6 +23,8 @@ from qfibound.channels import (
     ecs_vector,
     interferometer_family,
     loss_kraus,
+    loss_weight_rows,
+    loss_weights,
     named_noise,
     params_at,
     phase_covariant_derivative,
@@ -38,6 +40,7 @@ from qfibound.errors import (
     TruncationInsufficient,
 )
 from qfibound.liouville import devectorize, finite_diff_superop, vectorize
+from qfibound.metrology import interferometer_gram_diag
 
 
 class _Unreached(Exception):
@@ -294,6 +297,34 @@ class TestLossKraus:
             loss_kraus(3, 1.2)
 
 
+class TestLossWeights:
+    """Pins the one binomial recurrence behind loss_weights and the streaming
+    rows of interferometer_gram_diag."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+    def test_binomial_closed_form(self, eta):
+        for n in range(31):
+            want = [
+                [math.comb(k, l) * eta ** (k - l) * (1.0 - eta) ** l if l <= k else 0.0 for l in range(n + 1)]
+                for k in range(n + 1)
+            ]
+            assert_allclose(loss_weights(n, eta), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 5, 31])
+    def test_table_rows_are_the_streamed_rows(self, n, eta):
+        # list() keeps every yielded row, so a row reused in place would show
+        assert_array_equal(loss_weights(n, eta), np.array(list(loss_weight_rows(n, eta, n))))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+    def test_gram_diag_matches_table(self, eta):
+        for n in range(1, 41):
+            w = loss_weights(n, eta)
+            for m in range(n):
+                want = (n - m) ** 2 * (w[n, : m + 1] @ w[m, : m + 1])
+                assert_allclose(interferometer_gram_diag(n, eta, n, m), want, rtol=1e-14, atol=0.0)
+
+
 class TestInterferometerFamily:
     def test_channel_is_trace_preserving(self, rng):
         fam = interferometer_family(InterferometerSpec(n_photons=3, eta=0.6))
@@ -350,6 +381,25 @@ class TestEcsSpec:
     def test_require_truncation_raises_when_cut_short(self):
         with pytest.raises(TruncationInsufficient):
             EcsSpec(alpha=math.sqrt(2.0), n_max=3).require_truncation()
+
+    @pytest.mark.parametrize("n_max", [23, 24])
+    def test_vector_raises_what_require_truncation_raises(self, n_max):
+        # at alpha = 2 the tail mass crosses 1e-12 between n_max = 24 and 25
+        spec = EcsSpec(alpha=2.0, n_max=n_max)
+        with pytest.raises(TruncationInsufficient) as want:
+            spec.require_truncation()
+        with pytest.raises(TruncationInsufficient) as got:
+            ecs_vector(spec)
+        assert str(got.value) == str(want.value)
+        assert f"at n_max = {n_max} exceeds 1e-12" in str(got.value)
+
+    @pytest.mark.parametrize("n_max", [25, 26])
+    def test_vector_built_past_the_tail_edge(self, n_max):
+        spec = EcsSpec(alpha=2.0, n_max=n_max)
+        assert spec.tail_mass() < channels.ECS_TAIL_TOL
+        assert_array_equal(spec.require_truncation(), spec.coherent_amplitudes())
+        psi = ecs_vector(spec)
+        assert_allclose(np.vdot(psi, psi).real, 1.0, atol=1e-12)
 
     def test_vector_is_normalized(self):
         psi = ecs_vector(EcsSpec.for_alpha(math.sqrt(2.0)))

@@ -110,6 +110,19 @@ class TestSuperoperator:
         with pytest.raises(CompletenessViolation):
             Superoperator(diag=np.array([0.5, 1.0, 1.0, 1.0]), trace_preserving=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
+    def test_trace_preserving_check_rejects_non_finite_maps(self, bad, dense):
+        # a NaN defect compares false against any tolerance; inf times the
+        # identity's zero imaginary parts is such a NaN
+        entries = np.ones(4, dtype=complex)
+        entries[0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(CompletenessViolation):
+            if dense:
+                Superoperator(np.diag(entries), trace_preserving=True)
+            else:
+                Superoperator(diag=entries, trace_preserving=True)
+
     def test_dagger_is_adjoint(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         s = Superoperator(m)
@@ -231,6 +244,18 @@ class TestGramTriple:
         bad = Superoperator(np.eye(4) + np.triu(np.ones((4, 4)), 1))
         with pytest.raises(NonHermitian):
             GramTriple(a=good, b=bad, c=good)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_validation_rejects_non_finite(self, name, dense, bad):
+        entries = np.ones(4, dtype=complex)
+        entries[1] = bad
+        bad_op = Superoperator(np.diag(entries)) if dense else Superoperator(diag=entries)
+        good = Superoperator(diag=np.ones(4))
+        parts = {"a": good, "b": good, "c": good, name: bad_op}
+        with pytest.raises(NonHermitian, match="non-finite"):
+            GramTriple(**parts)
 
 
 class TestGramTensorPower:

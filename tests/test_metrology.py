@@ -354,15 +354,17 @@ class TestEcsNumeric:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_dense_oracle_on_any_support(self, monkeypatch, seed, eta):
         # the mask and the gather use no ECS structure, so a two-mode state
-        # with a scattered, asymmetric support must match the dense assembly
+        # with a scattered, asymmetric support must match the dense assembly;
+        # E' must carry the phase of E, and a mismatch shows only at phi != 0
         rng = np.random.default_rng(seed)
         spec = EcsSpec(alpha=1.0, n_max=6)
         shape = (spec.n_max + 1, spec.n_max + 1)
         psi = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.3)
         psi = (psi / np.linalg.norm(psi)).reshape(-1)
         monkeypatch.setattr(metrology, "ecs_vector", lambda _: psi)
-        want = ecs_numeric_dense(spec, eta, 0.9, psi=psi)
-        assert_allclose(ecs_lower_bound_numeric(spec, eta, 0.9), want, rtol=1e-12)
+        for phi in (0.0, 1.7, math.pi):
+            want = ecs_numeric_dense(spec, eta, phi, psi=psi)
+            assert_allclose(ecs_lower_bound_numeric(spec, eta, phi), want, rtol=1e-12)
 
     def test_amplitude_budget_edge(self, monkeypatch):
         # the (n_max+1)^2 amplitudes and weights: 4096^2 entries at n_max =
