@@ -43,7 +43,7 @@ from .liouville import (
     gram_triple,
     require_budget,
 )
-from .numerics import TOP_EIGENSPACE_RTOL, TopEigenspace, largest_eigval_psd
+from .numerics import TopEigenspace, _within_top, largest_eigval_psd
 
 #: Absolute tolerance on density-matrix checks (Hermiticity defect, trace
 #: deviation, negative-eigenvalue excursion).
@@ -354,7 +354,7 @@ def max_bound_over_states(
     initial_state: np.ndarray | None = None
     if norm_bound > 0.0 and site_dim == 2:
         target = norm_bound / 2.0
-        if abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * max(target, 1.0):
+        if abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * target:
             initial_state = ghz_state(n)
     if require_state and initial_state is None and norm_bound > 0.0:
         raise NoPhysicalState(
@@ -371,7 +371,7 @@ def _diagonal_top(values: np.ndarray) -> TopEigenspace:
         raise InvalidState("Gram diagonal has a non-real entry")
     values = values.real
     top = float(np.max(values)) if values.size else 0.0
-    idx = np.flatnonzero(values >= top * (1.0 - TOP_EIGENSPACE_RTOL)) if top > 0.0 else np.arange(0)
+    idx = np.flatnonzero(_within_top(values, top)) if top > 0.0 else np.arange(0)
     vectors = np.zeros((values.size, idx.size))
     vectors[idx, np.arange(idx.size)] = 1.0
     return TopEigenspace(value=top, vectors=vectors)

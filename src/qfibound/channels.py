@@ -2,8 +2,8 @@
 
 Qubit rotation about z, the general phase-covariant qubit noise (noise
 composed with the encoding rotation), short-time noise models, correlated
-dephasing on paired probes, single-arm photon loss for interferometry, and
-entangled-coherent-state preparation.
+dephasing on paired probes, photon loss as its binomial loss weights (with
+their Kraus operators), and entangled-coherent-state preparation.
 
 All qubit superoperators use the row-major |mu><nu| Liouville convention of
 :mod:`.liouville`; the phase-covariant channel is the 4x4 matrix
@@ -32,7 +32,7 @@ from .errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from .liouville import ChannelFamily, Superoperator, require_budget, superop_from_kraus
+from .liouville import ChannelFamily, Superoperator, require_budget
 
 #: Slack for complete-positivity checks; amplitude damping sits exactly on
 #: the boundary 1 + eta_par = sqrt(k^2 + 4 eta_perp^2).
@@ -363,26 +363,7 @@ def correlated_dephasing_family(
 
 
 # ---------------------------------------------------------------------------
-# photon loss on one interferometer arm
-
-
-@dataclass(frozen=True)
-class InterferometerSpec:
-    """Definite-photon-number two-arm interferometry with loss on arm a.
-
-    Arm b is lossless and phase-free, so states |k, N-k> reduce to the
-    single-mode Fock levels |k> with k = 0..N on arm a.
-    """
-
-    n_photons: int
-    eta: float
-    phi: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_photons < 1 or self.n_photons != int(self.n_photons):
-            raise ValueError(f"photon number must be an integer >= 1, got {self.n_photons}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {self.eta}")
+# photon loss
 
 
 def loss_weight_rows(n_max: int, eta: float, max_level: int) -> Iterator[np.ndarray]:
@@ -411,7 +392,8 @@ def loss_weights(n_max: int, eta: float) -> np.ndarray:
 
 
 def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
-    """Kraus operators of the photon-loss channel on a truncated Fock space.
+    """Kraus operators of the photon-loss channel on a truncated Fock space:
+    the operator view of :func:`loss_weights`.
 
     K_l |k> = sqrt(C(k, l) eta^{k-l} (1-eta)^l) |k-l> for l <= k.  The set
     {K_0, ..., K_{n_max}} is exactly complete on the truncated space.
@@ -422,33 +404,6 @@ def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
         raise ValueError(f"n_max must be an integer >= 0, got {n_max}")
     amplitudes = np.sqrt(loss_weights(n_max, eta))
     return [np.diag(amplitudes[level:, level], k=level) for level in range(n_max + 1)]
-
-
-def interferometer_family(spec: InterferometerSpec) -> ChannelFamily:
-    """Channel family in the phase phi: loss after phase accumulation.
-
-    The two operations commute, so the order is conventional.  The phase
-    superoperator is diagonal with entries e^{-i phi (k - m)}; its
-    derivative carries the analytic factor -i(k - m).  The loss map is a
-    dense (N+1)^2-row superoperator, so N <= 63 fits the dense budget.
-    """
-    n = spec.n_photons
-    require_budget((n + 1) ** 2, f"Liouville rows of the photon-loss map on {n} photons")
-    loss = superop_from_kraus(loss_kraus(n, spec.eta))
-    k_grid = np.arange(n + 1)
-    delta = (k_grid[:, None] - k_grid[None, :]).reshape(-1)
-
-    def evaluate(phi: float) -> Superoperator:
-        phase = Superoperator(
-            diag=np.exp(-1j * phi * delta), trace_preserving=True
-        )
-        return loss.compose(phase)
-
-    def derivative(phi: float) -> Superoperator:
-        dphase = Superoperator(diag=-1j * delta * np.exp(-1j * phi * delta))
-        return loss.compose(dphase)
-
-    return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ _COMMANDS: dict[str, tuple[str, _Table]] = {
         "alpha-sq-list": ([1.0, 2.0, 4.0], number_list, "|alpha|^2 values"),
         "eta-list": ([0.8, 0.9, 1.0], number_list, "transmissivities"),
         "oracle": (False, boolean, "add truncated-Fock oracle columns"),
-        "phi": (0.0, number, "phase working point for the oracle"),
+        "phi": (0.0, number, "oracle phase working point (the bound does not depend on it)"),
         "n-max": (None, integer, "Fock truncation override"),
     }),
     "verify": ("run the seeded invariant suite (always emits JSON)", {

@@ -31,7 +31,7 @@ from .errors import (
     NonHermitian,
     NonSquare,
 )
-from .numerics import HERMITICITY_RTOL, TOP_EIGENSPACE_RTOL, TopEigenspace
+from .numerics import HERMITICITY_RTOL, TopEigenspace, _within_top
 
 #: Basis convention tag carried by every Superoperator.
 BASIS_TAG = "row-major |mu><nu|"
@@ -475,7 +475,7 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
     labels = np.indices((4,) * n).reshape(n, -1)
     n_plus, n_minus, n_b = ((labels == label).sum(axis=0) for label in (0, 1, 3))
     values = g[n_plus, n_minus] * lam_a ** (n - n_plus - n_minus - n_b) * lam_b**n_b
-    chosen = labels[:, values >= norm - TOP_EIGENSPACE_RTOL * norm]
+    chosen = labels[:, _within_top(values, norm)]
     vectors = site[:, chosen[0]]
     for lab in chosen[1:]:  # site-major Kronecker product, column by column
         vectors = (vectors[:, None, :] * site[:, lab][None]).reshape(-1, lab.size)

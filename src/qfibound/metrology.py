@@ -48,8 +48,9 @@ TAU_ETA_FLOOR = 0.01
 STATIONARITY_RTOL = 1e-6
 
 #: Copies of the ECS factor V that ecs_lower_bound_numeric holds at its peak,
-#: charged to its budget: V and V', V^dag and the k x k products of
-#: lower_bound_from_factor, which tracemalloc puts at 5.4 V for n_max 200-400.
+#: charged to its budget.  The peak falls in lower_bound_from_factor, while V,
+#: V', V^dag, A and B coexist: tracemalloc puts it at 5.60, 5.45, 5.42 and
+#: 5.41 V for n_max 100, 200, 300 and 400.
 ECS_FACTOR_COPIES = 6
 
 
@@ -382,27 +383,29 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     Phase encoding acts on arm a; photon loss with the same transmissivity
     acts on each arm independently (the symmetric-loss interferometer the
     closed form describes).  rho = V V^dag is never formed.  K_l is a shifted
-    diagonal, so Kraus pair (l, r) maps the encoded amplitudes E to
+    diagonal, so Kraus pair (l, r) maps the branch amplitudes E to
     sqrt(W[i+l, l] W[k+r, r]) E[i+l, k+r] at output levels (i, k), with W =
-    loss_weights.  The suffix-OR mask reach[i, k] = any(E or E' nonzero on
-    [i:, k:]) names both the surviving pairs and the rows where V or V' can
-    be nonzero, so V and V' are gathered as reachable rows x kept pairs
-    ((2 n_max + 1)^2 entries for the ECS) for :func:`lower_bound_from_factor`.
-    The phase e^{-i phi n_a} and the factor -i n_a of E' are applied to the
-    dim x dim branch amplitudes, one exp per level, before the gather; V and
-    V' then take E and E' at one flat index per entry.  The result is
-    phi-independent for this family.  DimensionBudgetExceeded
-    is raised before the (n_max+1)^2 amplitudes when they exceed
-    MAX_DENSE_ROWS^2 entries (n_max <= 4095 passes), and before the gather
-    when ECS_FACTOR_COPIES copies of V would (n_max <= 835 passes on the ECS
-    support).
+    loss_weights.  The suffix-OR mask reach[i, k] = any(E nonzero on
+    [i:, k:]) names both the surviving pairs and the rows where V can be
+    nonzero, so V is gathered as reachable rows x kept pairs ((2 n_max + 1)^2
+    entries for the ECS) for :func:`lower_bound_from_factor`, with one flat
+    index per entry.  V' = -i n_a V scales each gathered entry by its level
+    n_a = i + l before the loss.
+
+    The bound does not depend on ``phi``: loss commutes with e^{-i phi n_a}
+    up to a phase per Kraus operator, so the encoded state is a unitary
+    rotation of the phi = 0 one, and the bound is unitarily invariant.  The
+    phase is never applied, and any phi returns the phi = 0 value exactly.
+    DimensionBudgetExceeded is raised before the (n_max+1)^2 amplitudes when
+    they exceed MAX_DENSE_ROWS^2 entries (n_max <= 4095 passes), and before
+    the gather when ECS_FACTOR_COPIES copies of V would (n_max <= 835 passes
+    on the ECS support).
     """
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
     dim = spec.n_max + 1
     require_budget(dim * dim, f"ECS amplitudes at n_max = {spec.n_max}", MAX_DENSE_ROWS**2)
-    # mode a indexes rows, mode b columns; the phase never vanishes, so E and
-    # E' are nonzero only where the branch amplitudes are
+    # mode a indexes rows, mode b columns
     branch = ecs_vector(spec).reshape(dim, dim)
     reach = np.logical_or.accumulate(branch[::-1] != 0, axis=0)[::-1]
     reach = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
@@ -413,11 +416,6 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
         MAX_DENSE_ROWS**2,
     )
     amplitudes = np.sqrt(loss_weights(spec.n_max, eta))
-    # E = e^{-i phi n_a} branch and E' = -i n_a E: one exp per level n_a, and
-    # the derivative of e^{-i phi n} is -i n e^{-i phi n}
-    levels = np.arange(dim)
-    encoded = np.exp(-1j * phi * levels)[:, None] * branch
-    encoded_prime = (-1j * levels)[:, None] * encoded
     # levels i + l and k + r before the loss; a branch from past n_max is zero
     kept_a, kept_b = kept_a.astype(np.int32), kept_b.astype(np.int32)
     source_a, source_b = kept_a[:, None] + kept_a, kept_b[:, None] + kept_b
@@ -427,15 +425,18 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     weight = amplitudes[source_a, kept_a]
     weight *= amplitudes[source_b, kept_b]
     weight *= inside
-    # one flat index into E and E' for the encoded levels (i + l, k + r)
+    # V' = -i n_a V, read at the level n_a = i + l before source_a becomes
+    # the flat index, since d/dphi e^{-i phi n_a} = -i n_a e^{-i phi n_a}
+    v_prime = -1j * source_a
+    # one flat index into E for the levels (i + l, k + r)
     source_a *= dim
     source_a += source_b
-    v = encoded.take(source_a)
-    v *= weight
-    v_prime = encoded_prime.take(source_a)
+    v = branch.take(source_a)
+    v_prime *= v
     v_prime *= weight
+    v *= weight
     # only V and V' stay alive into lower_bound_from_factor, which holds the peak
-    del source_a, source_b, inside, weight, encoded, encoded_prime
+    del source_a, source_b, inside, weight
     return lower_bound_from_factor(v, v_prime).f_lower
 
 

@@ -62,6 +62,12 @@ class TopEigenspace:
     vectors: np.ndarray
 
 
+def _within_top(values: np.ndarray, top: float) -> np.ndarray:
+    """Mask of the eigenvalues within TOP_EIGENSPACE_RTOL of ``top``: the
+    one cut rule of every top eigenspace."""
+    return values >= top - TOP_EIGENSPACE_RTOL * abs(top)
+
+
 def _as_matrix(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2:
@@ -128,8 +134,7 @@ def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
             f"matrix is not PSD: min eigenvalue {lo:.3e} with norm {scale:.3e}"
         )
     top = float(eigenvalues[-1])
-    cut = top - TOP_EIGENSPACE_RTOL * abs(top)
-    mask = eigenvalues >= cut
+    mask = _within_top(eigenvalues, top)
     return TopEigenspace(value=max(top, 0.0), vectors=spectrum.eigenvectors[:, mask])
 
 

@@ -341,6 +341,23 @@ class TestMaxBoundOverStates:
         assert_allclose(result.norm_bound, 4 * 0.49, rtol=1e-12)
         assert len(result.top_eigenspace) == 2
 
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-5])
+    def test_ghz_test_is_relative_at_any_scale(self, t):
+        # eta_perp = 1/2 is past the crossover 3/4 at N = 4: the GHZ bound is
+        # a quarter of norm/2 at every t, and norm/2 ~ t^2 shrinks with t
+        family = phase_covariant_family(t, NoiseParams(k=0.0, eta_par=1.0, eta_perp=0.5))
+        result = max_bound_over_states(family, 0.2, 4)
+        assert_allclose(ghz_lower_bound(family, 0.2, 4).f_lower, result.norm_bound / 8, rtol=1e-12)
+        assert result.initial_state is None
+        with pytest.raises(NoPhysicalState):
+            max_bound_over_states(family, 0.2, 4, require_state=True)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-5])
+    def test_ghz_found_at_any_scale(self, t):
+        family = phase_covariant_family(t, NoiseParams(eta_perp=0.9))
+        result = max_bound_over_states(family, 0.2, 4, require_state=True)
+        assert_allclose(result.initial_state, ghz_state(4))
+
     def test_no_state_raises_when_required(self):
         # a qutrit family has no GHZ candidate wired up
         with pytest.raises(NoPhysicalState):

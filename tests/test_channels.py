@@ -15,13 +15,11 @@ from qfibound.channels import (
     EXPONENTIAL_FORM,
     TRUNCATED_FORM,
     EcsSpec,
-    InterferometerSpec,
     NoiseParams,
     ShortTimeModel,
     correlated_dephasing_diag,
     correlated_dephasing_family,
     ecs_vector,
-    interferometer_family,
     loss_kraus,
     loss_weight_rows,
     loss_weights,
@@ -41,14 +39,6 @@ from qfibound.errors import (
 )
 from qfibound.liouville import devectorize, finite_diff_superop, vectorize
 from qfibound.metrology import interferometer_gram_diag
-
-
-class _Unreached(Exception):
-    """Raised by a stand-in for the first allocating call."""
-
-
-def _unreached(*args, **kwargs):
-    raise _Unreached
 
 
 def ecs_state(spec):
@@ -323,34 +313,6 @@ class TestLossWeights:
             for m in range(n):
                 want = (n - m) ** 2 * (w[n, : m + 1] @ w[m, : m + 1])
                 assert_allclose(interferometer_gram_diag(n, eta, n, m), want, rtol=1e-14, atol=0.0)
-
-
-class TestInterferometerFamily:
-    def test_channel_is_trace_preserving(self, rng):
-        fam = interferometer_family(InterferometerSpec(n_photons=3, eta=0.6))
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        out = devectorize(fam.evaluate(0.8).apply(vectorize(rho)))
-        assert_allclose(np.trace(out), 1.0, atol=1e-12)
-
-    def test_derivative_matches_finite_difference(self):
-        fam = interferometer_family(InterferometerSpec(n_photons=3, eta=0.6))
-        fd = finite_diff_superop(fam, 0.8, 1e-6)
-        exact = fam.derivative_at(0.8)
-        assert np.max(np.abs(fd.matrix - exact.matrix)) < 1e-8
-
-    def test_rejects_zero_photons(self):
-        with pytest.raises(ValueError):
-            InterferometerSpec(n_photons=0, eta=0.5)
-
-    def test_loss_map_budget_edge(self, monkeypatch):
-        # the dense loss map has (N+1)^2 rows: exactly 4096 at N = 63
-        monkeypatch.setattr(channels, "loss_kraus", _unreached)
-        with pytest.raises(_Unreached):
-            interferometer_family(InterferometerSpec(n_photons=63, eta=0.9))
-        with pytest.raises(DimensionBudgetExceeded):
-            interferometer_family(InterferometerSpec(n_photons=64, eta=0.9))
 
 
 class TestEcsSpec:

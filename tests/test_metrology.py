@@ -27,6 +27,7 @@ from qfibound.errors import (
     RangeViolation,
     TruncationInsufficient,
 )
+from qfibound.liouville import ChannelFamily, Superoperator, gram_triple, superop_from_kraus
 from qfibound.metrology import (
     EcsBreakdown,
     PrecisionConfig,
@@ -186,7 +187,34 @@ class TestPrecisionScaling:
             PrecisionConfig(total_time_T=1.0, N_range=(8, 8), model=model)
 
 
+def loss_phase_family(n_photons, eta):
+    """The dense photon-loss channel after the phase e^{-i phi n} on the Fock
+    levels 0..N of one arm, as a family in phi: the real channel whose Gram
+    diagonal interferometer_gram_diag gives in closed form."""
+    loss = superop_from_kraus(loss_kraus(n_photons, eta))
+    levels = np.arange(n_photons + 1)
+    delta = (levels[:, None] - levels[None, :]).reshape(-1)  # k - m at |k><m|
+
+    def evaluate(phi):
+        return loss.compose(Superoperator(diag=np.exp(-1j * phi * delta), trace_preserving=True))
+
+    def derivative(phi):
+        return loss.compose(Superoperator(diag=-1j * delta * np.exp(-1j * phi * delta)))
+
+    return ChannelFamily(evaluate=evaluate, derivative=derivative)
+
+
 class TestInterferometerGram:
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.77, 1.0])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_gram_of_the_loss_phase_channel(self, n, eta):
+        gram = gram_triple(loss_phase_family(n, eta), 0.9).b.matrix
+        # row k (N + 1) + m of the Gram matrix is the coherence |k><m|
+        diag = np.diag(gram).reshape(n + 1, n + 1)
+        assert_allclose(diag.imag, 0.0, atol=1e-14)
+        want = [[interferometer_gram_diag(n, eta, k, m) for m in range(n + 1)] for k in range(n + 1)]
+        assert_allclose(diag.real, want, rtol=1e-12, atol=0.0)
+
     def test_hand_value(self):
         assert_allclose(interferometer_gram_diag(2, 0.5, 2, 1), 0.375, rtol=1e-15)
 
@@ -354,8 +382,8 @@ class TestEcsNumeric:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_dense_oracle_on_any_support(self, monkeypatch, seed, eta):
         # the mask and the gather use no ECS structure, so a two-mode state
-        # with a scattered, asymmetric support must match the dense assembly;
-        # E' must carry the phase of E, and a mismatch shows only at phi != 0
+        # with a scattered, asymmetric support must match the dense assembly,
+        # which applies the phase at every phi
         rng = np.random.default_rng(seed)
         spec = EcsSpec(alpha=1.0, n_max=6)
         shape = (spec.n_max + 1, spec.n_max + 1)
@@ -430,10 +458,11 @@ class TestEcsNumeric:
         assert_allclose(numeric, closed, rtol=1e-10)
 
     def test_phase_independent(self):
+        # loss commutes with the phase, which rotates the state unitarily
         spec = EcsSpec.for_alpha(1.0)
-        a = ecs_lower_bound_numeric(spec, 0.8, phi=0.0)
-        b = ecs_lower_bound_numeric(spec, 0.8, phi=1.7)
-        assert_allclose(a, b, rtol=1e-9)
+        want = ecs_lower_bound_numeric(spec, 0.8, phi=0.0)
+        for phi in (1.7, math.pi, -2.0):
+            assert ecs_lower_bound_numeric(spec, 0.8, phi=phi) == want
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationInsufficient):
