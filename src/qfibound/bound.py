@@ -36,7 +36,6 @@ from .errors import (
 from .liouville import (
     ChannelFamily,
     GramTriple,
-    LiouvilleVector,
     _checked_power,
     covariant_gram_top,
     gram_tensor_power,
@@ -72,11 +71,13 @@ class BoundResult:
 class OptimalStateResult:
     """Norm-maximized bound over initial states.
 
-    norm_bound is ||G|| for the N-fold Gram matrix; top_eigenspace spans
-    the eigenvectors within 1e-8 relative of norm_bound (empty when the
-    norm vanishes).  For a phase-covariant qubit family its basis is the
-    closed form's unit and site-wise product vectors; for any other family,
-    which takes the dense path, it is the eigendecomposition's basis.
+    norm_bound is ||G|| for the N-fold Gram matrix; top_eigenspace is a
+    list of orthonormal Liouville vectors (1-D arrays of length d^(2N))
+    spanning the eigenvectors within 1e-8 relative of norm_bound (empty
+    when the norm vanishes).  For a phase-covariant qubit family its basis
+    is the closed form's unit and site-wise product vectors; for any other
+    family, which takes the dense path, it is the eigendecomposition's
+    basis.
     initial_state is a physical density matrix whose channel bound equals
     norm_bound/2 (the GHZ projector for commuting qubit noise) or None when
     no such state was found.  The GHZ candidate is tested from the
@@ -85,7 +86,7 @@ class OptimalStateResult:
     """
 
     norm_bound: float
-    top_eigenspace: list[LiouvilleVector]
+    top_eigenspace: list[np.ndarray]
     initial_state: np.ndarray | None
 
 
@@ -347,12 +348,9 @@ def max_bound_over_states(
         gram = gram_tensor_power(triple, n)
         top = _diagonal_top(gram.diag) if gram.is_diagonal else largest_eigval_psd(gram.matrix)
     norm_bound = top.value
-    site_dim = triple.a.hilbert_dim
-    vectors = [
-        LiouvilleVector(amplitudes=column, hilbert_dim=site_dim**n) for column in top.vectors.T
-    ] if norm_bound > 0.0 else []
+    vectors = list(top.vectors.T) if norm_bound > 0.0 else []
     initial_state: np.ndarray | None = None
-    if norm_bound > 0.0 and site_dim == 2:
+    if norm_bound > 0.0 and triple.a.hilbert_dim == 2:
         target = norm_bound / 2.0
         if abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * target:
             initial_state = ghz_state(n)

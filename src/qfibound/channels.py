@@ -32,7 +32,7 @@ from .errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from .liouville import ChannelFamily, Superoperator, require_budget
+from .liouville import ChannelFamily, Superoperator, _whole_number, require_budget
 
 #: Slack for complete-positivity checks; amplitude damping sits exactly on
 #: the boundary 1 + eta_par = sqrt(k^2 + 4 eta_perp^2).
@@ -400,8 +400,7 @@ def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    if n_max < 0 or n_max != int(n_max):
-        raise ValueError(f"n_max must be an integer >= 0, got {n_max}")
+    n_max = _whole_number(n_max, "n_max", 0)
     amplitudes = np.sqrt(loss_weights(n_max, eta))
     return [np.diag(amplitudes[level:, level], k=level) for level in range(n_max + 1)]
 
@@ -419,8 +418,7 @@ class EcsSpec:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.n_max < 0 or self.n_max != int(self.n_max):
-            raise ValueError(f"n_max must be an integer >= 0, got {self.n_max}")
+        object.__setattr__(self, "n_max", _whole_number(self.n_max, "n_max", 0))
 
     @classmethod
     def for_alpha(cls, alpha: complex) -> "EcsSpec":

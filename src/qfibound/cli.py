@@ -273,17 +273,10 @@ def render_csv(meta: dict, columns: list[str], rows: list[list]) -> str:
 
 
 def _json_fragment(v: object) -> str:
-    if v is None:
+    if v is None or (isinstance(v, (float, np.floating)) and not math.isfinite(v)):
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f) or math.isinf(f):
-            return "null"
-        return "%.12g" % f
+    if isinstance(v, (int, float, np.integer, np.floating)):  # bool is an int
+        return _format_scalar(v)
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, dict):

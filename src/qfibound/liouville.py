@@ -1,8 +1,9 @@
 """Operator vectorization and superoperator machinery.
 
 Operators on a d-dimensional Hilbert space are flattened row-major, so the
-basis element |mu><nu| sits at index mu*d + nu.  Channels become d^2 x d^2
-matrices ("superoperators") acting on these vectors.  An N-fold product
+basis element |mu><nu| sits at index mu*d + nu; a Liouville vector is that
+plain 1-D complex array.  Channels become d^2 x d^2 matrices
+("superoperators") acting on these vectors.  An N-fold product
 channel acts on a composite vector site by site, on axes (i, N+i) of the
 vector reshaped to (mu_1..mu_N, nu_1..nu_N); its dense Kronecker power
 needs an index permutation relative to the naive one (see :func:`tensor_power`).
@@ -31,7 +32,7 @@ from .errors import (
     NonHermitian,
     NonSquare,
 )
-from .numerics import HERMITICITY_RTOL, TopEigenspace, _within_top
+from .numerics import HERMITICITY_RTOL, TopEigenspace, _peak, _within_top
 
 #: Basis convention tag carried by every Superoperator.
 BASIS_TAG = "row-major |mu><nu|"
@@ -44,52 +45,33 @@ MAX_DENSE_ROWS = 4096
 DEFAULT_FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class LiouvilleVector:
-    """A vectorized operator: amplitudes[mu*d + nu] = A[mu, nu]."""
-
-    amplitudes: np.ndarray
-    hilbert_dim: int
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.size != self.hilbert_dim**2:
-            raise DimensionMismatch(
-                f"{amps.size} amplitudes do not fill a "
-                f"{self.hilbert_dim}x{self.hilbert_dim} operator"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def devectorize(self) -> np.ndarray:
-        d = self.hilbert_dim
-        return self.amplitudes.reshape(d, d).copy()
-
-
-def vectorize(a: np.ndarray) -> LiouvilleVector:
-    """Flatten a square operator into its Liouville vector."""
+def vectorize(a: np.ndarray) -> np.ndarray:
+    """Flatten a square operator into its Liouville vector, a row-major copy."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquare(f"expected a square operator, got shape {m.shape}")
-    return LiouvilleVector(amplitudes=m.reshape(-1).copy(), hilbert_dim=m.shape[0])
+    return m.reshape(-1).copy()
 
 
-def devectorize(v: LiouvilleVector) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    return v.devectorize()
+def devectorize(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vectorize`: the d x d operator of a length-d^2 vector."""
+    amps = _amplitudes(v)
+    d = math.isqrt(amps.size)
+    if d * d != amps.size:
+        raise DimensionMismatch(f"{amps.size} amplitudes do not fill a square operator")
+    return amps.reshape(d, d).copy()
 
 
-def _amplitudes(v: "LiouvilleVector | np.ndarray") -> np.ndarray:
-    if isinstance(v, LiouvilleVector):
-        return v.amplitudes
+def _amplitudes(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(-1)
 
 
-def liouville_inner(a: "LiouvilleVector | np.ndarray", b: "LiouvilleVector | np.ndarray") -> complex:
-    """Inner product (a|b); equals tr(A^dag B) of the devectorized operators."""
+def liouville_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product (a|b) = tr(A^dag B).
+
+    ``a`` and ``b`` may be Liouville vectors or the operators themselves:
+    both are flattened row-major, so (vectorize(A)|vectorize(B)) = (A|B).
+    """
     x, y = _amplitudes(a), _amplitudes(b)
     if x.size != y.size:
         raise DimensionMismatch(f"dimension mismatch: {x.size} vs {y.size}")
@@ -143,7 +125,7 @@ class Superoperator:
             self._check_trace_preserving()
 
     def _check_trace_preserving(self, tol: float = 1e-10) -> None:
-        ident = vectorize(np.eye(self.hilbert_dim)).amplitudes
+        ident = vectorize(np.eye(self.hilbert_dim))
         dual_on_ident = self.dagger().apply(ident)
         defect = float(np.max(np.abs(dual_on_ident - ident)))
         if not defect <= tol:  # a NaN defect fails too
@@ -171,17 +153,14 @@ class Superoperator:
 
     # -- algebra ------------------------------------------------------------
 
-    def apply(self, v: "LiouvilleVector | np.ndarray") -> "LiouvilleVector | np.ndarray":
+    def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the map to a vectorized operator."""
         amps = _amplitudes(v)
         if amps.size != (self.hilbert_dim**2):
             raise DimensionMismatch(
                 f"vector of length {amps.size} does not match Hilbert dim {self.hilbert_dim}"
             )
-        out = self._diag * amps if self._diag is not None else self._matrix @ amps
-        if isinstance(v, LiouvilleVector):
-            return LiouvilleVector(amplitudes=out, hilbert_dim=self.hilbert_dim)
-        return out
+        return self._diag * amps if self._diag is not None else self._matrix @ amps
 
     def dagger(self) -> "Superoperator":
         return _superop((self._diag if self.is_diagonal else self._matrix).conj().T)
@@ -238,7 +217,7 @@ class ChannelFamily:
         return finite_diff_superop(self, x, self.fd_step)
 
     def apply_with_derivative(
-        self, x: float, v: "LiouvilleVector | np.ndarray"
+        self, x: float, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The amplitude pair (Phi(x) v, Phi'(x) v)."""
         amps = _amplitudes(v)
@@ -294,11 +273,17 @@ def require_budget(count: int, what: str, budget: int = MAX_DENSE_ROWS) -> None:
         raise DimensionBudgetExceeded(f"{what}: {count} exceeds the budget of {budget}")
 
 
+def _whole_number(value: float, what: str, minimum: int) -> int:
+    """``value`` as an int: a whole-number float such as 3.0 converts, and
+    anything else, or a value below ``minimum``, raises ValueError."""
+    if not (value >= minimum and float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value}")
+    return int(value)
+
+
 def _checked_power(n: int, d: int | None = None) -> int:
     """Validate an N-fold exponent and, given the site dim d, the dense budget."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"an N-fold product needs an integer n >= 1, got {n}")
-    n = int(n)
+    n = _whole_number(n, "the n of an N-fold product", 1)
     if n > 1 and d is not None:
         require_budget((d * d) ** n, f"Liouville rows of a {n}-fold tensor power")
     return n
@@ -339,16 +324,18 @@ class GramTriple:
     def __post_init__(self) -> None:
         for name, op in (("a", self.a), ("b", self.b)):
             m = op.diag if op.is_diagonal else op.matrix
-            scale = float(np.max(np.abs(m))) if m.size else 0.0
+            scale = _peak(m)
             # a NaN or inf entry would pass the tests below, or stop eigvalsh
             if not math.isfinite(scale):
                 raise NonHermitian(f"Gram component {name} has non-finite entries")
             if scale == 0.0:
                 continue
+            # measured on m / max|m|: a norm of entries below 1e-154 underflows
+            m = m / scale
             if op.is_diagonal:
-                if float(np.max(np.abs(m.imag))) > HERMITICITY_RTOL * scale:
+                if float(np.max(np.abs(m.imag))) > HERMITICITY_RTOL:
                     raise NonHermitian(f"Gram component {name} is not Hermitian")
-                if float(np.min(m.real)) < -1e-10 * scale:
+                if float(np.min(m.real)) < -1e-10:
                     raise NonHermitian(f"Gram component {name} is not PSD")
                 continue
             norm = np.linalg.norm(m)
@@ -514,7 +501,7 @@ class _ProductFamily(ChannelFamily):
     n: int
 
     def apply_with_derivative(
-        self, x: float, v: "LiouvilleVector | np.ndarray"
+        self, x: float, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Phi^xN v, (Phi^xN)' v), applied site by site.
 

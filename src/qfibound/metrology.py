@@ -34,7 +34,7 @@ from .errors import (
     NoRoot,
     RangeViolation,
 )
-from .liouville import MAX_DENSE_ROWS, require_budget
+from .liouville import MAX_DENSE_ROWS, _whole_number, require_budget
 from .numerics import loglog_slope, minimize_unimodal, solve_root_bisect
 
 #: Scan resolution for locating the rightmost root of the crossover
@@ -65,12 +65,10 @@ class PrecisionConfig:
     def __post_init__(self) -> None:
         if not self.total_time_T > 0.0:
             raise ValueError(f"total time must be > 0, got {self.total_time_T}")
-        ns = tuple(int(n) for n in self.N_range)
+        ns = tuple(_whole_number(n, "a probe count", 1) for n in self.N_range)
         object.__setattr__(self, "N_range", ns)
         if not ns:
             raise ValueError("N_range must be nonempty")
-        if ns[0] < 1:
-            raise ValueError(f"probe counts must be >= 1, got {ns[0]}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError(f"N_range must be strictly increasing, got {ns}")
 
@@ -268,8 +266,7 @@ def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> floa
     (k - m)^2 sum_l C(k,l) C(m,l) eta^{k+m-2l} (1-eta)^{2l}; symmetric in
     (k, m) and zero on the diagonal k = m.
     """
-    if n_photons < 1:
-        raise ValueError(f"photon number must be >= 1, got {n_photons}")
+    n_photons = _whole_number(n_photons, "photon number", 1)
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
     for name, idx in (("k", k), ("m", m)):
@@ -277,6 +274,7 @@ def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> floa
             raise IndexOutOfRange(
                 f"{name} = {idx} outside the Fock range 0..{n_photons}"
             )
+    k, m = _whole_number(k, "k", 0), _whole_number(m, "m", 0)
     low, high = sorted((k, m))
     for level, row in enumerate(loss_weight_rows(high, eta, low)):
         if level == low:
@@ -293,8 +291,7 @@ def interferometer_optimal_m(n_photons: int, eta: float) -> int:
     k = N row hosts the global maximum and emits :class:`MaxRowMismatch` if
     it does not.  N + 1 > MAX_DENSE_ROWS raises DimensionBudgetExceeded.
     """
-    if n_photons < 1:
-        raise ValueError(f"photon number must be >= 1, got {n_photons}")
+    n_photons = _whole_number(n_photons, "photon number", 1)
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
     size = n_photons + 1

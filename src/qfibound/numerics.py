@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInput,
-    DimensionMismatch,
     InvalidBracket,
     NegativeSpectrum,
     NoSignChange,
@@ -35,21 +34,6 @@ TOP_EIGENSPACE_RTOL = 1e-8
 PSD_CLIP_RTOL = 1e-9
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors[:, i]`` is the
-    orthonormal eigenvector paired with ``eigenvalues[i]``.  Within a
-    degenerate cluster the individual directions are unspecified (only the
-    spanned subspace is meaningful), so consumers should build projectors
-    rather than compare single vectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,12 +66,19 @@ def _require_square(m: np.ndarray) -> np.ndarray:
     return a
 
 
+def _peak(a: np.ndarray) -> float:
+    """max |a_ij| (0 for an empty array).  Defects are measured on a / peak,
+    because a Frobenius norm of entries below about 1e-154 underflows to 0."""
+    return float(np.max(np.abs(a), initial=0.0))
+
+
 def _require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     a = _require_square(m)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    peak = _peak(a)
+    if peak == 0.0:
         return a
-    defect = np.linalg.norm(a - a.conj().T) / norm
+    unit = a / peak
+    defect = np.linalg.norm(unit - unit.conj().T) / np.linalg.norm(unit)
     if defect > rtol:
         raise NonHermitian(
             f"matrix is not Hermitian: relative defect {defect:.3e} > {rtol:.0e}"
@@ -95,26 +86,21 @@ def _require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndar
     return a
 
 
-def herm_eig(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(eigenvalues, eigenvectors)`` of a Hermitian matrix.
+
+    The eigenvalues are real and ascending; ``eigenvectors[:, i]`` is the
+    orthonormal eigenvector of ``eigenvalues[i]``.  Within a degenerate
+    cluster the individual directions are unspecified (only the spanned
+    subspace is meaningful), so consumers should build projectors rather
+    than compare single vectors.
 
     The input must satisfy ``|M - M^dag|_F <= 1e-10 |M|_F`` (the zero
     matrix is exempt).  The matrix is symmetrized before decomposition so
     round-off in the input cannot leak into complex eigenvalues.
     """
     a = _require_hermitian(m)
-    sym = (a + a.conj().T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product (A|B) = tr(A^dag B)."""
-    x = np.asarray(a)
-    y = np.asarray(b)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
-    return complex(np.sum(np.conj(x) * y))
+    return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 
 def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
@@ -124,18 +110,19 @@ def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
     ``-1e-9 * |M|``) from round-off; anything below that raises
     :class:`NegativeSpectrum`.
     """
-    a = _require_hermitian(m)
-    scale = float(np.linalg.norm(a))
-    spectrum = herm_eig(a)
-    eigenvalues = spectrum.eigenvalues
+    eigenvalues, eigenvectors = herm_eig(m)
     lo = float(eigenvalues[0])
-    if lo < -PSD_CLIP_RTOL * max(scale, 1e-300):
-        raise NegativeSpectrum(
-            f"matrix is not PSD: min eigenvalue {lo:.3e} with norm {scale:.3e}"
-        )
+    a = np.asarray(m)
+    peak = _peak(a)
+    if peak > 0.0:
+        unit_norm = float(np.linalg.norm(a / peak))
+        if lo / peak < -PSD_CLIP_RTOL * unit_norm:
+            raise NegativeSpectrum(
+                f"matrix is not PSD: min eigenvalue {lo:.3e} with norm {peak * unit_norm:.3e}"
+            )
     top = float(eigenvalues[-1])
     mask = _within_top(eigenvalues, top)
-    return TopEigenspace(value=max(top, 0.0), vectors=spectrum.eigenvectors[:, mask])
+    return TopEigenspace(value=max(top, 0.0), vectors=eigenvectors[:, mask])
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -144,8 +131,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues in ``[-1e-9 * lambda_max, 0)`` are clipped to zero;
     genuinely negative spectra raise :class:`NegativeSpectrum`.
     """
-    spectrum = herm_eig(m)
-    eigenvalues = spectrum.eigenvalues.copy()
+    eigenvalues, v = herm_eig(m)
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     floor = -PSD_CLIP_RTOL * max(abs(top), 1e-300)
     if float(eigenvalues[0]) < floor:
@@ -153,7 +139,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
             f"matrix is not PSD: min eigenvalue {eigenvalues[0]:.3e}"
         )
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
-    v = spectrum.eigenvectors
     return (v * np.sqrt(eigenvalues)) @ v.conj().T
 
 

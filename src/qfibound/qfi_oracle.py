@@ -67,9 +67,8 @@ def exact_qfi(rho: np.ndarray, rho_prime: np.ndarray) -> SldResult:
     mp = _check_derivative(rho_prime)
     if m.shape != mp.shape:
         raise DimensionMismatch(f"shape mismatch: {m.shape} vs {mp.shape}")
-    spectrum = herm_eig(m)
-    lam = np.clip(spectrum.eigenvalues, 0.0, None)
-    v = spectrum.eigenvectors
+    lam, v = herm_eig(m)
+    lam = np.clip(lam, 0.0, None)
     r = v.conj().T @ mp @ v
     pair_sum = lam[:, None] + lam[None, :]
     mask = pair_sum > SLD_PAIR_CUTOFF
@@ -116,9 +115,7 @@ def optimal_povm_from_rho_prime(rho_prime: np.ndarray) -> Povm:
     the result is flagged degenerate; otherwise all projectors are rank 1.
     """
     mp = np.asarray(rho_prime, dtype=complex)
-    spectrum = herm_eig(mp)
-    lam = spectrum.eigenvalues
-    v = spectrum.eigenvectors
+    lam, v = herm_eig(mp)
     elements: list[np.ndarray] = []
     degenerate = False
     start = 0

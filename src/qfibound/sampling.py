@@ -58,8 +58,7 @@ def random_unitary_family(
 ) -> ChannelFamily:
     """Unitary family x -> e^{-i x H} rho e^{+i x H} with analytic derivative."""
     h = random_hermitian(rng, dim) * scale
-    spectrum = herm_eig(h)
-    w, v = spectrum.eigenvalues, spectrum.eigenvectors
+    w, v = herm_eig(h)
 
     def unitary(x: float) -> np.ndarray:
         return (v * np.exp(-1j * x * w)) @ v.conj().T

@@ -31,7 +31,7 @@ from .channels import (
     rotation_family,
 )
 from .errors import CptpViolation, RangeViolation
-from .liouville import ChannelFamily, Superoperator, product_family
+from .liouville import ChannelFamily, _site_arrays, _superop, liouville_inner, product_family
 from .metrology import (
     correlated_gram_max,
     ecs_lower_bound_closed,
@@ -39,7 +39,6 @@ from .metrology import (
     interferometer_gram_diag,
     tau_solve,
 )
-from .numerics import frobenius_inner
 from .qfi_oracle import Povm, classical_fisher, exact_qfi
 from .sampling import (
     random_mixed_state,
@@ -97,17 +96,11 @@ VERIFY_REPORT_SCHEMA = {
 }
 
 
-def _scaled_derivative(op: Superoperator, factor: float) -> Superoperator:
-    if op.is_diagonal:
-        return Superoperator(diag=op.diag * factor)
-    return Superoperator(op.matrix * factor)
-
-
 def corrupt_family(family: ChannelFamily, factor: float = CORRUPTION_FACTOR) -> ChannelFamily:
     """Negative-control wrapper: same channel, derivative scaled by ``factor``."""
     return ChannelFamily(
         evaluate=family.evaluate,
-        derivative=lambda x: _scaled_derivative(family.derivative_at(x), factor),
+        derivative=lambda x: _superop(_site_arrays(family.derivative_at(x))[0] * factor),
         fd_step=family.fd_step,
     )
 
@@ -154,7 +147,7 @@ def _check_orthogonality(rng: np.random.Generator, corrupt: bool) -> CheckResult
             family = corrupt_family(family)
         rho0 = random_pure_state(rng, dim)
         rho, rho_prime = channel_output(family, float(rng.uniform(-1.0, 1.0)), rho0)
-        worst = max(worst, abs(frobenius_inner(rho, rho_prime)))
+        worst = max(worst, abs(liouville_inner(rho, rho_prime)))
     return _result(
         "pure-unitary-orthogonality",
         worst,

@@ -110,7 +110,7 @@ def test_criterion_02_unitary_norm_and_eigenspace():
             # expected top eigenspace: |0..0><1..1| and |1..1><0..0|
             expected = np.zeros((dim * dim, 2))
             expected[[dim - 1, dim * (dim - 1)], [0, 1]] = 1.0
-            got = np.column_stack([v.amplitudes for v in result.top_eigenspace])
+            got = np.column_stack(result.top_eigenspace)
             worst_proj = max(worst_proj, projector_distance(expected, got))
     assert worst_norm <= 1e-10, f"worst norm deviation {worst_norm:.3e}"
     assert worst_proj <= 1e-8, f"worst projector distance {worst_proj:.3e}"

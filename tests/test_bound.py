@@ -328,7 +328,7 @@ class TestMaxBoundOverStates:
         result = max_bound_over_states(family, 0.0, 2)
         assert len(result.top_eigenspace) == 2
         dim = 4
-        hot = sorted(int(np.argmax(np.abs(v.amplitudes))) for v in result.top_eigenspace)
+        hot = sorted(int(np.argmax(np.abs(v))) for v in result.top_eigenspace)
         # |00><11| and |11><00| in global row-major indexing
         assert hot == [dim - 1, dim * (dim - 1)]
 
@@ -351,6 +351,15 @@ class TestMaxBoundOverStates:
         assert result.initial_state is None
         with pytest.raises(NoPhysicalState):
             max_bound_over_states(family, 0.2, 4, require_state=True)
+
+    @pytest.mark.parametrize("s", [1e-85, 1e-90])
+    def test_norm_is_scale_free(self, s):
+        # the Gram matrix scales as s^2: at s = 1e-85 its entries are ~1e-170,
+        # below where a Frobenius norm of them underflows to 0
+        want = max_bound_over_states(random_noisy_family(np.random.default_rng(3), 2, 2), 0.2, 2)
+        family = random_noisy_family(np.random.default_rng(3), 2, 2, scale=s)
+        got = max_bound_over_states(family, 0.2, 2)
+        assert_allclose(got.norm_bound / s**2, want.norm_bound, rtol=1e-12)
 
     @pytest.mark.parametrize("t", [1.0, 1e-5])
     def test_ghz_found_at_any_scale(self, t):
@@ -384,7 +393,7 @@ class TestMaxBoundOverStates:
     def test_integral_float_probe_count(self):
         family = phase_covariant_family(1.0, NoiseParams(eta_perp=0.9))
         result = max_bound_over_states(family, 0.0, 2.0)
-        assert [v.devectorize().shape for v in result.top_eigenspace] == [(4, 4), (4, 4)]
+        assert [devectorize(v).shape for v in result.top_eigenspace] == [(4, 4), (4, 4)]
 
 
 def qutrit_family() -> ChannelFamily:
@@ -552,9 +561,9 @@ class TestGhzCrossover:
         x = 0.3
         for n in range(2, 7):
             below = max_bound_over_states(model_family(index, 0.8, n), x, n)
-            assert coherence_sites([v.amplitudes for v in below.top_eigenspace], n) == {n}
+            assert coherence_sites(below.top_eigenspace, n) == {n}
             above = max_bound_over_states(model_family(index, 1.5, n), x, n)
-            assert max(coherence_sites([v.amplitudes for v in above.top_eigenspace], n)) < n
+            assert max(coherence_sites(above.top_eigenspace, n)) < n
             # at tau both blocks hold the norm; their values are Rayleigh
             # quotients ||(Phi^xN)' v||^2 from the matrix-free product kernel
             family = model_family(index, 1.0, n)
@@ -562,7 +571,7 @@ class TestGhzCrossover:
             product = product_family(family, n)
             values: dict[int, list[float]] = {}
             for v in at_tau.top_eigenspace:
-                (s,) = coherence_sites([v.amplitudes], n)
+                (s,) = coherence_sites([v], n)
                 _, prime = product.apply_with_derivative(x, v)
                 values.setdefault(s, []).append(float(np.vdot(prime, prime).real))
             assert set(values) == {n - 1, n}

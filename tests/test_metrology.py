@@ -286,6 +286,41 @@ class TestInterferometerOptimalM:
                 interferometer_optimal_m(30, eta)
 
 
+class TestWholeNumberArguments:
+    """A whole-number float such as 3.0 stands for its integer; any other
+    non-integer raises ValueError instead of reaching numpy."""
+
+    def test_whole_floats_act_as_integers(self):
+        assert ecs_lower_bound_numeric(EcsSpec(1.0, 30.0), 0.9) == ecs_lower_bound_numeric(
+            EcsSpec(1.0, 30), 0.9
+        )
+        assert_array_equal(ecs_vector(EcsSpec(1.0, 30.0)), ecs_vector(EcsSpec(1.0, 30)))
+        for got, want in zip(loss_kraus(3.0, 0.5), loss_kraus(3, 0.5), strict=True):
+            assert_array_equal(got, want)
+        assert interferometer_optimal_m(20.0, 0.8) == interferometer_optimal_m(20, 0.8)
+        assert interferometer_gram_diag(3.0, 0.5, 3.0, 1.0) == interferometer_gram_diag(3, 0.5, 3, 1)
+        model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
+        ns = PrecisionConfig(total_time_T=1.0, N_range=(8.0, 16.0), model=model).N_range
+        assert ns == (8, 16) and all(type(n) is int for n in ns)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: interferometer_optimal_m(2.5, 0.5),
+            lambda: interferometer_gram_diag(3, 0.5, 2.5, 1),
+            lambda: interferometer_gram_diag(3, 0.5, 3, 0.5),
+            lambda: PrecisionConfig(
+                total_time_T=1.0, N_range=(2.5,), model=ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
+            ),
+            lambda: EcsSpec(1.0, math.inf),
+        ],
+        ids=["optimal-m", "gram-diag-k", "gram-diag-m", "precision-config", "ecs-spec-inf"],
+    )
+    def test_rejects_non_integers(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+
 class TestEcsClosed:
     def test_breakdown_sums(self):
         spec = EcsSpec.for_alpha(math.sqrt(2.0))

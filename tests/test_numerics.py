@@ -15,7 +15,6 @@ from qfibound.errors import (
     NoSignChange,
 )
 from qfibound.numerics import (
-    frobenius_inner,
     herm_eig,
     largest_eigval_psd,
     loglog_slope,
@@ -27,20 +26,20 @@ from qfibound.numerics import (
 
 class TestHermEig:
     def test_known_two_by_two(self):
-        spec = herm_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert_allclose(spec.eigenvalues, [1.0, 3.0])
+        eigenvalues, _ = herm_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert_allclose(eigenvalues, [1.0, 3.0])
 
     def test_reconstruction(self, rng):
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = a + a.conj().T
-        spec = herm_eig(h)
-        rebuilt = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+        w, v = herm_eig(h)
+        rebuilt = v @ np.diag(w) @ v.conj().T
         assert_allclose(rebuilt, h, atol=1e-12)
 
     def test_eigenvalues_ascending(self, rng):
         a = rng.normal(size=(6, 6))
-        spec = herm_eig(a + a.T)
-        assert np.all(np.diff(spec.eigenvalues) >= 0)
+        eigenvalues, _ = herm_eig(a + a.T)
+        assert np.all(np.diff(eigenvalues) >= 0)
 
     def test_rejects_non_square(self):
         with pytest.raises(NonSquare):
@@ -50,18 +49,11 @@ class TestHermEig:
         with pytest.raises(NonHermitian):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-def test_frobenius_inner_hand_value():
-    a = np.array([[1.0, 1j], [0.0, 1.0]])
-    b = np.array([[2.0, 0.0], [1j, 1.0]])
-    # tr(a^dag b) = conj(1)*2 + conj(i)*0 + conj(0)*i + conj(1)*1
-    assert_allclose(frobenius_inner(a, b), 3.0 + 0j)
-
-
-def test_frobenius_inner_conjugate_symmetry(rng):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert_allclose(frobenius_inner(a, b), np.conj(frobenius_inner(b, a)))
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        # a Frobenius norm of entries below about 1e-154 underflows to 0
+        with pytest.raises(NonHermitian):
+            herm_eig(np.array([[0.0, scale], [0.0, 0.0]]))
 
 
 class TestLargestEigvalPsd:
@@ -84,6 +76,14 @@ class TestLargestEigvalPsd:
     def test_rejects_negative_spectrum(self):
         with pytest.raises(NegativeSpectrum):
             largest_eigval_psd(np.diag([1.0, -0.5]))
+
+    def test_scale_free(self, rng):
+        scale = 1e-170
+        a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        m = a @ a.conj().T  # rank 3: its smallest eigenvalue is round-off
+        assert_allclose(largest_eigval_psd(scale * m).value / scale, largest_eigval_psd(m).value)
+        with pytest.raises(NegativeSpectrum):
+            largest_eigval_psd(scale * np.diag([1.0, -0.5]))
 
 
 class TestPsdSqrt:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qfibound.channels import EXPONENTIAL_FORM
-from qfibound.liouville import finite_diff_superop, vectorize
+from qfibound.liouville import devectorize, finite_diff_superop, vectorize
 from qfibound.sampling import (
     random_cptp_params,
     random_hermitian,
@@ -66,7 +66,7 @@ class TestRandomFamilies:
         family = random_unitary_family(rng, 3)
         rho = random_mixed_state(rng, 3)
         out = family.evaluate(0.7).apply(vectorize(rho))
-        assert_allclose(np.trace(out.devectorize()).real, 1.0, atol=1e-12)
+        assert_allclose(np.trace(devectorize(out)).real, 1.0, atol=1e-12)
 
     def test_unitary_family_derivative(self, rng):
         family = random_unitary_family(rng, 3)
