@@ -109,6 +109,14 @@ def _check_density(rho: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
 
 
 def _check_derivative(rho_prime: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
+    """rho' as a complex matrix, once it is square, finite, and Hermitian and
+    traceless to ``tol`` times max(max|rho'|, 1).
+
+    The floor of 1 is the trace of the state, and it is what tells round-off
+    from a defect: the rho' of the ECS oracle at eta = 0 is pure round-off,
+    with trace -2.7e-17 and a peak of the same order, so a test against
+    max|rho'| alone refuses it.  Below unit scale the test is absolute.
+    """
     m = np.asarray(rho_prime, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidState(f"derivative must be a square matrix, got shape {m.shape}")
@@ -348,7 +356,6 @@ def max_bound_over_states(
         gram = gram_tensor_power(triple, n)
         top = _diagonal_top(gram.diag) if gram.is_diagonal else largest_eigval_psd(gram.matrix)
     norm_bound = top.value
-    vectors = list(top.vectors.T) if norm_bound > 0.0 else []
     initial_state: np.ndarray | None = None
     if norm_bound > 0.0 and triple.a.hilbert_dim == 2:
         target = norm_bound / 2.0
@@ -359,7 +366,7 @@ def max_bound_over_states(
             "no physical initial state achieving norm_bound/2 was constructed"
         )
     return OptimalStateResult(
-        norm_bound=norm_bound, top_eigenspace=vectors, initial_state=initial_state
+        norm_bound=norm_bound, top_eigenspace=list(top.vectors.T), initial_state=initial_state
     )
 
 

@@ -1,9 +1,10 @@
 """Concrete parameter-encoding channel families.
 
-Qubit rotation about z, the general phase-covariant qubit noise (noise
-composed with the encoding rotation), short-time noise models, correlated
-dephasing on paired probes, photon loss as its binomial loss weights (with
-their Kraus operators), and entangled-coherent-state preparation.
+The general phase-covariant qubit noise (noise composed with the encoding
+rotation, whose noiseless case is the rotation about z), short-time noise
+models, correlated dephasing on paired probes, photon loss as its binomial
+loss weights (with their Kraus operators), and entangled-coherent-state
+preparation.
 
 All qubit superoperators use the row-major |mu><nu| Liouville convention of
 :mod:`.liouville`; the phase-covariant channel is the 4x4 matrix
@@ -17,7 +18,9 @@ with J_{s s'} = (1 + s k + s' eta_par)/2, h = eta_perp and f = omega*t +
 theta.  The default ("verbatim") form carries the coherence factors on the
 |01)<->|10| swap entries; the ``coherence_diagonal`` variant places them on
 the |01)->|01), |10)->|10) diagonal instead.  The two forms share every
-spectral quantity used by the bound machinery.
+spectral quantity used by the bound machinery.  Since omega enters only
+through the phase of the output coherences, the derivative in omega is the
+map itself times -i t Q, Q = diag(0, 1, -1, 0).
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from .liouville import ChannelFamily, Superoperator, _whole_number, require_budget
+from .liouville import _CHARGE, ChannelFamily, Superoperator, _whole_number, require_budget
 
 #: Slack for complete-positivity checks; amplitude damping sits exactly on
 #: the boundary 1 + eta_par = sqrt(k^2 + 4 eta_perp^2).
@@ -103,32 +106,21 @@ class NoiseParams:
         return (1.0 - self.k - self.eta_par) / 2.0
 
 
-def rotation_superop(omega: float, t: float) -> Superoperator:
-    """Encoding rotation U rho U^dag with U = e^{-i omega t sz/2}.
-
-    Diagonal in the |mu><nu| basis: the |01) entry is e^{-i omega t}, the
-    |10) entry e^{+i omega t}, populations untouched.
-    """
-    phase = np.exp(-1j * omega * t)
-    return Superoperator(
-        diag=np.array([1.0, phase, np.conj(phase), 1.0]), trace_preserving=True
-    )
-
-
-def rotation_derivative(omega: float, t: float) -> Superoperator:
-    """d/d omega of :func:`rotation_superop`."""
-    phase = np.exp(-1j * omega * t)
-    return Superoperator(
-        diag=np.array([0.0, -1j * t * phase, 1j * t * np.conj(phase), 0.0])
-    )
-
-
 def rotation_family(t: float) -> ChannelFamily:
-    """The unitary encoding family omega -> U_omega rho U_omega^dag."""
-    return ChannelFamily(
-        evaluate=lambda omega: rotation_superop(omega, t),
-        derivative=lambda omega: rotation_derivative(omega, t),
-    )
+    """The unitary encoding family omega -> U_omega rho U_omega^dag with
+    U = e^{-i omega t sz/2}: noiseless phase-covariant noise, diagonal in
+    the |mu><nu| basis (|01) picks up e^{-i omega t}, |10) e^{+i omega t})."""
+    return phase_covariant_family(t, NoiseParams(), coherence_diagonal=True)
+
+
+def _qubit_map(omega: float, t: float, params: NoiseParams, coherence_diagonal: bool) -> np.ndarray:
+    """The 4 x 4 matrix of the module docstring: the one place where the
+    coherence phase e^{-+i phi} is computed."""
+    coh = params.eta_perp * np.exp(-1j * (omega * t + params.theta))
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[0, 3], m[3, 0], m[3, 3] = params.j_pp, params.j_pm, params.j_mm, params.j_mp
+    m[1, 1 if coherence_diagonal else 2], m[2, 2 if coherence_diagonal else 1] = coh, coh.conjugate()
+    return m
 
 
 def phase_covariant_superop(
@@ -146,21 +138,7 @@ def phase_covariant_superop(
     the diagonal instead.  Populations and all Gram/bound quantities are
     identical between the two forms.
     """
-    phi = omega * t + params.theta
-    coh_minus = params.eta_perp * np.exp(-1j * phi)
-    coh_plus = params.eta_perp * np.exp(+1j * phi)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = params.j_pp
-    m[0, 3] = params.j_pm
-    m[3, 0] = params.j_mm
-    m[3, 3] = params.j_mp
-    if coherence_diagonal:
-        m[1, 1] = coh_minus
-        m[2, 2] = coh_plus
-    else:
-        m[1, 2] = coh_minus
-        m[2, 1] = coh_plus
-    return Superoperator(m, trace_preserving=True)
+    return Superoperator(_qubit_map(omega, t, params, coherence_diagonal), trace_preserving=True)
 
 
 def phase_covariant_derivative(
@@ -170,19 +148,11 @@ def phase_covariant_derivative(
     *,
     coherence_diagonal: bool = False,
 ) -> Superoperator:
-    """d/d omega of :func:`phase_covariant_superop` (populations are
-    omega-independent; coherences pick up -+ i t)."""
-    phi = omega * t + params.theta
-    d_minus = -1j * t * params.eta_perp * np.exp(-1j * phi)
-    d_plus = +1j * t * params.eta_perp * np.exp(+1j * phi)
-    m = np.zeros((4, 4), dtype=complex)
-    if coherence_diagonal:
-        m[1, 1] = d_minus
-        m[2, 2] = d_plus
-    else:
-        m[1, 2] = d_minus
-        m[2, 1] = d_plus
-    return Superoperator(m)
+    """d/d omega of :func:`phase_covariant_superop`, read off the map as
+    -i t Q Phi with Q = diag(0, 1, -1, 0) the charge nu - mu of the output
+    |mu><nu|: the noise commutes with the rotation, so omega enters only as
+    the output phase e^{-i Q (omega t + theta)}."""
+    return Superoperator(-1j * t * _CHARGE[:, None] * _qubit_map(omega, t, params, coherence_diagonal))
 
 
 def phase_covariant_family(

@@ -4,9 +4,12 @@ Operators on a d-dimensional Hilbert space are flattened row-major, so the
 basis element |mu><nu| sits at index mu*d + nu; a Liouville vector is that
 plain 1-D complex array.  Channels become d^2 x d^2 matrices
 ("superoperators") acting on these vectors.  An N-fold product
-channel acts on a composite vector site by site, on axes (i, N+i) of the
-vector reshaped to (mu_1..mu_N, nu_1..nu_N); its dense Kronecker power
-needs an index permutation relative to the naive one (see :func:`tensor_power`).
+channel is only its site kernel (:func:`product_family`): it acts on a
+composite vector site by site, on axes (i, N+i) of the vector reshaped to
+(mu_1..mu_N, nu_1..nu_N).  Its dense Kronecker power and that power's
+derivative, :func:`tensor_power` and :func:`tensor_power_derivative` (which
+need an index permutation relative to the naive one), have no caller in the
+package: they stay as public reference builders and as the tests' oracle.
 
 The Gram matrix of a differentiable channel family x -> Phi(x) is
 G = Phi'^dag Phi'.  For an N-fold product channel the product rule expands
@@ -33,9 +36,6 @@ from .errors import (
     NonSquare,
 )
 from .numerics import HERMITICITY_RTOL, TopEigenspace, _peak, _within_top
-
-#: Basis convention tag carried by every Superoperator.
-BASIS_TAG = "row-major |mu><nu|"
 
 #: Dense Liouville-space matrices are capped at this many rows
 #: (4096 = six qubits); larger systems must use diagonal representations.
@@ -93,7 +93,6 @@ class Superoperator:
         matrix: np.ndarray | None = None,
         *,
         diag: np.ndarray | None = None,
-        hilbert_dim: int | None = None,
         trace_preserving: bool = False,
     ) -> None:
         if (matrix is None) == (diag is None):
@@ -112,14 +111,9 @@ class Superoperator:
             raise DimensionMismatch(
                 f"superoperator of size {rows} is not a perfect-square dimension"
             )
-        if hilbert_dim is not None and hilbert_dim != d:
-            raise DimensionMismatch(
-                f"hilbert_dim {hilbert_dim} inconsistent with matrix size {rows}"
-            )
         self._matrix = m
         self._diag = diag if m is None else None
         self.hilbert_dim = d
-        self.basis = BASIS_TAG
         self.trace_preserving = bool(trace_preserving)
         if self.trace_preserving:
             self._check_trace_preserving()
@@ -206,10 +200,6 @@ class ChannelFamily:
     evaluate: Callable[[float], Superoperator]
     derivative: Callable[[float], Superoperator] | None = None
     fd_step: float = DEFAULT_FD_STEP
-
-    @property
-    def derivative_mode(self) -> str:
-        return "analytic" if self.derivative is not None else "central"
 
     def derivative_at(self, x: float) -> Superoperator:
         if self.derivative is not None:
@@ -493,9 +483,11 @@ def tensor_power_derivative(
     return _to_global(dcur, value.hilbert_dim, n)
 
 
-@dataclass(frozen=True, kw_only=True)
-class _ProductFamily(ChannelFamily):
-    """x -> Phi(x)^xN whose action on a vector never forms the N-fold power."""
+@dataclass(frozen=True)
+class _ProductFamily:
+    """x -> Phi(x)^xN of a site family, known only by its action on a vector:
+    neither the N-fold power nor its derivative is ever formed (their dense
+    matrices are :func:`tensor_power` and :func:`tensor_power_derivative`)."""
 
     site: ChannelFamily
     n: int
@@ -535,17 +527,11 @@ class _ProductFamily(ChannelFamily):
         return out[0], out[1]
 
 
-def product_family(family: ChannelFamily, n: int) -> ChannelFamily:
-    """The N-fold product family x -> Phi(x)^xN with product-rule derivative."""
+def product_family(family: ChannelFamily, n: int) -> ChannelFamily | _ProductFamily:
+    """The N-fold product family x -> Phi(x)^xN: ``family`` itself for N = 1,
+    else its site kernel, which offers only ``apply_with_derivative``."""
     n = _checked_power(n)
-    if n == 1:
-        return family
-    return _ProductFamily(
-        evaluate=lambda x: tensor_power(family.evaluate(x), n),
-        derivative=lambda x: tensor_power_derivative(family.evaluate(x), family.derivative_at(x), n),
-        site=family,
-        n=n,
-    )
+    return family if n == 1 else _ProductFamily(site=family, n=n)
 
 
 def finite_diff_superop(family: ChannelFamily, x: float, h: float) -> Superoperator:

@@ -118,8 +118,7 @@ def t_opt_paper(alpha_perp: float, beta_perp: float, n_probes: int) -> float:
         raise ValueError(f"alpha_perp must be > 0, got {alpha_perp}")
     if not beta_perp > 0.0:
         raise ValueError(f"beta_perp must be > 0, got {beta_perp}")
-    if n_probes < 1:
-        raise ValueError(f"probe count must be >= 1, got {n_probes}")
+    n_probes = _whole_number(n_probes, "probe count", 1)
     return (2.0 * alpha_perp * n_probes * (beta_perp + 1.0)) ** (-1.0 / beta_perp)
 
 
@@ -145,8 +144,7 @@ def tau_solve(model: ShortTimeModel, n_probes: int) -> float:
     is vacuous), so the unital closed form (alpha_perp N)^{-1/beta_perp} is
     returned directly.
     """
-    if n_probes < 1:
-        raise ValueError(f"probe count must be >= 1, got {n_probes}")
+    n_probes = _whole_number(n_probes, "probe count", 1)
     if not model.alpha_perp > 0.0:
         raise ValueError("alpha_perp must be > 0 for a finite crossover time")
     if n_probes == 1:
@@ -184,8 +182,7 @@ def t_opt_numeric(model: ShortTimeModel, n_probes: int) -> float:
     point lies beyond tau and :class:`NoInteriorMinimum` is raised.  The
     returned point satisfies |d cost/dt| <= 1e-6 * cost/t.
     """
-    if n_probes < 1:
-        raise ValueError(f"probe count must be >= 1, got {n_probes}")
+    n_probes = _whole_number(n_probes, "probe count", 1)
     hi = tau_solve(model, n_probes)
     lo = 1e-9 * hi
 

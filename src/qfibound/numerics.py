@@ -40,7 +40,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class TopEigenspace:
     """Largest eigenvalue of a PSD matrix together with the orthonormal
     basis (columns) of the eigenspace of all eigenvalues within
-    ``TOP_EIGENSPACE_RTOL * value`` of it."""
+    ``TOP_EIGENSPACE_RTOL * value`` of it; the basis is empty when the
+    value is 0."""
 
     value: float
     vectors: np.ndarray
@@ -108,7 +109,8 @@ def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
 
     The smallest eigenvalue may be slightly negative (down to
     ``-1e-9 * |M|``) from round-off; anything below that raises
-    :class:`NegativeSpectrum`.
+    :class:`NegativeSpectrum`.  A matrix whose largest eigenvalue is not
+    positive (the zero matrix) has value 0 and an empty top eigenspace.
     """
     eigenvalues, eigenvectors = herm_eig(m)
     lo = float(eigenvalues[0])
@@ -121,7 +123,7 @@ def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
                 f"matrix is not PSD: min eigenvalue {lo:.3e} with norm {peak * unit_norm:.3e}"
             )
     top = float(eigenvalues[-1])
-    mask = _within_top(eigenvalues, top)
+    mask = _within_top(eigenvalues, top) & (top > 0.0)
     return TopEigenspace(value=max(top, 0.0), vectors=eigenvectors[:, mask])
 
 

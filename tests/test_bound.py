@@ -26,9 +26,7 @@ from qfibound.channels import (
     named_noise,
     params_at,
     phase_covariant_family,
-    rotation_derivative,
     rotation_family,
-    rotation_superop,
 )
 from qfibound.errors import (
     CptpViolation,
@@ -147,6 +145,20 @@ def dense_pair(v, v_prime):
         return v @ v.conj().T, v_prime @ v.conj().T + v @ v_prime.conj().T
 
 
+class TestDerivativeCheck:
+    """The two cases any rule for the derivative checks must keep."""
+
+    def test_accepts_round_off_derivative(self):
+        # like the ECS oracle's rho' at eta = 0: trace -2.7e-17, peak of the same order
+        rho_prime = np.array([[-1.7e-17, 1e-17], [1e-17, -1e-17]])
+        result = lower_bound_from_state(np.diag([0.5, 0.5]), rho_prime)
+        assert 0.0 <= result.f_lower < 1e-33
+
+    def test_refuses_non_hermitian_traceful_derivative(self):
+        with pytest.raises(InvalidState):
+            lower_bound_from_state(np.diag([0.5, 0.5]), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 class TestLowerBoundFromFactor:
     @pytest.mark.parametrize("dim,k", [(6, 1), (6, 3), (6, 9), (2, 5)])
     def test_matches_dense_state(self, rng, dim, k):
@@ -182,13 +194,16 @@ class TestLowerBoundFromFactor:
 
 
 def nan_derivative_family(dense):
-    """The rotation family with one NaN entry in its derivative map."""
+    """The diagonal rotation family at t = 1 with a NaN in place of the
+    |01) entry of its derivative map."""
+    def evaluate(x):
+        return Superoperator(diag=[1.0, np.exp(-1j * x), np.exp(1j * x), 1.0], trace_preserving=True)
+
     def derivative(x):
-        entries = rotation_derivative(x, 1.0).diag.copy()
-        entries[1] = np.nan
+        entries = np.array([0.0, np.nan, 1j * np.exp(1j * x), 0.0])
         return Superoperator(np.diag(entries)) if dense else Superoperator(diag=entries)
 
-    return ChannelFamily(evaluate=lambda x: rotation_superop(x, 1.0), derivative=derivative)
+    return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
 
 class TestNonFiniteProducts:
@@ -366,6 +381,15 @@ class TestMaxBoundOverStates:
         family = phase_covariant_family(t, NoiseParams(eta_perp=0.9))
         result = max_bound_over_states(family, 0.2, 4, require_state=True)
         assert_allclose(result.initial_state, ghz_state(4))
+
+    def test_zero_gram_has_no_eigenspace_on_dense_path(self):
+        # a constant qutrit channel: its dense N-fold Gram matrix is 0
+        family = ChannelFamily(
+            evaluate=lambda x: Superoperator(np.eye(9)), derivative=lambda x: Superoperator(np.zeros((9, 9)))
+        )
+        result = max_bound_over_states(family, 0.2, 2)
+        assert result.norm_bound == 0.0
+        assert result.top_eigenspace == []
 
     def test_no_state_raises_when_required(self):
         # a qutrit family has no GHZ candidate wired up

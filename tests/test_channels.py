@@ -29,7 +29,6 @@ from qfibound.channels import (
     phase_covariant_family,
     phase_covariant_superop,
     rotation_family,
-    rotation_superop,
 )
 from qfibound.errors import (
     CptpViolation,
@@ -37,7 +36,7 @@ from qfibound.errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from qfibound.liouville import devectorize, finite_diff_superop, vectorize
+from qfibound.liouville import Superoperator, devectorize, finite_diff_superop, vectorize
 from qfibound.metrology import interferometer_gram_diag
 
 
@@ -105,7 +104,7 @@ class TestPhaseCovariantSuperop:
     def test_reduces_to_rotation_when_noiseless(self, coherence_diagonal):
         params = NoiseParams()
         s = phase_covariant_superop(0.7, 1.0, params, coherence_diagonal=coherence_diagonal)
-        r = rotation_superop(0.7, 1.0)
+        r = Superoperator(diag=[1.0, np.exp(-0.7j), np.exp(0.7j), 1.0])
         if coherence_diagonal:
             assert_allclose(s.matrix, np.diag(r.diag))
         else:
@@ -122,6 +121,28 @@ class TestPhaseCovariantSuperop:
         m1 = phase_covariant_superop(2.3, 1.0, params).matrix
         for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
             assert m0[i, j] == m1[i, j]
+
+    def test_rotation_family_hand_values(self):
+        # Phi = diag(1, e^{-i w t}, e^{i w t}, 1), Phi' = diag(0, -i t e^{-i w t}, i t e^{i w t}, 0)
+        omega, t = 0.7, 1.3
+        family = rotation_family(t)
+        minus, plus = np.exp(-1j * omega * t), np.exp(1j * omega * t)
+        assert_allclose(family.evaluate(omega).matrix, np.diag([1.0, minus, plus, 1.0]), rtol=0, atol=1e-15)
+        assert_allclose(
+            family.derivative_at(omega).matrix, np.diag([0.0, -1j * t * minus, 1j * t * plus, 0.0]), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("coherence_diagonal", [False, True])
+    def test_derivative_hand_values(self, coherence_diagonal):
+        # the |0><1| output row gets -i t eta_perp e^{-i phi}, the |1><0| row +i t eta_perp e^{+i phi}
+        params = NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3, theta=0.1)
+        m = phase_covariant_derivative(0.5, 2.0, params, coherence_diagonal=coherence_diagonal).matrix
+        phi = 0.5 * 2.0 + 0.1
+        expected = np.zeros((4, 4), dtype=complex)
+        col_minus, col_plus = (1, 2) if coherence_diagonal else (2, 1)
+        expected[1, col_minus] = -2.0j * 0.3 * np.exp(-1j * phi)
+        expected[2, col_plus] = 2.0j * 0.3 * np.exp(1j * phi)
+        assert_allclose(m, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("coherence_diagonal", [False, True])
     def test_derivative_matches_finite_difference(self, coherence_diagonal):

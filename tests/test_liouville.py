@@ -10,7 +10,6 @@ from qfibound.channels import (
     named_noise,
     phase_covariant_family,
     rotation_family,
-    rotation_superop,
 )
 from qfibound.errors import (
     CompletenessViolation,
@@ -212,8 +211,16 @@ class TestTensorPower:
         assert s3.diag.size == 4**3
 
     def test_identity_power(self):
-        s = rotation_superop(0.7, 1.0)
+        s = Superoperator(diag=[1.0, np.exp(-0.7j), np.exp(0.7j), 1.0])
         assert_allclose(tensor_power(s, 1).diag, s.diag)
+
+    def test_derivative_is_product_rule(self):
+        # against a central difference of the dense power of a non-diagonal family
+        family = _amplitude_damping()
+        x, h = 0.4, 1e-6
+        analytic = tensor_power_derivative(family.evaluate(x), family.derivative_at(x), 2)
+        plus, minus = (tensor_power(family.evaluate(x + s * h), 2).matrix for s in (1, -1))
+        assert np.max(np.abs(analytic.matrix - (plus - minus) / (2 * h))) < 1e-8
 
     def test_dense_budget_enforced(self):
         u = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
@@ -353,16 +360,15 @@ class TestProductAction:
         with pytest.raises(DimensionMismatch):
             product_family(rotation_family(0.9), 3).apply_with_derivative(0.4, np.ones(16))
 
+    def test_is_only_the_site_kernel(self):
+        family = rotation_family(0.9)
+        assert product_family(family, 1) is family
+        prod = product_family(family, 2.0)
+        assert prod.site is family and prod.n == 2
+        assert not hasattr(prod, "evaluate") and not hasattr(prod, "derivative")
+
 
 class TestFamilies:
-    def test_product_family_derivative_is_product_rule(self):
-        family = rotation_family(0.9)
-        prod = product_family(family, 2)
-        x = 0.4
-        analytic = prod.derivative_at(x)
-        numeric = finite_diff_superop(prod, x, 1e-6)
-        assert np.max(np.abs(analytic.matrix - numeric.matrix)) < 1e-8
-
     def test_finite_diff_matches_analytic(self):
         family = rotation_family(1.1)
         fd = finite_diff_superop(family, 0.2, 1e-6)
@@ -371,11 +377,11 @@ class TestFamilies:
 
     def test_family_fd_fallback(self):
         family = ChannelFamily(
-            evaluate=lambda x: rotation_superop(x, 1.0),
+            evaluate=lambda x: Superoperator(diag=[1.0, np.exp(-1j * x), np.exp(1j * x), 1.0]),
             derivative=None,
             fd_step=1e-6,
         )
-        assert family.derivative_mode == "central"
+        assert family.derivative is None
         approx = family.derivative_at(0.3)
         exact = rotation_family(1.0).derivative_at(0.3)
         assert np.max(np.abs(approx.matrix - exact.matrix)) < 1e-9

@@ -303,6 +303,12 @@ class TestWholeNumberArguments:
         ns = PrecisionConfig(total_time_T=1.0, N_range=(8.0, 16.0), model=model).N_range
         assert ns == (8, 16) and all(type(n) is int for n in ns)
 
+    def test_whole_float_probe_counts(self):
+        model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
+        assert tau_solve(model, 3.0) == tau_solve(model, 3)
+        assert t_opt_numeric(model, 3.0) == t_opt_numeric(model, 3)
+        assert t_opt_paper(0.5, 1.0, 3.0) == t_opt_paper(0.5, 1.0, 3)
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -313,8 +319,14 @@ class TestWholeNumberArguments:
                 total_time_T=1.0, N_range=(2.5,), model=ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
             ),
             lambda: EcsSpec(1.0, math.inf),
+            lambda: tau_solve(ShortTimeModel(alpha_perp=0.5, beta_perp=1.0), 2.5),
+            lambda: t_opt_numeric(ShortTimeModel(alpha_perp=0.5, beta_perp=1.0), 2.5),
+            lambda: t_opt_paper(0.5, 1.0, 2.5),
         ],
-        ids=["optimal-m", "gram-diag-k", "gram-diag-m", "precision-config", "ecs-spec-inf"],
+        ids=[
+            "optimal-m", "gram-diag-k", "gram-diag-m", "precision-config", "ecs-spec-inf",
+            "tau-solve", "t-opt-numeric", "t-opt-paper",
+        ],
     )
     def test_rejects_non_integers(self, call):
         with pytest.raises(ValueError, match="must be an integer"):

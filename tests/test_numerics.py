@@ -77,6 +77,11 @@ class TestLargestEigvalPsd:
         with pytest.raises(NegativeSpectrum):
             largest_eigval_psd(np.diag([1.0, -0.5]))
 
+    def test_zero_matrix_has_empty_top_eigenspace(self):
+        top = largest_eigval_psd(np.zeros((3, 3)))
+        assert top.value == 0.0
+        assert top.vectors.shape == (3, 0)
+
     def test_scale_free(self, rng):
         scale = 1e-170
         a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
