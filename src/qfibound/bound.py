@@ -22,7 +22,8 @@ size 4^N is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,23 +72,35 @@ class BoundResult:
 class OptimalStateResult:
     """Norm-maximized bound over initial states.
 
-    norm_bound is ||G|| for the N-fold Gram matrix; top_eigenspace is a
-    list of orthonormal Liouville vectors (1-D arrays of length d^(2N))
-    spanning the eigenvectors within 1e-8 relative of norm_bound (empty
-    when the norm vanishes).  For a phase-covariant qubit family its basis
-    is the closed form's unit and site-wise product vectors; for any other
-    family, which takes the dense path, it is the eigendecomposition's
-    basis.
-    initial_state is a physical density matrix whose channel bound equals
-    norm_bound/2 (the GHZ projector for commuting qubit noise) or None when
-    no such state was found.  The GHZ candidate is tested from the
-    single-site Gram triple (:func:`ghz_lower_bound`), and the dense
-    projector is built only when it is returned.
+    norm_bound is ||G|| for the N-fold Gram matrix.  ghz_optimal is True
+    when the N-qubit GHZ projector attains the channel bound norm_bound/2;
+    its test runs on the single-site Gram triple (:func:`ghz_lower_bound`).
+    Both are computed by the call, at any N.
+
+    top_eigenspace is a list of orthonormal Liouville vectors (1-D arrays
+    of length d^(2N)) spanning the eigenvectors within 1e-8 relative of
+    norm_bound (empty when the norm vanishes).  For a phase-covariant qubit
+    family its basis is the closed form's unit and site-wise product
+    vectors; for any other family, which takes the dense path, it is the
+    eigendecomposition's basis.
+    initial_state is the dense GHZ projector when ghz_optimal, else None.
+    Both are built on first read and cached; past the dense budget (N > 6
+    qubits) that read raises DimensionBudgetExceeded, while norm_bound and
+    ghz_optimal stay available.
     """
 
     norm_bound: float
-    top_eigenspace: list[np.ndarray]
-    initial_state: np.ndarray | None
+    ghz_optimal: bool
+    n: int
+    top: TopEigenspace = field(repr=False, compare=False)
+
+    @cached_property
+    def top_eigenspace(self) -> list[np.ndarray]:
+        return list(self.top.vectors.T)
+
+    @cached_property
+    def initial_state(self) -> np.ndarray | None:
+        return ghz_state(self.n) if self.ghz_optimal else None
 
 
 def _check_density(rho: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
@@ -342,12 +355,14 @@ def max_bound_over_states(
     over physical initial states the bound attains at most norm_bound / 2.
     A qubit family whose single-site Gram triple is phase covariant (see
     :func:`covariant_gram_top`) takes the closed form, with no N-fold Gram
-    matrix; any other family falls back to the dense Gram matrix and its
-    eigendecomposition.  For qubit families the GHZ projector is tried as
-    the optimal state, its bound taken from the same triple (as in
-    :func:`ghz_lower_bound`), and returned when that bound equals
-    norm_bound / 2; otherwise initial_state is None (or, with
-    require_state=True, NoPhysicalState is raised).
+    matrix, so it answers at N in the thousands; any other family falls
+    back to the dense Gram matrix and its eigendecomposition.  For qubit
+    families the GHZ projector is tried as the optimal state, its bound
+    taken from the same triple (as in :func:`ghz_lower_bound`), and
+    ghz_optimal is set when that bound equals norm_bound / 2; otherwise
+    initial_state is None (or, with require_state=True, NoPhysicalState is
+    raised).  The top eigenvectors and the GHZ projector are built only
+    when the result's top_eigenspace and initial_state are read.
     """
     n = _checked_power(n)
     triple = gram_triple(family, x)
@@ -356,27 +371,29 @@ def max_bound_over_states(
         gram = gram_tensor_power(triple, n)
         top = _diagonal_top(gram.diag) if gram.is_diagonal else largest_eigval_psd(gram.matrix)
     norm_bound = top.value
-    initial_state: np.ndarray | None = None
+    ghz_optimal = False
     if norm_bound > 0.0 and triple.a.hilbert_dim == 2:
         target = norm_bound / 2.0
-        if abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * target:
-            initial_state = ghz_state(n)
-    if require_state and initial_state is None and norm_bound > 0.0:
+        ghz_optimal = abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * target
+    if require_state and not ghz_optimal and norm_bound > 0.0:
         raise NoPhysicalState(
             "no physical initial state achieving norm_bound/2 was constructed"
         )
-    return OptimalStateResult(
-        norm_bound=norm_bound, top_eigenspace=list(top.vectors.T), initial_state=initial_state
-    )
+    return OptimalStateResult(norm_bound=norm_bound, ghz_optimal=ghz_optimal, n=n, top=top)
 
 
 def _diagonal_top(values: np.ndarray) -> TopEigenspace:
-    """The top eigenpair of a diagonal Gram matrix, as unit vectors."""
+    """The top eigenpair of a diagonal Gram matrix; its eigenvectors are
+    the unit vectors of the top entries, built on first read."""
     if np.max(np.abs(values.imag)) > 1e-12 * max(float(np.max(np.abs(values))), 1.0):
         raise InvalidState("Gram diagonal has a non-real entry")
     values = values.real
     top = float(np.max(values)) if values.size else 0.0
-    idx = np.flatnonzero(_within_top(values, top)) if top > 0.0 else np.arange(0)
-    vectors = np.zeros((values.size, idx.size))
-    vectors[idx, np.arange(idx.size)] = 1.0
-    return TopEigenspace(value=top, vectors=vectors)
+
+    def build() -> np.ndarray:
+        idx = np.flatnonzero(_within_top(values, top)) if top > 0.0 else np.arange(0)
+        vectors = np.zeros((values.size, idx.size))
+        vectors[idx, np.arange(idx.size)] = 1.0
+        return vectors
+
+    return TopEigenspace(value=top, build=build)

@@ -119,9 +119,19 @@ class Superoperator:
             self._check_trace_preserving()
 
     def _check_trace_preserving(self, tol: float = 1e-10) -> None:
-        ident = vectorize(np.eye(self.hilbert_dim))
-        dual_on_ident = self.dagger().apply(ident)
-        defect = float(np.max(np.abs(dual_on_ident - ident)))
+        d = self.hilbert_dim
+        arr = self._diag if self.is_diagonal else self._matrix
+        # the dual below reads only d rows, so a NaN or inf elsewhere would
+        # go unseen without this test
+        if not np.isfinite(arr).all():
+            raise CompletenessViolation("map flagged trace-preserving has non-finite entries")
+        ident = np.zeros(d * d)
+        ident[:: d + 1] = 1.0
+        # the dual on the identity is M^dag vec(I), and vec(I) is 1 at the d
+        # positions mu = nu: the conjugate of the sum of those d rows.  The
+        # identity is real, so the defect is the same without the conjugate.
+        dual = arr * ident if self.is_diagonal else arr[:: d + 1].sum(axis=0)
+        defect = float(np.abs(dual - ident).max())
         if not defect <= tol:  # a NaN defect fails too
             raise CompletenessViolation(
                 f"map flagged trace-preserving but dual moves identity by {defect:.3e}"
@@ -411,6 +421,11 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
     Its basis is the site-wise products of |0><1|, |1><0| and the
     eigenvectors of A_pop, laid out in the global row-major order.  Any
     other triple returns None, for the dense path.
+
+    Only the norm is computed here.  The basis is built on the first read
+    of ``.vectors``, from g, lambda_A, lambda_B and the eigenvectors of
+    A_pop: that read enumerates the 4^N site labels, so it is where the
+    4^N-row budget is checked and where DimensionBudgetExceeded is raised.
     """
     n = _checked_power(n)
     if triple.a.hilbert_dim != 2:
@@ -441,22 +456,26 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
     (lam_b, lam_a), pop_vectors = np.linalg.eigh(a[np.ix_([0, 3], [0, 3])])
     rest = n - p - m
     norm = max(float(np.max(np.where(rest >= 0, g * lam_a ** np.maximum(rest, 0), 0.0))), 0.0)
-    require_budget(4**n, f"Liouville rows of the top eigenvectors of a {n}-fold Gram matrix")
-    if norm == 0.0:
-        return TopEigenspace(value=0.0, vectors=np.empty((4**n, 0)))
-    # site eigenbasis, by label: 0 is |0><1|, 1 is |1><0|, 2 and 3 the A_pop
-    # eigenvectors of lam_a and lam_b on the populations
-    site = np.zeros((4, 4), dtype=complex)
-    site[1, 0] = site[2, 1] = 1.0
-    site[np.ix_([0, 3], [2, 3])] = pop_vectors[:, ::-1]
-    labels = np.indices((4,) * n).reshape(n, -1)
-    n_plus, n_minus, n_b = ((labels == label).sum(axis=0) for label in (0, 1, 3))
-    values = g[n_plus, n_minus] * lam_a ** (n - n_plus - n_minus - n_b) * lam_b**n_b
-    chosen = labels[:, _within_top(values, norm)]
-    vectors = site[:, chosen[0]]
-    for lab in chosen[1:]:  # site-major Kronecker product, column by column
-        vectors = (vectors[:, None, :] * site[:, lab][None]).reshape(-1, lab.size)
-    return TopEigenspace(value=norm, vectors=vectors[site_permutation(2, n)])
+
+    def build() -> np.ndarray:
+        require_budget(4**n, f"Liouville rows of the top eigenvectors of a {n}-fold Gram matrix")
+        if norm == 0.0:
+            return np.empty((4**n, 0))
+        # site eigenbasis, by label: 0 is |0><1|, 1 is |1><0|, 2 and 3 the
+        # A_pop eigenvectors of lam_a and lam_b on the populations
+        site = np.zeros((4, 4), dtype=complex)
+        site[1, 0] = site[2, 1] = 1.0
+        site[np.ix_([0, 3], [2, 3])] = pop_vectors[:, ::-1]
+        labels = np.indices((4,) * n).reshape(n, -1)
+        n_plus, n_minus, n_b = ((labels == label).sum(axis=0) for label in (0, 1, 3))
+        values = g[n_plus, n_minus] * lam_a ** (n - n_plus - n_minus - n_b) * lam_b**n_b
+        chosen = labels[:, _within_top(values, norm)]
+        vectors = site[:, chosen[0]]
+        for lab in chosen[1:]:  # site-major Kronecker product, column by column
+            vectors = (vectors[:, None, :] * site[:, lab][None]).reshape(-1, lab.size)
+        return vectors[site_permutation(2, n)]
+
+    return TopEigenspace(value=norm, build=build)
 
 
 def tensor_power_derivative(

@@ -8,7 +8,8 @@ downstream code never has to re-check it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,10 +42,19 @@ class TopEigenspace:
     """Largest eigenvalue of a PSD matrix together with the orthonormal
     basis (columns) of the eigenspace of all eigenvalues within
     ``TOP_EIGENSPACE_RTOL * value`` of it; the basis is empty when the
-    value is 0."""
+    value is 0.
+
+    ``value`` is known on creation; ``vectors`` is built by ``build`` on
+    its first read and cached, so a caller that needs only the eigenvalue
+    never pays for (or runs into the size guard of) the basis.
+    """
 
     value: float
-    vectors: np.ndarray
+    build: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return self.build()
 
 
 def _within_top(values: np.ndarray, top: float) -> np.ndarray:
@@ -124,7 +134,8 @@ def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
             )
     top = float(eigenvalues[-1])
     mask = _within_top(eigenvalues, top) & (top > 0.0)
-    return TopEigenspace(value=max(top, 0.0), vectors=eigenvectors[:, mask])
+    vectors = eigenvectors[:, mask]
+    return TopEigenspace(value=max(top, 0.0), build=lambda: vectors)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from conftest import projector_distance
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
+    _diagonal_top,
     analytic_max_phase_covariant,
     associated_qfi,
     bures_distance_liouville,
@@ -20,6 +23,7 @@ from qfibound.bound import (
 )
 from qfibound.channels import (
     AMPLITUDE_DAMPING,
+    DEPHASING,
     DEPOLARIZING,
     NoiseParams,
     correlated_dephasing_family,
@@ -402,11 +406,44 @@ class TestMaxBoundOverStates:
         result = max_bound_over_states(family, 0.0, 6, require_state=True)
         assert_allclose(result.norm_bound, analytic_max_phase_covariant(6, 1.0, 0.9), rtol=1e-12)
         assert len(result.top_eigenspace) == 2
+        # at N = 7 the call answers, and the 4^N objects raise on first read
+        result = max_bound_over_states(family, 0.0, 7, require_state=True)
+        assert_allclose(result.norm_bound, analytic_max_phase_covariant(7, 1.0, 0.9), rtol=1e-12)
+        assert result.ghz_optimal
         with pytest.raises(DimensionBudgetExceeded):
-            max_bound_over_states(family, 0.0, 7)
-        # the closed form's own guard, ahead of the one in ghz_state
+            result.top_eigenspace
         with pytest.raises(DimensionBudgetExceeded):
-            covariant_gram_top(gram_triple(family, 0.0), 7)
+            result.initial_state
+        # the closed form's own guard, at the read of its vectors
+        top = covariant_gram_top(gram_triple(family, 0.0), 7)
+        assert top.value == result.norm_bound
+        with pytest.raises(DimensionBudgetExceeded):
+            top.vectors
+
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    def test_reach_below_crossover(self, n):
+        # eta_perp = 1 - 1/(4N) sits above the crossover (N-1)/N, so GHZ is optimal
+        eta = 1.0 - 1.0 / (4 * n)
+        family = phase_covariant_family(1.0, NoiseParams(eta_perp=eta))
+        # the best of three calls, so that a load spike on the machine does
+        # not count as the cost of the call
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = max_bound_over_states(family, 0.3, n, require_state=True)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.25, elapsed
+        assert_allclose(result.norm_bound, analytic_max_phase_covariant(n, 1.0, eta), rtol=1e-12)
+        assert result.ghz_optimal
+
+    def test_reach_past_crossover(self):
+        family = phase_covariant_family(1.0, named_noise(DEPHASING, 0.3, 1.0))
+        result = max_bound_over_states(family, 0.3, 1000)
+        assert result.norm_bound > 0.0
+        assert not result.ghz_optimal
+        assert result.initial_state is None
+        with pytest.raises(DimensionBudgetExceeded):
+            result.top_eigenspace
 
     @pytest.mark.parametrize("n", [0, 2.5])
     def test_rejects_bad_probe_count(self, n):
@@ -574,6 +611,40 @@ class TestCovariantGramOracle:
             for family in (random_unitary_family(rng, 2), random_noisy_family(rng, 2, 2)):
                 assert covariant_gram_top(gram_triple(family, 0.3), 2) is None
         assert covariant_gram_top(gram_triple(qutrit_family(), 0.2), 1) is None
+
+
+class TestLazyEigenspace:
+    """The top eigenvectors and the GHZ projector are built on first read."""
+
+    def test_norm_builds_no_eigenvectors(self, monkeypatch):
+        calls = {"site_permutation": 0, "indices": 0}
+        for module, name in ((liouville, "site_permutation"), (np, "indices")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        # pure dephasing past tau at N = 6: a top eigenspace of many products
+        family = phase_covariant_family(1.3, NoiseParams(eta_perp=0.7))
+        top = covariant_gram_top(gram_triple(family, 0.3), 6)
+        result = max_bound_over_states(family, 0.3, 6)
+        assert top.value == result.norm_bound > 0.0
+        assert not result.ghz_optimal
+        assert calls == {"site_permutation": 0, "indices": 0}
+        vectors = top.vectors
+        assert calls == {"site_permutation": 1, "indices": 1}
+        assert top.vectors is vectors
+        assert calls == {"site_permutation": 1, "indices": 1}
+
+    def test_second_read_returns_the_same_object(self):
+        family = phase_covariant_family(1.0, NoiseParams(eta_perp=0.9))
+        result = max_bound_over_states(family, 0.2, 3)
+        assert result.top_eigenspace is result.top_eigenspace
+        assert result.initial_state is result.initial_state
+        assert result.top.vectors is result.top.vectors
+        for dense in (largest_eigval_psd(np.diag([1.0, 3.0])), _diagonal_top(np.array([1.0, 3.0 + 0j]))):
+            assert dense.vectors is dense.vectors
+            assert_allclose(np.abs(dense.vectors), [[0.0], [1.0]])
 
 
 class TestGhzCrossover:

@@ -130,6 +130,15 @@ class TestSuperoperator:
             else:
                 Superoperator(diag=entries, trace_preserving=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_trace_preserving_check_sees_every_row(self, bad):
+        # rows 1 and 2 (|0><1| and |1><0|) hold no part of the dual on the
+        # identity, so only a test of every entry sees a defect there
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(CompletenessViolation, match="non-finite"):
+            Superoperator(m, trace_preserving=True)
+
     def test_dagger_is_adjoint(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         s = Superoperator(m)
