@@ -43,7 +43,7 @@ from .liouville import (
     gram_triple,
     require_budget,
 )
-from .numerics import TopEigenspace, _within_top, largest_eigval_psd
+from .numerics import TopEigenspace, _scaled, _within_top, largest_eigval_psd
 
 #: Absolute tolerance on density-matrix checks (Hermiticity defect, trace
 #: deviation, negative-eigenvalue excursion).
@@ -104,20 +104,28 @@ class OptimalStateResult:
 
 
 def _check_density(rho: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
+    """rho, once square, finite, Hermitian, of unit trace and PSD to ``tol``.
+    PSD is a Cholesky factorization of sym(rho) + tol I, which exists when no
+    eigenvalue is below -tol, up to round-off; only when it fails does
+    eigvalsh run, to confirm the refusal and name the eigenvalue."""
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidState(f"density matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidState("density matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    adjoint = m.conj().T
+    if np.abs(m - adjoint).max() > tol:
         raise InvalidState("density matrix is not Hermitian")
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > tol:
         raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
-    sym = (m + m.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig < -tol:
-        raise InvalidState(f"density matrix has negative eigenvalue {min_eig:.3e}")
+    sym = (m + adjoint) / 2.0
+    try:
+        np.linalg.cholesky(sym + tol * np.eye(len(sym)))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(sym)[0])
+        if min_eig < -tol:
+            raise InvalidState(f"density matrix has negative eigenvalue {min_eig:.3e}") from None
     return m
 
 
@@ -314,19 +322,20 @@ def _ghz_bound(triple: GramTriple, n: int) -> BoundResult:
         raise DimensionMismatch(
             f"a GHZ state needs a qubit family, got Hilbert dim {triple.a.hilbert_dim}"
         )
-    scale = float(np.max(np.abs(triple.a.matrix)))
+    blocks = np.array([triple.a.matrix, triple.b.matrix, triple.c.matrix])
+    scale = float(np.abs(blocks[0]).max())
     if scale == 0.0:
         raise InvalidState("state has vanishing Hilbert-Schmidt norm")
-    g, e, c = (op.matrix / scale for op in (triple.a, triple.b, triple.c))
+    g, e, c = _scaled(blocks, scale)
     h = c.conj().T
     lead = g ** (n - 1)
-    term_grad = n * np.sum(lead * e)
+    term_grad = n * (lead * e).sum()
     if n > 1:
-        term_grad += n * (n - 1) * np.sum(g ** (n - 2) * c * h)
+        term_grad += n * (n - 1) * (g ** (n - 2) * c * h).sum()
     scaled = _bound_from_products(
         term_grad=float(term_grad.real) / 4.0,
-        overlap=n * complex(np.sum(lead * h)) / 4.0,
-        purity=float(np.sum(lead * g).real) / 4.0,
+        overlap=n * complex((lead * h).sum()) / 4.0,
+        purity=float((lead * g).sum().real) / 4.0,
     )
     factor = scale**n
     return BoundResult(

@@ -35,7 +35,7 @@ from .errors import (
     NonHermitian,
     NonSquare,
 )
-from .numerics import HERMITICITY_RTOL, TopEigenspace, _peak, _within_top
+from .numerics import HERMITICITY_RTOL, TopEigenspace, _scaled, _within_top
 
 #: Dense Liouville-space matrices are capped at this many rows
 #: (4096 = six qubits); larger systems must use diagonal representations.
@@ -165,9 +165,6 @@ class Superoperator:
                 f"vector of length {amps.size} does not match Hilbert dim {self.hilbert_dim}"
             )
         return self._diag * amps if self._diag is not None else self._matrix @ amps
-
-    def dagger(self) -> "Superoperator":
-        return _superop((self._diag if self.is_diagonal else self._matrix).conj().T)
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """The map self . other (other acts first)."""
@@ -314,7 +311,8 @@ class GramTriple:
     """Single-site building blocks of the product-channel Gram matrix.
 
     a = Phi^dag Phi, b = Phi'^dag Phi', c = Phi'^dag Phi.  a and b are
-    Hermitian PSD by construction; this is validated on creation.
+    Hermitian PSD by construction; this is validated on creation, for both
+    at once (one eigvalsh on the stacked pair when they are dense).
     """
 
     a: Superoperator
@@ -322,40 +320,41 @@ class GramTriple:
     c: Superoperator
 
     def __post_init__(self) -> None:
-        for name, op in (("a", self.a), ("b", self.b)):
-            m = op.diag if op.is_diagonal else op.matrix
-            scale = _peak(m)
-            # a NaN or inf entry would pass the tests below, or stop eigvalsh
-            if not math.isfinite(scale):
+        pair = np.array(_site_arrays(self.a, self.b))
+        peaks = np.abs(pair).reshape(2, -1).max(axis=1)
+        # a NaN or inf entry would pass the tests below, or stop eigvalsh
+        for name, peak in zip("ab", peaks):
+            if not math.isfinite(peak):
                 raise NonHermitian(f"Gram component {name} has non-finite entries")
-            if scale == 0.0:
-                continue
-            # measured on m / max|m|: a norm of entries below 1e-154 underflows
-            m = m / scale
-            if op.is_diagonal:
-                if float(np.max(np.abs(m.imag))) > HERMITICITY_RTOL:
-                    raise NonHermitian(f"Gram component {name} is not Hermitian")
-                if float(np.min(m.real)) < -1e-10:
-                    raise NonHermitian(f"Gram component {name} is not PSD")
-                continue
-            norm = np.linalg.norm(m)
-            if np.linalg.norm(m - m.conj().T) / norm > HERMITICITY_RTOL:
+        # measured on m / max|m|: a norm of entries below 1e-154 underflows
+        shape = (2,) + (1,) * (pair.ndim - 1)
+        unit = _scaled(pair, np.where(peaks > 0.0, peaks, 1.0).reshape(shape))
+        if pair.ndim == 2:
+            hermitian = np.abs(unit.imag).max(axis=1) <= HERMITICITY_RTOL
+            psd = unit.real.min(axis=1) >= -1e-10
+        else:
+            adjoint = unit.conj().transpose(0, 2, 1)
+            # Frobenius norms of a and b, and of m - m^dag for each
+            norms, defects = np.linalg.norm(np.array([unit, unit - adjoint]).reshape(2, 2, -1), axis=2)
+            hermitian = defects <= HERMITICITY_RTOL * norms
+            psd = np.linalg.eigvalsh((unit + adjoint) / 2.0)[:, 0] >= -1e-10 * norms
+        for name, ok_h, ok_psd in zip("ab", hermitian, psd):
+            if not ok_h:
                 raise NonHermitian(f"Gram component {name} is not Hermitian")
-            if float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) < -1e-10 * norm:
+            if not ok_psd:
                 raise NonHermitian(f"Gram component {name} is not PSD")
 
 
 def gram_triple(family: ChannelFamily, x: float) -> GramTriple:
-    """Evaluate (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x."""
-    phi = family.evaluate(x)
-    dphi = family.derivative_at(x)
-    phi_dag = phi.dagger()
-    dphi_dag = dphi.dagger()
-    return GramTriple(
-        a=phi_dag.compose(phi),
-        b=dphi_dag.compose(dphi),
-        c=dphi_dag.compose(phi),
-    )
+    """Evaluate (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x: three
+    products of the site arrays, elementwise when both maps are diagonal."""
+    phi, dphi = _site_arrays(family.evaluate(x), family.derivative_at(x))
+    if phi.ndim == 1:
+        a, b, c = phi.conj() * phi, dphi.conj() * dphi, dphi.conj() * phi
+    else:
+        phi_dag, dphi_dag = phi.conj().T, dphi.conj().T
+        a, b, c = phi_dag @ phi, dphi_dag @ dphi, dphi_dag @ phi
+    return GramTriple(a=_superop(a), b=_superop(b), c=_superop(c))
 
 
 def gram_tensor_power(triple: GramTriple, n: int) -> Superoperator:
@@ -393,8 +392,17 @@ COVARIANT_RTOL = 1e-12
 
 # q = nu - mu of the qubit basis |mu><nu| at index 2 mu + nu
 _CHARGE = np.array([0, 1, -1, 0])
-# b and c live only on the coherence diagonal (|0><1| and |1><0|)
-_COHERENCE = np.diag([False, True, True, False])
+# entries that vanish in a covariant triple: off the charge blocks for a,
+# off the coherence diagonal (|0><1| and |1><0|) for b and c
+_OFF_COHERENCE = ~np.diag([False, True, True, False])
+_OFF_PATTERN = np.array([_CHARGE[:, None] != _CHARGE[None, :], _OFF_COHERENCE, _OFF_COHERENCE])
+
+
+def _population_top(a: np.ndarray) -> float:
+    """Top eigenvalue of the Hermitian block [[a00, a03], [a30, a33]]: half
+    its trace plus hypot(half its diagonal gap, |a03|)."""
+    half_gap = (a[0, 0].real - a[3, 3].real) / 2.0
+    return float((a[0, 0].real + a[3, 3].real) / 2.0 + math.hypot(half_gap, abs(a[0, 3])))
 
 
 def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
@@ -412,8 +420,10 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
             + n+(n+-1) |c+|^2 a+^(n+-2) a-^n- + n-(n- -1) |c-|^2 a+^n+ a-^(n- -2)
             + 2 n+ n- Re(conj(c+) c-) a+^(n+-1) a-^(n- -1),
 
-    where a term with a negative power is 0.  So ||G|| is the largest
-    g lambda_A^(N-s), found from O(N^2) scalars.  Every eigenvalue of G is
+    where a term with a negative power is 0.  Each term is a function of n+
+    times one of n-, so the table of g is X Y^T with X and Y (N+1) x 3, and
+    ||G|| is its largest g lambda_A^(N-s), lambda_A in closed form.  Every
+    eigenvalue of G is
     g lambda_A^(N-s-j) lambda_B^j, with j population sites in the second
     eigenvector of A_pop, and the top eigenspace keeps the rule of
     :func:`largest_eigval_psd` on that spectrum (within
@@ -422,45 +432,48 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
     eigenvectors of A_pop, laid out in the global row-major order.  Any
     other triple returns None, for the dense path.
 
-    Only the norm is computed here.  The basis is built on the first read
-    of ``.vectors``, from g, lambda_A, lambda_B and the eigenvectors of
-    A_pop: that read enumerates the 4^N site labels, so it is where the
-    4^N-row budget is checked and where DimensionBudgetExceeded is raised.
+    Only the norm is computed here, with no eigensolver.  The first read of
+    ``.vectors`` builds the basis: it takes lambda_B and the eigenvectors of
+    A_pop from ``eigh`` and enumerates the 4^N site labels, so it is where
+    the 4^N-row budget is checked and DimensionBudgetExceeded is raised.
     """
     n = _checked_power(n)
     if triple.a.hilbert_dim != 2:
         return None
     a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
-    scale_a, scale_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
-    off_charge = _CHARGE[:, None] != _CHARGE[None, :]
+    mags = np.abs(np.array([a, b, c]))
+    scale_a, scale_b, _ = mags.max(axis=(1, 2)).tolist()
+    off_a, off_b, off_c = np.where(_OFF_PATTERN, mags, 0.0).max(axis=(1, 2)).tolist()
     if (
-        np.max(np.abs(a[off_charge])) > COVARIANT_RTOL * scale_a
-        or np.max(np.abs(b[~_COHERENCE])) > COVARIANT_RTOL * scale_b
-        or np.max(np.abs(c[~_COHERENCE])) > COVARIANT_RTOL * math.sqrt(scale_a * scale_b)
+        off_a > COVARIANT_RTOL * scale_a
+        or off_b > COVARIANT_RTOL * scale_b
+        or off_c > COVARIANT_RTOL * math.sqrt(scale_a * scale_b)
     ):
         return None
-    ap, am = a[1, 1].real, a[2, 2].real
-    bp, bm = b[1, 1].real, b[2, 2].real
-    cp, cm = c[1, 1], c[2, 2]
-    k = np.arange(n + 1)
-    # the two trailing zeros make a power of index -1 or -2 vanish
-    pp, pm = np.append(ap**k, [0.0, 0.0]), np.append(am**k, [0.0, 0.0])
-    p, m = k[:, None], k[None, :]
-    g = (
-        p * bp * pp[p - 1] * pm[m]
-        + m * bm * pp[p] * pm[m - 1]
-        + p * (p - 1) * abs(cp) ** 2 * pp[p - 2] * pm[m]
-        + m * (m - 1) * abs(cm) ** 2 * pp[p] * pm[m - 2]
-        + 2 * p * m * (np.conj(cp) * cm).real * pp[p - 1] * pm[m - 1]
-    )
-    (lam_b, lam_a), pop_vectors = np.linalg.eigh(a[np.ix_([0, 3], [0, 3])])
-    rest = n - p - m
-    norm = max(float(np.max(np.where(rest >= 0, g * lam_a ** np.maximum(rest, 0), 0.0))), 0.0)
+    # per coherence (rows + and -): a^k, k a^(k-1), and the terms of g whose
+    # derivative factors all sit on those sites; a negative power is 0
+    k = np.arange(n + 1.0)
+    powers = np.zeros((2, n + 3))
+    powers[:, 2:] = a.diagonal()[1:3, None].real ** k
+    power, first = powers[:, 2:], k * powers[:, 1:-1]
+    c_sq = mags[2].diagonal()[1:3, None] ** 2
+    single = b.diagonal()[1:3, None].real * first + c_sq * (k * (k - 1.0)) * powers[:, :-2]
+    # g = X Y^T, with the cross term in the third column
+    x_rows = np.array([single[0], power[0], first[0]])
+    y_rows = np.array([power[1], single[1], 2.0 * (c[1, 1].conjugate() * c[2, 2]).real * first[1]])
+    g = x_rows.T @ y_rows
+    lam_a = _population_top(a)
+    # lambda_A^(N - n+ - n-) for n+ + n- <= N, else 0: the Hankel matrix
+    # weight[n+ + n-], read as a strided view of weight
+    weight = np.append(lam_a ** np.arange(n, -1.0, -1.0), np.zeros(n))
+    hankel = np.ndarray((n + 1, n + 1), float, weight, 0, weight.strides * 2)
+    norm = max(float((g * hankel).max()), 0.0)
 
     def build() -> np.ndarray:
         require_budget(4**n, f"Liouville rows of the top eigenvectors of a {n}-fold Gram matrix")
         if norm == 0.0:
             return np.empty((4**n, 0))
+        (lam_b, _), pop_vectors = np.linalg.eigh(a[np.ix_([0, 3], [0, 3])])
         # site eigenbasis, by label: 0 is |0><1|, 1 is |1><0|, 2 and 3 the
         # A_pop eigenvectors of lam_a and lam_b on the populations
         site = np.zeros((4, 4), dtype=complex)
@@ -531,8 +544,9 @@ class _ProductFamily:
             raise DimensionMismatch(
                 f"vector of length {amps.size} does not match {n} sites of Hilbert dim {d}"
             )
-        phi, dphi = phi.matrix, dphi.matrix
-        block = np.block([[phi, np.zeros_like(phi)], [dphi, phi]])
+        block = np.zeros((2 * d * d, 2 * d * d), dtype=complex)
+        block[: d * d, : d * d] = block[d * d :, d * d :] = phi.matrix
+        block[d * d :, : d * d] = dphi.matrix
         w = np.zeros((2, d * d, d ** (2 * n - 2)), dtype=complex)
         w[0] = amps.reshape((d,) * (2 * n)).transpose(
             [axis for i in range(n) for axis in (i, n + i)]

@@ -83,14 +83,21 @@ def _peak(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
+def _scaled(a: np.ndarray, peak: float | np.ndarray) -> np.ndarray:
+    """a / peak by parts, as numpy's complex division overflows at a
+    subnormal peak; an array peak broadcasts against a's leading axes."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    return (parts / peak).view(complex)
+
+
 def _require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     a = _require_square(m)
     peak = _peak(a)
     if peak == 0.0:
         return a
-    unit = a / peak
+    unit = _scaled(a, peak)
     defect = np.linalg.norm(unit - unit.conj().T) / np.linalg.norm(unit)
-    if defect > rtol:
+    if not defect <= rtol:  # a NaN defect fails too
         raise NonHermitian(
             f"matrix is not Hermitian: relative defect {defect:.3e} > {rtol:.0e}"
         )
@@ -127,7 +134,7 @@ def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
     a = np.asarray(m)
     peak = _peak(a)
     if peak > 0.0:
-        unit_norm = float(np.linalg.norm(a / peak))
+        unit_norm = float(np.linalg.norm(_scaled(a, peak)))
         if lo / peak < -PSD_CLIP_RTOL * unit_norm:
             raise NegativeSpectrum(
                 f"matrix is not PSD: min eigenvalue {lo:.3e} with norm {peak * unit_norm:.3e}"

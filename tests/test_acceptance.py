@@ -251,7 +251,7 @@ def test_criterion_09_gram_recursion_vs_direct():
             dphi_n = tensor_power_derivative(
                 family.evaluate(x), family.derivative_at(x), n
             )
-            direct = dphi_n.dagger().compose(dphi_n).matrix
+            direct = dphi_n.matrix.conj().T @ dphi_n.matrix
             worst = max(worst, float(np.max(np.abs(via_recursion - direct))))
     assert worst <= 1e-10, f"worst entrywise deviation {worst:.3e}"
     report(9, f"two-summation Gram equals product-rule construction "

@@ -10,6 +10,8 @@ from conftest import projector_distance
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
+    STATE_TOL,
+    _check_density,
     _diagonal_top,
     analytic_max_phase_covariant,
     associated_qfi,
@@ -47,6 +49,7 @@ from qfibound.liouville import (
     ChannelFamily,
     GramTriple,
     Superoperator,
+    _population_top,
     covariant_gram_top,
     devectorize,
     gram_tensor_power,
@@ -132,6 +135,66 @@ class TestLowerBoundFromState:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidState):
             lower_bound_from_state(PLUS, np.zeros((3, 3)))
+
+
+def state_with_min_eigenvalue(rng, dim, low):
+    """A Hermitian unit-trace dim x dim matrix, in a random basis, whose
+    smallest eigenvalue is ``low``."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    spectrum = np.full(dim, (1.0 - low) / (dim - 1))
+    spectrum[0] = low
+    rho = (q * spectrum) @ q.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestDensityCheck:
+    """The PSD test of a state is a Cholesky factorization of rho + STATE_TOL I;
+    eigvalsh runs only to confirm a refusal and name the eigenvalue."""
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_accepts_excursion_within_tolerance(self, rng, dim):
+        rho = state_with_min_eigenvalue(rng, dim, -0.5 * STATE_TOL)
+        assert _check_density(rho) is not None
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_refuses_and_names_excursion_beyond_tolerance(self, rng, dim):
+        rho = state_with_min_eigenvalue(rng, dim, -2.0 * STATE_TOL)
+        with pytest.raises(InvalidState, match="negative eigenvalue -2.000e-09"):
+            _check_density(rho)
+
+    def test_accepts_rank_one_ghz(self):
+        assert _check_density(ghz_state(6)) is not None
+
+    def test_non_finite_refused_before_factorization(self, monkeypatch):
+        factorizations = count_calls(monkeypatch, np.linalg, "cholesky")
+        eigensolves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = np.nan
+        with pytest.raises(InvalidState, match="non-finite"):
+            _check_density(rho)
+        assert factorizations == eigensolves == []
+
+    def test_valid_state_runs_no_eigensolver(self, monkeypatch, rng):
+        factorizations = count_calls(monkeypatch, np.linalg, "cholesky")
+        eigensolves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        rho = random_mixed_state(rng, 4)
+        lower_bound_from_state(rho, np.zeros((4, 4)))
+        lower_bound_from_state(ghz_state(3), np.zeros((8, 8)))
+        assert len(factorizations) == 2
+        assert eigensolves == []
 
 
 def random_factor(rng, dim, k):
@@ -380,6 +443,14 @@ class TestMaxBoundOverStates:
         got = max_bound_over_states(family, 0.2, 2)
         assert_allclose(got.norm_bound / s**2, want.norm_bound, rtol=1e-12)
 
+    @pytest.mark.parametrize("t", [1e-155, 1e-160])
+    def test_subnormal_gram_component(self, t):
+        # b = t^2 is subnormal: its unit-scaled checks must not divide a
+        # complex array by a subnormal peak, which overflows
+        result = max_bound_over_states(phase_covariant_family(t, NoiseParams()), 0.0, 2)
+        assert result.norm_bound == analytic_max_phase_covariant(2, t, 1.0) > 0.0
+        assert result.ghz_optimal
+
     @pytest.mark.parametrize("t", [1.0, 1e-5])
     def test_ghz_found_at_any_scale(self, t):
         family = phase_covariant_family(t, NoiseParams(eta_perp=0.9))
@@ -611,6 +682,79 @@ class TestCovariantGramOracle:
             for family in (random_unitary_family(rng, 2), random_noisy_family(rng, 2, 2)):
                 assert covariant_gram_top(gram_triple(family, 0.3), 2) is None
         assert covariant_gram_top(gram_triple(qutrit_family(), 0.2), 1) is None
+
+
+def five_term_norm(triple: GramTriple, n: int) -> float:
+    """||G|| of a covariant triple from the five terms of g, each evaluated
+    on the full (N+1) x (N+1) grid, and lambda_A from eigh."""
+    a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
+    ap, am, bp, bm, cp, cm = a[1, 1].real, a[2, 2].real, b[1, 1].real, b[2, 2].real, c[1, 1], c[2, 2]
+    k = np.arange(n + 1)
+    pp, pm = np.append(ap**k, [0.0, 0.0]), np.append(am**k, [0.0, 0.0])
+    p, m = k[:, None], k[None, :]
+    g = (
+        p * bp * pp[p - 1] * pm[m]
+        + m * bm * pp[p] * pm[m - 1]
+        + p * (p - 1) * abs(cp) ** 2 * pp[p - 2] * pm[m]
+        + m * (m - 1) * abs(cm) ** 2 * pp[p] * pm[m - 2]
+        + 2 * p * m * (np.conj(cp) * cm).real * pp[p - 1] * pm[m - 1]
+    )
+    lam_a = np.linalg.eigvalsh(a[np.ix_([0, 3], [0, 3])])[-1]
+    rest = n - p - m
+    return max(float(np.max(np.where(rest >= 0, g * lam_a ** np.maximum(rest, 0), 0.0))), 0.0)
+
+
+POPULATION_CASES = [
+    *((f"covariant-map{seed}", covariant_map_family(seed)) for seed in (0, 1, 7, 9)),
+    ("amplitude-damping", phase_covariant_family(1.3, named_noise(AMPLITUDE_DAMPING, 0.5, 1.3))),
+    ("dephasing", phase_covariant_family(1.3, NoiseParams(eta_perp=0.7))),
+    ("zero", ChannelFamily(evaluate=lambda x: Superoperator(np.diag([0.0, 1.0, 1.0, 0.0])),
+                           derivative=lambda x: Superoperator(np.diag([0.0, 1.0, -1.0, 0.0])))),
+]
+
+
+class TestSeparableNorm:
+    """The Gram norm from g = X Y^T and a closed-form lambda_A against the
+    five-term table of g and eigh."""
+
+    @pytest.mark.parametrize("family", [c[1] for c in POPULATION_CASES], ids=[c[0] for c in POPULATION_CASES])
+    def test_population_top_matches_eigh(self, family):
+        a = gram_triple(family, 0.3).a.matrix
+        want = np.linalg.eigvalsh(a[np.ix_([0, 3], [0, 3])])[-1]
+        assert_allclose(_population_top(a), want, rtol=1e-14, atol=0.0)
+
+    def test_population_cases_cover_each_block_shape(self):
+        blocks = {name: gram_triple(family, 0.3).a.matrix[np.ix_([0, 3], [0, 3])]
+                  for name, family in POPULATION_CASES}
+        assert abs(blocks["amplitude-damping"][0, 1]) > 0.1
+        assert blocks["dephasing"][0, 1] == 0.0
+        assert not blocks["zero"].any()
+
+    @pytest.mark.parametrize("make_family", [c[1] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_five_term_table(self, make_family):
+        for n in range(1, 7):
+            triple = gram_triple(make_family(n), 0.3)
+            assert_allclose(covariant_gram_top(triple, n).value, five_term_norm(triple, n), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    @pytest.mark.parametrize("make_family", [
+        lambda n: phase_covariant_family(1.0, NoiseParams(eta_perp=1.0 - 1.0 / (4 * n))),
+        lambda n: phase_covariant_family(1.0, named_noise(DEPHASING, 0.3, 1.0)),
+        lambda n: phase_covariant_family(0.7, named_noise(AMPLITUDE_DAMPING, 0.01, 0.7)),
+    ], ids=["below-crossover", "dephasing", "amplitude-damping"])
+    def test_matches_five_term_table_at_large_n(self, make_family, n):
+        triple = gram_triple(make_family(n), 0.3)
+        assert_allclose(covariant_gram_top(triple, n).value, five_term_norm(triple, n), rtol=1e-13, atol=0.0)
+
+    def test_value_runs_no_eigensolver(self, monkeypatch):
+        family = phase_covariant_family(1.3, named_noise(AMPLITUDE_DAMPING, 0.5, 1.3))
+        triple = gram_triple(family, 0.3)
+        eigensolves = count_calls(monkeypatch, np.linalg, "eigh")
+        top = covariant_gram_top(triple, 6)
+        assert top.value > 0.0
+        assert eigensolves == []
+        assert top.vectors.shape[1] > 0
+        assert eigensolves == ["eigh"]
 
 
 class TestLazyEigenspace:

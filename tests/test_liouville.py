@@ -139,15 +139,6 @@ class TestSuperoperator:
         with pytest.raises(CompletenessViolation, match="non-finite"):
             Superoperator(m, trace_preserving=True)
 
-    def test_dagger_is_adjoint(self, rng):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        s = Superoperator(m)
-        a = rng.normal(size=4) + 1j * rng.normal(size=4)
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        lhs = np.vdot(a, s.apply(b))
-        rhs = np.vdot(s.dagger().apply(a), b)
-        assert_allclose(lhs, rhs)
-
     def test_compose_matches_matrix_product(self, rng):
         m1 = rng.normal(size=(4, 4))
         m2 = rng.normal(size=(4, 4))
@@ -295,8 +286,8 @@ class TestGramTensorPower:
 
         phi_n = tensor_power(family.evaluate(x), n)
         dphi_n = tensor_power_derivative(family.evaluate(x), family.derivative_at(x), n)
-        direct = dphi_n.dagger().compose(dphi_n)
-        delta = via_recursion.matrix - direct.matrix
+        direct = dphi_n.matrix.conj().T @ dphi_n.matrix
+        delta = via_recursion.matrix - direct
         assert np.max(np.abs(delta)) < 1e-10
 
     def test_unitary_gram_norm_value(self):

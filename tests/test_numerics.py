@@ -15,6 +15,7 @@ from qfibound.errors import (
     NoSignChange,
 )
 from qfibound.numerics import (
+    _scaled,
     herm_eig,
     largest_eigval_psd,
     loglog_slope,
@@ -54,6 +55,36 @@ class TestHermEig:
         # a Frobenius norm of entries below about 1e-154 underflows to 0
         with pytest.raises(NonHermitian):
             herm_eig(np.array([[0.0, scale], [0.0, 0.0]]))
+
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320])
+    def test_rejects_non_hermitian_at_subnormal_scale(self, scale):
+        # the same matrix at unit scale is refused; at a subnormal peak the
+        # complex division m / peak overflows unless done by parts
+        unit = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NonHermitian):
+            herm_eig(unit)
+        with pytest.raises(NonHermitian):
+            herm_eig(scale * unit)
+
+    def test_accepts_hermitian_at_subnormal_scale(self):
+        eigenvalues, _ = herm_eig(np.array([[2e-320, 1e-320j], [-1e-320j, 2e-320]]))
+        assert eigenvalues[-1] > 0.0
+
+
+class TestScaled:
+    def test_subnormal_peak_divides_exactly(self):
+        # small integers times 2^-1060 are exact subnormals, and so is the peak
+        unit = np.array([[4.0 - 2.0j, 0.0], [1.0j, -8.0]])
+        m = unit * 2.0**-1060
+        peak = float(np.max(np.abs(m)))
+        assert 0.0 < peak < np.finfo(float).tiny
+        assert_allclose(_scaled(m, peak), unit / 8.0, rtol=0.0, atol=0.0)
+
+    def test_peak_per_leading_index(self):
+        pair = np.array([np.eye(2) * 1e-315j, np.eye(2) * 3.0])
+        unit = _scaled(pair, np.array([1e-315, 3.0])[:, None, None])
+        assert_allclose(unit, [np.eye(2) * 1j, np.eye(2)], rtol=0.0, atol=0.0)
 
 
 class TestLargestEigvalPsd:
