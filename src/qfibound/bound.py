@@ -38,15 +38,17 @@ from .liouville import (
     ChannelFamily,
     GramTriple,
     _checked_power,
+    _gram_arrays,
+    _superop,
     covariant_gram_top,
     gram_tensor_power,
     gram_triple,
     require_budget,
 )
-from .numerics import TopEigenspace, _scaled, _within_top, largest_eigval_psd
+from .numerics import TopEigenspace, _hermiticity_defect, _peak, _scaled, _within_top, largest_eigval_psd
 
-#: Absolute tolerance on density-matrix checks (Hermiticity defect, trace
-#: deviation, negative-eigenvalue excursion).
+#: Tolerance of the state checks: on Hermiticity defects, and absolute on a
+#: state's trace deviation and negative-eigenvalue excursion.
 STATE_TOL = 1e-9
 
 #: A physical state counts as achieving the norm bound when its bound sits
@@ -113,13 +115,12 @@ def _check_density(rho: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
         raise InvalidState(f"density matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidState("density matrix has non-finite entries")
-    adjoint = m.conj().T
-    if np.abs(m - adjoint).max() > tol:
+    if not _hermiticity_defect(m) <= tol:
         raise InvalidState("density matrix is not Hermitian")
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > tol:
         raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
-    sym = (m + adjoint) / 2.0
+    sym = (m + m.conj().T) / 2.0
     try:
         np.linalg.cholesky(sym + tol * np.eye(len(sym)))
     except np.linalg.LinAlgError:
@@ -129,25 +130,27 @@ def _check_density(rho: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
     return m
 
 
-def _check_derivative(rho_prime: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
-    """rho' as a complex matrix, once it is square, finite, and Hermitian and
-    traceless to ``tol`` times max(max|rho'|, 1).
+def _derivative_tol(prime_peak: float, state_peak: float, dim: int) -> float:
+    """The largest Hermiticity or trace defect rho' may carry: STATE_TOL
+    max|rho'|, plus dim eps max|rho| for a rho' that is itself round-off of
+    the state's size, such as the ECS oracle's at eta = 0."""
+    return STATE_TOL * prime_peak + dim * np.finfo(float).eps * state_peak
 
-    The floor of 1 is the trace of the state, and it is what tells round-off
-    from a defect: the rho' of the ECS oracle at eta = 0 is pure round-off,
-    with trace -2.7e-17 and a peak of the same order, so a test against
-    max|rho'| alone refuses it.  Below unit scale the test is absolute.
-    """
+
+def _check_derivative(rho_prime: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """rho' as a complex matrix, once it is square, finite, and Hermitian and
+    traceless to :func:`_derivative_tol` of it and the checked state rho."""
     m = np.asarray(rho_prime, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidState(f"derivative must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidState("derivative has non-finite entries")
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    if np.max(np.abs(m - m.conj().T)) > tol * scale:
+    peak = _peak(m)
+    tol = _derivative_tol(peak, _peak(rho), len(m))
+    if not _hermiticity_defect(m) * peak <= tol:
         raise InvalidState("derivative is not Hermitian")
     trace = complex(np.trace(m))
-    if abs(trace) > tol * scale:
+    if abs(trace) > tol:
         raise NonTraceless(f"derivative trace {trace:.3e} is not 0")
     return m
 
@@ -182,7 +185,7 @@ def _bound_from_products(term_grad: float, overlap: complex, purity: float) -> B
 def lower_bound_from_state(rho: np.ndarray, rho_prime: np.ndarray) -> BoundResult:
     """The bound from an explicit (state, derivative) pair."""
     m = _check_density(rho)
-    mp = _check_derivative(rho_prime)
+    mp = _check_derivative(rho_prime, m)
     if m.shape != mp.shape:
         raise InvalidState(f"shape mismatch: {m.shape} vs {mp.shape}")
     return _bound_from_vectors(m.reshape(-1), mp.reshape(-1))
@@ -197,7 +200,8 @@ def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
     tr(AC) = (V'|V' A) so that C is never formed.  rho and rho' are
     Hermitian and rho is PSD by construction, so of the checks of
     :func:`lower_bound_from_state` the finite entries and the two traces
-    remain: tr rho = ||V||_F^2 and tr rho' = 2 Re tr B.  Finiteness is read
+    remain: tr rho = ||V||_F^2 and tr rho' = 2 Re tr B, the latter with
+    max|rho'| <= 2 ||V||_F ||V'||_F and max|rho| <= tr rho.  Finiteness is read
     off the squared norms ||V||_F^2 and ||V'||_F^2, which a NaN or infinite
     entry (or an overflowing sum) makes non-finite, so no pass over the
     entries is spent on it.  Besides V and V', the call holds at most three
@@ -208,7 +212,8 @@ def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
     if f.ndim != 2 or f.shape != fp.shape:
         raise InvalidState(f"factors must be matrices of one shape, got {f.shape} and {fp.shape}")
     trace = float(np.vdot(f, f).real)
-    for name, norm_sq in (("state", trace), ("derivative", float(np.vdot(fp, fp).real))):
+    prime_sq = float(np.vdot(fp, fp).real)
+    for name, norm_sq in (("state", trace), ("derivative", prime_sq)):
         if not math.isfinite(norm_sq):
             raise InvalidState(f"{name} factor has non-finite entries or norm")
     if abs(trace - 1.0) > STATE_TOL:
@@ -218,7 +223,7 @@ def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
     b = f_dag @ fp
     del f_dag
     prime_trace = 2.0 * float(np.trace(b).real)
-    if abs(prime_trace) > STATE_TOL:
+    if abs(prime_trace) > _derivative_tol(2.0 * math.sqrt(trace * prime_sq), trace, len(f)):
         raise NonTraceless(f"derivative trace {prime_trace:.3e} is not 0")
     # tr(XY) = vdot(X, Y) for Hermitian X; tr(B^2) = sum_ij B_ij B_ji
     return _bound_from_products(
@@ -266,14 +271,14 @@ def bures_distance_liouville(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     for name, m in (("rho_a", a), ("rho_b", b)):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidState(f"{name} must be a square matrix, got {m.shape}")
-        scale = float(np.max(np.abs(m)))
-        if scale == 0.0:
+        if not m.any():
             raise ZeroOperator(f"{name} is the zero operator")
-        if np.max(np.abs(m - m.conj().T)) > STATE_TOL * scale:
+        if not _hermiticity_defect(m) <= STATE_TOL:
             raise InvalidState(f"{name} is not Hermitian")
     if a.shape != b.shape:
         raise InvalidState(f"shape mismatch: {a.shape} vs {b.shape}")
-    va, vb = a.reshape(-1), b.reshape(-1)
+    # on m / max|m|, so that no inner product overflows or underflows
+    va, vb = (_scaled(m, _peak(m)).reshape(-1) for m in (a, b))
     na = float(np.vdot(va, va).real)
     nb = float(np.vdot(vb, vb).real)
     overlap = abs(complex(np.vdot(va, vb))) / np.sqrt(na * nb)
@@ -372,29 +377,36 @@ def max_bound_over_states(
     initial_state is None (or, with require_state=True, NoPhysicalState is
     raised).  The top eigenvectors and the GHZ projector are built only
     when the result's top_eigenspace and initial_state are read.
+
+    The norm and the GHZ test run on the triple of Phi' / 2^m, with 4^m the
+    power of two at or below max|b|, so that a subnormal G keeps its digits;
+    only the returned norm_bound is scaled back.
     """
     n = _checked_power(n)
-    triple = gram_triple(family, x)
+    a, b, c = _gram_arrays(family, x)
+    m = (math.frexp(_peak(b))[1] - 1) // 2
+    b, c = _scaled(b, math.ldexp(1.0, 2 * m)), _scaled(c, math.ldexp(1.0, m))
+    triple = GramTriple(*map(_superop, (a, b, c)))
     top = covariant_gram_top(triple, n)
     if top is None:
         gram = gram_tensor_power(triple, n)
         top = _diagonal_top(gram.diag) if gram.is_diagonal else largest_eigval_psd(gram.matrix)
-    norm_bound = top.value
     ghz_optimal = False
-    if norm_bound > 0.0 and triple.a.hilbert_dim == 2:
-        target = norm_bound / 2.0
+    if top.value > 0.0 and triple.a.hilbert_dim == 2:
+        target = top.value / 2.0
         ghz_optimal = abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * target
-    if require_state and not ghz_optimal and norm_bound > 0.0:
+    if require_state and not ghz_optimal and top.value > 0.0:
         raise NoPhysicalState(
             "no physical initial state achieving norm_bound/2 was constructed"
         )
-    return OptimalStateResult(norm_bound=norm_bound, ghz_optimal=ghz_optimal, n=n, top=top)
+    top = TopEigenspace(value=math.ldexp(top.value, 2 * m), build=top.build)
+    return OptimalStateResult(norm_bound=top.value, ghz_optimal=ghz_optimal, n=n, top=top)
 
 
 def _diagonal_top(values: np.ndarray) -> TopEigenspace:
     """The top eigenpair of a diagonal Gram matrix; its eigenvectors are
     the unit vectors of the top entries, built on first read."""
-    if np.max(np.abs(values.imag)) > 1e-12 * max(float(np.max(np.abs(values))), 1.0):
+    if not _hermiticity_defect(values) <= 1e-12:
         raise InvalidState("Gram diagonal has a non-real entry")
     values = values.real
     top = float(np.max(values)) if values.size else 0.0

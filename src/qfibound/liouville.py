@@ -35,7 +35,7 @@ from .errors import (
     NonHermitian,
     NonSquare,
 )
-from .numerics import HERMITICITY_RTOL, TopEigenspace, _scaled, _within_top
+from .numerics import HERMITICITY_RTOL, TopEigenspace, _hermiticity_defect, _scaled, _within_top
 
 #: Dense Liouville-space matrices are capped at this many rows
 #: (4096 = six qubits); larger systems must use diagonal representations.
@@ -312,7 +312,8 @@ class GramTriple:
 
     a = Phi^dag Phi, b = Phi'^dag Phi', c = Phi'^dag Phi.  a and b are
     Hermitian PSD by construction; this is validated on creation, for both
-    at once (one eigvalsh on the stacked pair when they are dense).
+    at once: Hermiticity defects up to ``HERMITICITY_RTOL``, and PSD on
+    m / max|m| (one eigvalsh on the stacked pair when they are dense).
     """
 
     a: Superoperator
@@ -322,39 +323,41 @@ class GramTriple:
     def __post_init__(self) -> None:
         pair = np.array(_site_arrays(self.a, self.b))
         peaks = np.abs(pair).reshape(2, -1).max(axis=1)
-        # a NaN or inf entry would pass the tests below, or stop eigvalsh
+        # a NaN or inf entry would pass the PSD tests below, or stop eigvalsh
         for name, peak in zip("ab", peaks):
             if not math.isfinite(peak):
                 raise NonHermitian(f"Gram component {name} has non-finite entries")
-        # measured on m / max|m|: a norm of entries below 1e-154 underflows
+        # PSD is measured on m / max|m|: a norm of entries below 1e-154 underflows
         shape = (2,) + (1,) * (pair.ndim - 1)
         unit = _scaled(pair, np.where(peaks > 0.0, peaks, 1.0).reshape(shape))
         if pair.ndim == 2:
-            hermitian = np.abs(unit.imag).max(axis=1) <= HERMITICITY_RTOL
+            defects = [_hermiticity_defect(m) for m in pair]
             psd = unit.real.min(axis=1) >= -1e-10
         else:
-            adjoint = unit.conj().transpose(0, 2, 1)
-            # Frobenius norms of a and b, and of m - m^dag for each
-            norms, defects = np.linalg.norm(np.array([unit, unit - adjoint]).reshape(2, 2, -1), axis=2)
-            hermitian = defects <= HERMITICITY_RTOL * norms
-            psd = np.linalg.eigvalsh((unit + adjoint) / 2.0)[:, 0] >= -1e-10 * norms
-        for name, ok_h, ok_psd in zip("ab", hermitian, psd):
-            if not ok_h:
+            defects = _hermiticity_defect(pair)
+            norms = np.linalg.norm(unit.reshape(2, -1), axis=1)
+            sym = (unit + unit.conj().transpose(0, 2, 1)) / 2.0
+            psd = np.linalg.eigvalsh(sym)[:, 0] >= -1e-10 * norms
+        for name, defect, ok_psd in zip("ab", defects, psd):
+            if not defect <= HERMITICITY_RTOL:
                 raise NonHermitian(f"Gram component {name} is not Hermitian")
             if not ok_psd:
                 raise NonHermitian(f"Gram component {name} is not PSD")
 
 
 def gram_triple(family: ChannelFamily, x: float) -> GramTriple:
-    """Evaluate (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x: three
-    products of the site arrays, elementwise when both maps are diagonal."""
+    """Evaluate (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x."""
+    return GramTriple(*map(_superop, _gram_arrays(family, x)))
+
+
+def _gram_arrays(family: ChannelFamily, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of the Gram triple at x: three products of the site
+    arrays, elementwise when both maps are diagonal."""
     phi, dphi = _site_arrays(family.evaluate(x), family.derivative_at(x))
     if phi.ndim == 1:
-        a, b, c = phi.conj() * phi, dphi.conj() * dphi, dphi.conj() * phi
-    else:
-        phi_dag, dphi_dag = phi.conj().T, dphi.conj().T
-        a, b, c = phi_dag @ phi, dphi_dag @ dphi, dphi_dag @ phi
-    return GramTriple(a=_superop(a), b=_superop(b), c=_superop(c))
+        return phi.conj() * phi, dphi.conj() * dphi, dphi.conj() * phi
+    phi_dag, dphi_dag = phi.conj().T, dphi.conj().T
+    return phi_dag @ phi, dphi_dag @ dphi, dphi_dag @ phi
 
 
 def gram_tensor_power(triple: GramTriple, n: int) -> Superoperator:
@@ -421,9 +424,9 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
             + 2 n+ n- Re(conj(c+) c-) a+^(n+-1) a-^(n- -1),
 
     where a term with a negative power is 0.  Each term is a function of n+
-    times one of n-, so the table of g is X Y^T with X and Y (N+1) x 3, and
-    ||G|| is its largest g lambda_A^(N-s), lambda_A in closed form.  Every
-    eigenvalue of G is
+    times one of n-, so g = X Y^T with X and Y (N+1) x 3, and ||G|| is the
+    largest g lambda_A^(N-s), lambda_A in closed form, taken over blocks of
+    the (N+1)^2 table of g in O(N) memory.  Every eigenvalue of G is
     g lambda_A^(N-s-j) lambda_B^j, with j population sites in the second
     eigenvector of A_pop, and the top eigenspace keeps the rule of
     :func:`largest_eigval_psd` on that spectrum (within
@@ -461,13 +464,21 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
     # g = X Y^T, with the cross term in the third column
     x_rows = np.array([single[0], power[0], first[0]])
     y_rows = np.array([power[1], single[1], 2.0 * (c[1, 1].conjugate() * c[2, 2]).real * first[1]])
-    g = x_rows.T @ y_rows
     lam_a = _population_top(a)
     # lambda_A^(N - n+ - n-) for n+ + n- <= N, else 0: the Hankel matrix
     # weight[n+ + n-], read as a strided view of weight
-    weight = np.append(lam_a ** np.arange(n, -1.0, -1.0), np.zeros(n))
+    weight = np.zeros(2 * n + 1)
+    weight[: n + 1] = lam_a ** np.arange(n, -1.0, -1.0)
     hankel = np.ndarray((n + 1, n + 1), float, weight, 0, weight.strides * 2)
-    norm = max(float((g * hankel).max()), 0.0)
+    # g in blocks of rows n+ of about 2^16 entries, so the memory is O(N);
+    # past column n- = N - n+ the weight is 0.  The three terms are summed in
+    # order, not by BLAS, so no entry of g depends on the block holding it.
+    rows = max(1, 2**16 // (n + 1))
+    norm = 0.0
+    for lo in range(0, n + 1, rows):
+        hi, cols = min(lo + rows, n + 1), n + 1 - lo
+        g = np.add.reduce(x_rows[:, lo:hi, None] * y_rows[:, None, :cols])
+        norm = float(np.maximum(norm, (g * hankel[lo:hi, :cols]).max()))  # NaN propagates
 
     def build() -> np.ndarray:
         require_budget(4**n, f"Liouville rows of the top eigenvectors of a {n}-fold Gram matrix")
@@ -481,7 +492,8 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
         site[np.ix_([0, 3], [2, 3])] = pop_vectors[:, ::-1]
         labels = np.indices((4,) * n).reshape(n, -1)
         n_plus, n_minus, n_b = ((labels == label).sum(axis=0) for label in (0, 1, 3))
-        values = g[n_plus, n_minus] * lam_a ** (n - n_plus - n_minus - n_b) * lam_b**n_b
+        g = np.add.reduce(x_rows[:, n_plus] * y_rows[:, n_minus])
+        values = g * lam_a ** (n - n_plus - n_minus - n_b) * lam_b**n_b
         chosen = labels[:, _within_top(values, norm)]
         vectors = site[:, chosen[0]]
         for lab in chosen[1:]:  # site-major Kronecker product, column by column

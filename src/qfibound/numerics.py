@@ -23,7 +23,8 @@ from .errors import (
     NonSquare,
 )
 
-#: Relative Frobenius tolerance for Hermiticity checks.
+#: Largest Hermiticity defect (:func:`_hermiticity_defect`) of a matrix
+#: that an eigensolver or a Gram triple accepts.
 HERMITICITY_RTOL = 1e-10
 
 #: Eigenvalues within this relative distance of the largest one are
@@ -63,24 +64,10 @@ def _within_top(values: np.ndarray, top: float) -> np.ndarray:
     return values >= top - TOP_EIGENSPACE_RTOL * abs(top)
 
 
-def _as_matrix(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m)
-    if a.ndim != 2:
-        raise NonSquare(f"expected a matrix, got array of shape {a.shape}")
-    return a.astype(complex, copy=False)
-
-
-def _require_square(m: np.ndarray) -> np.ndarray:
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def _peak(a: np.ndarray) -> float:
-    """max |a_ij| (0 for an empty array).  Defects are measured on a / peak,
+    """max |a_ij| (0 for an empty array).  PSD defects are measured on a / peak,
     because a Frobenius norm of entries below about 1e-154 underflows to 0."""
-    return float(np.max(np.abs(a), initial=0.0))
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _scaled(a: np.ndarray, peak: float | np.ndarray) -> np.ndarray:
@@ -90,18 +77,21 @@ def _scaled(a: np.ndarray, peak: float | np.ndarray) -> np.ndarray:
     return (parts / peak).view(complex)
 
 
-def _require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    a = _require_square(m)
-    peak = _peak(a)
-    if peak == 0.0:
-        return a
-    unit = _scaled(a, peak)
-    defect = np.linalg.norm(unit - unit.conj().T) / np.linalg.norm(unit)
-    if not defect <= rtol:  # a NaN defect fails too
-        raise NonHermitian(
-            f"matrix is not Hermitian: relative defect {defect:.3e} > {rtol:.0e}"
-        )
-    return a
+def _hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
+    """max|m - m^dag| / max|m|, the one Hermiticity measure, of a matrix or
+    each of a stack (..., n, n); of a 1-D diagonal, max|imag m| / max|m|.
+    It is 0 for the zero matrix and NaN for a non-finite entry, which a test
+    ``not defect <= tol`` refuses.  A difference and a quotient do not
+    underflow the way a sum of squares does, so m needs no scaled copy."""
+    a = np.asarray(m)
+    with np.errstate(all="ignore"):
+        if a.ndim == 1:  # (a - conj a) / 2 is i imag(a), and NaN at a real inf
+            skew, axes = (a - a.conj()) / 2.0, -1
+        else:
+            skew, axes = a - np.swapaxes(a, -1, -2).conj(), (-2, -1)
+        peak = np.abs(a).max(axis=axes, initial=0.0)
+        # 5e-324, the least positive float, is at most max|m| unless m is 0
+        return np.abs(skew).max(axis=axes, initial=0.0) / np.maximum(peak, 5e-324)
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,11 +103,16 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subspace is meaningful), so consumers should build projectors rather
     than compare single vectors.
 
-    The input must satisfy ``|M - M^dag|_F <= 1e-10 |M|_F`` (the zero
+    The input must satisfy ``max|M - M^dag| <= 1e-10 max|M|`` (the zero
     matrix is exempt).  The matrix is symmetrized before decomposition so
     round-off in the input cannot leak into complex eigenvalues.
     """
-    a = _require_hermitian(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquare(f"expected a square matrix, got shape {a.shape}")
+    defect = _hermiticity_defect(a)
+    if not defect <= HERMITICITY_RTOL:
+        raise NonHermitian(f"matrix is not Hermitian: relative defect {defect:.3e} > {HERMITICITY_RTOL:.0e}")
     return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 

@@ -64,7 +64,7 @@ def exact_qfi(rho: np.ndarray, rho_prime: np.ndarray) -> SldResult:
     above 1e-8 on excluded pairs raises UnsupportedDerivative.
     """
     m = _check_density(rho)
-    mp = _check_derivative(rho_prime)
+    mp = _check_derivative(rho_prime, m)
     if m.shape != mp.shape:
         raise DimensionMismatch(f"shape mismatch: {m.shape} vs {mp.shape}")
     lam, v = herm_eig(m)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,11 @@ class TestDerivativeCheck:
         with pytest.raises(InvalidState):
             lower_bound_from_state(np.diag([0.5, 0.5]), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_refuses_non_hermitian_traceful_derivative_below_unit_scale(self):
+        # its trace is its whole scale: the floor is the state's round-off, not 1
+        with pytest.raises(InvalidState):
+            lower_bound_from_state(np.diag([0.5, 0.5]), 1e-12 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestLowerBoundFromFactor:
     @pytest.mark.parametrize("dim,k", [(6, 1), (6, 3), (6, 9), (2, 5)])
@@ -253,6 +259,13 @@ class TestLowerBoundFromFactor:
             lower_bound_from_state(*dense_pair(v, v_prime))
         with pytest.raises(error):
             lower_bound_from_factor(v, v_prime)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_rejects_traceful_derivative_at_any_scale(self, scale):
+        # rho = |0><0| and rho' = 2 scale |0><0|, whose trace is its whole scale
+        v = np.array([[1.0], [0.0]])
+        with pytest.raises(NonTraceless):
+            lower_bound_from_factor(v, scale * v)
 
     def test_rejects_mismatched_factors(self, rng):
         v, v_prime = random_factor(rng, 4, 2)
@@ -449,6 +462,31 @@ class TestMaxBoundOverStates:
         # complex array by a subnormal peak, which overflows
         result = max_bound_over_states(phase_covariant_family(t, NoiseParams()), 0.0, 2)
         assert result.norm_bound == analytic_max_phase_covariant(2, t, 1.0) > 0.0
+        assert result.ghz_optimal
+
+    @pytest.mark.parametrize(
+        "n,eta,t", [(2, 0.99, 1e-160), (2, 0.875, 1e-160), (2, 0.5, 1e-160), (1000, 1.0 - 1.0 / 4000, 1e-158)]
+    )
+    def test_ghz_decision_at_subnormal_scale(self, n, eta, t):
+        # G ~ t^2 is subnormal, and the decision must be the one at t = 1
+        def decide(t):
+            return max_bound_over_states(phase_covariant_family(t, NoiseParams(eta_perp=eta)), 0.0, n).ghz_optimal
+
+        assert decide(t) == decide(1.0)
+
+    def test_closed_form_memory_is_linear_in_n(self):
+        # the whole (N+1)^2 table of g and its weights would take 6.4 GB at N = 20000
+        n = 20000
+        eta = 1.0 - 1.0 / (4 * n)
+        family = phase_covariant_family(1.0, NoiseParams(eta_perp=eta))
+        tracemalloc.start()
+        try:
+            result = max_bound_over_states(family, 0.3, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert_allclose(result.norm_bound, analytic_max_phase_covariant(n, 1.0, eta), rtol=1e-10)
         assert result.ghz_optimal
 
     @pytest.mark.parametrize("t", [1.0, 1e-5])

@@ -6,15 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qfibound.bound import _check_derivative, _diagonal_top, bures_distance_liouville
 from qfibound.errors import (
     DegenerateInput,
     InvalidBracket,
+    InvalidState,
     NegativeSpectrum,
     NonHermitian,
     NonSquare,
     NoSignChange,
 )
+from qfibound.liouville import GramTriple, Superoperator
 from qfibound.numerics import (
+    _hermiticity_defect,
     _scaled,
     herm_eig,
     largest_eigval_psd,
@@ -85,6 +89,79 @@ class TestScaled:
         pair = np.array([np.eye(2) * 1e-315j, np.eye(2) * 3.0])
         unit = _scaled(pair, np.array([1e-315, 3.0])[:, None, None])
         assert_allclose(unit, [np.eye(2) * 1j, np.eye(2)], rtol=0.0, atol=0.0)
+
+
+_PSD = np.array(
+    [[2.0, 1.0 - 1.0j, 0.0, 0.5], [1.0 + 1.0j, 3.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.5, 0.0, 0.0, 1.0]]
+)
+_TRACELESS = np.array([[1.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]])
+
+
+def _skewed(m):
+    """m with a defect of 1e-6 of its peak above the diagonal."""
+    out = np.array(m, dtype=complex)
+    out[0, 1] += 1e-6 * np.abs(m).max()
+    return out
+
+
+# (check of a matrix m that may carry the scale s, its error, a Hermitian m,
+# a non-Hermitian m).  The derivative's floor is the round-off of its state,
+# so the state carries the scale too.
+SCALE_FREE_CHECKS = {
+    "herm_eig": (lambda m, s: herm_eig(m), NonHermitian, _PSD, _skewed(_PSD)),
+    "GramTriple": (
+        lambda m, s: GramTriple(a=Superoperator(m), b=Superoperator(m), c=Superoperator(m)),
+        NonHermitian,
+        _PSD,
+        _skewed(_PSD),
+    ),
+    "bures_distance_liouville": (
+        lambda m, s: bures_distance_liouville(m, m),
+        InvalidState,
+        _PSD,
+        _skewed(_PSD),
+    ),
+    "_diagonal_top": (
+        lambda m, s: _diagonal_top(m),
+        InvalidState,
+        np.array([1.0, 3.0, 2.0, 0.5], dtype=complex),
+        np.array([1.0, 3.0 + 1e-6j, 2.0, 0.5]),
+    ),
+    "_check_derivative": (
+        lambda m, s: _check_derivative(m, s * np.diag([0.5, 0.5])),
+        InvalidState,
+        _TRACELESS,
+        _skewed(_TRACELESS),
+    ),
+}
+
+
+class TestHermiticityDefect:
+    @pytest.mark.parametrize("k", [-900, -300, 0, 300, 900])
+    @pytest.mark.parametrize("name", sorted(SCALE_FREE_CHECKS))
+    def test_checks_decide_alike_at_any_scale(self, name, k):
+        check, error, hermitian, skew = SCALE_FREE_CHECKS[name]
+        s = 2.0**k
+        check(s * hermitian, s)
+        with pytest.raises(error):
+            check(s * skew, s)
+
+    def test_measure(self):
+        assert _hermiticity_defect(np.array([[1.0, 2.0], [0.0, 4.0]])) == 0.5
+        assert _hermiticity_defect(np.array([4.0, 1.0 + 2.0j])) == 0.5
+        assert_allclose(_hermiticity_defect(np.array([_PSD, _skewed(_PSD)])), [0.0, 1e-6])
+
+    def test_zero_matrix(self):
+        assert _hermiticity_defect(np.zeros((3, 3))) == 0.0
+        assert _hermiticity_defect(np.zeros(4)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    def test_non_finite_fails(self, bad):
+        for m in (np.array([[1.0, 0.0], [0.0, bad]]), np.array([[1.0, bad], [bad, 1.0]]), np.array([1.0, bad])):
+            assert not _hermiticity_defect(m) <= 1.0
+
+    def test_overflowing_difference_fails(self):
+        assert not _hermiticity_defect(np.array([[1e308, 1e308], [-1e308, 1.0]])) <= 1.0
 
 
 class TestLargestEigvalPsd:
