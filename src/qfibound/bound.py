@@ -39,6 +39,7 @@ from .liouville import (
     GramTriple,
     _checked_power,
     _gram_arrays,
+    _site_arrays,
     _superop,
     covariant_gram_top,
     gram_tensor_power,
@@ -378,15 +379,15 @@ def max_bound_over_states(
     raised).  The top eigenvectors and the GHZ projector are built only
     when the result's top_eigenspace and initial_state are read.
 
-    The norm and the GHZ test run on the triple of Phi' / 2^m, with 4^m the
-    power of two at or below max|b|, so that a subnormal G keeps its digits;
-    only the returned norm_bound is scaled back.
+    The norm and the GHZ test run on the triple of Phi' / 2^m, with 2^m the
+    power of two at or below max|Phi'|, scaled before b and c are formed so
+    that a subnormal G keeps its digits; only the returned norm_bound is
+    scaled back.
     """
     n = _checked_power(n)
-    a, b, c = _gram_arrays(family, x)
-    m = (math.frexp(_peak(b))[1] - 1) // 2
-    b, c = _scaled(b, math.ldexp(1.0, 2 * m)), _scaled(c, math.ldexp(1.0, m))
-    triple = GramTriple(*map(_superop, (a, b, c)))
+    phi, dphi = _site_arrays(family.evaluate(x), family.derivative_at(x))
+    m = math.frexp(_peak(dphi))[1] - 1
+    triple = GramTriple(*map(_superop, _gram_arrays(phi, _scaled(dphi, math.ldexp(1.0, m)))))
     top = covariant_gram_top(triple, n)
     if top is None:
         gram = gram_tensor_power(triple, n)

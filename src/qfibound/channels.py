@@ -169,6 +169,14 @@ def phase_covariant_family(
     )
 
 
+def _require_rate(rate: float, t: float, what: str) -> None:
+    """RangeViolation for a negative rate or time, which would amplify."""
+    if rate < 0.0:
+        raise RangeViolation(f"{what} must be >= 0, got {rate}")
+    if t < 0.0:
+        raise RangeViolation(f"time must be >= 0, got {t}")
+
+
 def named_noise(kind: str, strength: float, t: float) -> NoiseParams:
     """Semigroup parameter settings for the standard qubit channels.
 
@@ -177,10 +185,7 @@ def named_noise(kind: str, strength: float, t: float) -> NoiseParams:
     amplitude_damping: k = 1 - e^{-strength t}, eta_par = 1 - k,
     eta_perp = sqrt(1 - k).
     """
-    if strength < 0.0:
-        raise RangeViolation(f"noise strength must be >= 0, got {strength}")
-    if t < 0.0:
-        raise RangeViolation(f"time must be >= 0, got {t}")
+    _require_rate(strength, t, "noise strength")
     decay = math.exp(-strength * t)
     if kind == DEPHASING:
         return NoiseParams(k=0.0, eta_par=1.0, eta_perp=decay)
@@ -268,35 +273,29 @@ def _correlated_alphas(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
     """Index sums (alpha1, alpha2) for every |mu><nu| on 2N qubits.
 
     alpha1 collects mu_i - nu_i over the first atom of each probe (sites
-    1, 3, ..., 2N-1 in 1-based counting), alpha2 over the second atoms.
+    1, 3, ..., 2N-1 in 1-based counting: the odd bits, counting from the
+    least significant), alpha2 over the second atoms; each is the count of
+    that atom's set bits in mu less the count in nu.
     """
-    n_qubits = 2 * n_probes
-    dim = 2**n_qubits
-    rows = dim * dim
-    require_budget(rows, f"diagonal entries of correlated dephasing on {n_probes} probes")
-    g = np.arange(rows)
-    mu, nu = np.divmod(g, dim)
-    alpha1 = np.zeros(rows, dtype=np.int64)
-    alpha2 = np.zeros(rows, dtype=np.int64)
-    for i in range(n_qubits):
-        shift = 2 ** (n_qubits - 1 - i)
-        diff = (mu // shift) % 2 - (nu // shift) % 2
-        if i % 2 == 0:
-            alpha1 += diff
-        else:
-            alpha2 += diff
+    n_probes = _whole_number(n_probes, "the number of probes", 1)
+    dim = 4**n_probes
+    require_budget(dim * dim, f"diagonal entries of correlated dephasing on {n_probes} probes")
+    first = int("10" * n_probes, 2)
+    counts = (np.bitwise_count(np.arange(dim) & m).astype(np.int64) for m in (first, first >> 1))
+    alpha1, alpha2 = (np.subtract.outer(s, s).reshape(-1) for s in counts)
     return alpha1, alpha2
 
 
-def _correlated_diag(
-    alphas: tuple[np.ndarray, np.ndarray], omega1: float, omega2: float, gamma: float, t: float
-) -> Superoperator:
-    alpha1, alpha2 = alphas
+def _correlated_phase(alpha1, alpha2, omega1: float, omega2: float, gamma: float, t: float):
+    """e^{i(alpha1 w1 + alpha2 w2) t - (alpha1 + alpha2)^2 gamma t}, elementwise."""
     alpha = alpha1 + alpha2
-    diag = np.exp(
-        1j * (alpha1 * omega1 + alpha2 * omega2) * t - alpha**2 * gamma * t
-    )
-    return Superoperator(diag=diag, trace_preserving=True)
+    return np.exp(1j * (alpha1 * omega1 + alpha2 * omega2) * t - alpha**2 * gamma * t)
+
+
+def _correlated_derivative(alpha1, alpha2, omega1: float, omega2: float, gamma: float, t: float):
+    """d/dw1 of :func:`_correlated_phase`, i alpha1 t times it.  The dense
+    family and the charge grid of ``correlated_gram_max`` both evaluate this."""
+    return 1j * alpha1 * t * _correlated_phase(alpha1, alpha2, omega1, omega2, gamma, t)
 
 
 def correlated_dephasing_diag(
@@ -307,9 +306,12 @@ def correlated_dephasing_diag(
     Diagonal in the computational Liouville basis with elements
     e^{i(alpha1 w1 + alpha2 w2) t - alpha^2 gamma t}, alpha = alpha1 +
     alpha2.  Elements with alpha = 0 keep magnitude 1 for every gamma
-    (the decoherence-free subspace).
+    (the decoherence-free subspace).  gamma < 0 or t < 0 raises
+    RangeViolation.
     """
-    return _correlated_diag(_correlated_alphas(n_probes), omega1, omega2, gamma, t)
+    _require_rate(gamma, t, "dephasing rate")
+    diag = _correlated_phase(*_correlated_alphas(n_probes), omega1, omega2, gamma, t)
+    return Superoperator(diag=diag, trace_preserving=True)
 
 
 def correlated_dephasing_family(
@@ -320,14 +322,17 @@ def correlated_dephasing_family(
     Each diagonal element depends on w_bar only through e^{i alpha1 w_bar t},
     so the analytic derivative multiplies by i alpha1 t.  The index sums
     alpha1 and alpha2 are computed once per family, not per evaluation.
+    gamma < 0 or t < 0 raises RangeViolation.
     """
+    _require_rate(gamma, t, "dephasing rate")
     alphas = _correlated_alphas(n_probes)
 
     def evaluate(omega_bar: float) -> Superoperator:
-        return _correlated_diag(alphas, omega_bar + omega2, omega2, gamma, t)
+        diag = _correlated_phase(*alphas, omega_bar + omega2, omega2, gamma, t)
+        return Superoperator(diag=diag, trace_preserving=True)
 
     def derivative(omega_bar: float) -> Superoperator:
-        return Superoperator(diag=1j * alphas[0] * t * evaluate(omega_bar).diag)
+        return Superoperator(diag=_correlated_derivative(*alphas, omega_bar + omega2, omega2, gamma, t))
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 

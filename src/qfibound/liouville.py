@@ -347,13 +347,13 @@ class GramTriple:
 
 def gram_triple(family: ChannelFamily, x: float) -> GramTriple:
     """Evaluate (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x."""
-    return GramTriple(*map(_superop, _gram_arrays(family, x)))
-
-
-def _gram_arrays(family: ChannelFamily, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays of the Gram triple at x: three products of the site
-    arrays, elementwise when both maps are diagonal."""
     phi, dphi = _site_arrays(family.evaluate(x), family.derivative_at(x))
+    return GramTriple(*map(_superop, _gram_arrays(phi, dphi)))
+
+
+def _gram_arrays(phi: np.ndarray, dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of the Gram triple from the site arrays of Phi and Phi':
+    three products, elementwise when both maps are diagonal."""
     if phi.ndim == 1:
         return phi.conj() * phi, dphi.conj() * dphi, dphi.conj() * phi
     phi_dag, dphi_dag = phi.conj().T, dphi.conj().T

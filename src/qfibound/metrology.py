@@ -22,7 +22,8 @@ from .channels import (
     EXPONENTIAL_FORM,
     EcsSpec,
     ShortTimeModel,
-    correlated_dephasing_family,
+    _correlated_derivative,
+    _require_rate,
     ecs_vector,
     loss_weight_rows,
     loss_weights,
@@ -446,7 +447,20 @@ def correlated_gram_max(
     The maximum sits on coherences with alpha1 = +-N and alpha1 + alpha2 =
     0, which dephasing never touches, so the value N^2 t^2 is
     gamma-independent.  The map is diagonal, so the Gram diagonal is
-    |Phi'|^2 elementwise and the rest of the Gram triple is not needed.
+    |Phi'|^2 elementwise.  An entry depends on its index only through the
+    charges (alpha1, alpha2) in [-N, N]^2, and every pair occurs, so the
+    maximum is read off that (2N+1)^2 grid in blocks of rows, from the dense
+    family's own entry formula: it is that 16^N diagonal's maximum, bit for
+    bit.  N <= 2047 (MAX_DENSE_ROWS^2 grid entries), checked before any
+    allocation; gamma < 0 or t < 0 raises RangeViolation.
     """
-    family = correlated_dephasing_family(n_probes, omega2, gamma, t)
-    return float(np.max(np.abs(family.derivative_at(0.0).diag) ** 2))
+    n = _whole_number(n_probes, "the number of probes", 1)
+    _require_rate(gamma, t, "dephasing rate")
+    require_budget((2 * n + 1) ** 2, f"charge pairs at N = {n}", MAX_DENSE_ROWS**2)
+    charges = np.arange(-n, n + 1)
+    step = max(1, 2**13 // charges.size)  # blocks of about 2^13 entries stay in cache
+    best = 0.0
+    for lo in range(0, charges.size, step):
+        dphi = _correlated_derivative(charges[lo : lo + step, None], charges, omega2, omega2, gamma, t)
+        best = float(np.maximum(best, (np.abs(dphi) ** 2).max()))  # NaN propagates
+    return best

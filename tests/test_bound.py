@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import time
 import tracemalloc
 
@@ -465,7 +466,14 @@ class TestMaxBoundOverStates:
         assert result.ghz_optimal
 
     @pytest.mark.parametrize(
-        "n,eta,t", [(2, 0.99, 1e-160), (2, 0.875, 1e-160), (2, 0.5, 1e-160), (1000, 1.0 - 1.0 / 4000, 1e-158)]
+        "n,eta,t",
+        [
+            (2, 0.99, 1e-160),
+            (2, 0.875, 1e-160),
+            (2, 0.5, 1e-160),
+            (1000, 1.0 - 1.0 / 4000, 1e-158),
+            (2, 0.9, 1e-170),  # b ~ t^2 underflows to 0 unless Phi' is scaled first
+        ],
     )
     def test_ghz_decision_at_subnormal_scale(self, n, eta, t):
         # G ~ t^2 is subnormal, and the decision must be the one at t = 1
@@ -473,6 +481,16 @@ class TestMaxBoundOverStates:
             return max_bound_over_states(phase_covariant_family(t, NoiseParams(eta_perp=eta)), 0.0, n).ghz_optimal
 
         assert decide(t) == decide(1.0)
+
+    def test_subnormal_norm_is_rounded_once(self):
+        # Phi' ~ t is brought to unit scale before b = Phi'^dag Phi' is
+        # formed, so G ~ t^2 ~ 1e-311 is rounded once, from the unit-scale
+        # norm, and not first to the few digits a subnormal b holds
+        n, eta, t = 1000, 1.0 - 1.0 / 4000, 1e-158
+        want = math.ldexp(analytic_max_phase_covariant(n, math.ldexp(t, 600), eta), -1200)
+        family = phase_covariant_family(t, NoiseParams(eta_perp=eta))
+        got = max_bound_over_states(family, 0.0, n).norm_bound
+        assert abs(got - want) <= 4 * math.ulp(0.0)
 
     def test_closed_form_memory_is_linear_in_n(self):
         # the whole (N+1)^2 table of g and its weights would take 6.4 GB at N = 20000

@@ -233,7 +233,40 @@ class TestParamsAt:
             params_at(m, -0.1)
 
 
+def correlated_alphas_by_qubit(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index sums of ``channels._correlated_alphas``, one qubit at a
+    time: qubit i of 2N (most significant first) adds mu_i - nu_i to alpha1
+    when i is even (a first atom) and to alpha2 when it is odd."""
+    n_qubits = 2 * n_probes
+    dim = 2**n_qubits
+    mu, nu = np.divmod(np.arange(dim * dim), dim)
+    alpha1 = np.zeros(dim * dim, dtype=np.int64)
+    alpha2 = np.zeros(dim * dim, dtype=np.int64)
+    for i in range(n_qubits):
+        shift = 2 ** (n_qubits - 1 - i)
+        diff = (mu // shift) % 2 - (nu // shift) % 2
+        if i % 2 == 0:
+            alpha1 += diff
+        else:
+            alpha2 += diff
+    return alpha1, alpha2
+
+
 class TestCorrelatedDephasing:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_index_sums_match_the_qubit_loop(self, n):
+        for got, want in zip(channels._correlated_alphas(n), correlated_alphas_by_qubit(n)):
+            assert got.dtype == want.dtype
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("gamma,t", [(-1.0, 1.0), (0.1, -1.0), (-0.1, -0.2)])
+    def test_rejects_negative_rate_or_time(self, gamma, t):
+        # either would amplify coherences: |diag| up to e^{4 |gamma t|} at N = 1
+        with pytest.raises(RangeViolation):
+            correlated_dephasing_diag(1, 0.1, 0.2, gamma, t)
+        with pytest.raises(RangeViolation):
+            correlated_dephasing_family(1, 0.2, gamma, t)
+
     def test_dfs_entries_survive_any_gamma(self):
         # |01><10| has alpha1 = -1, alpha2 = +1, so alpha = 0
         for gamma in (0.0, 1.0, 10.0):

@@ -15,6 +15,8 @@ from qfibound.channels import (
     TRUNCATED_FORM,
     EcsSpec,
     ShortTimeModel,
+    _correlated_derivative,
+    correlated_dephasing_family,
     ecs_vector,
     loss_kraus,
 )
@@ -527,6 +529,53 @@ class TestCorrelatedGramMax:
         t = 0.7
         assert_allclose(correlated_gram_max(n, gamma, t), n**2 * t**2, atol=1e-10)
 
-    def test_budget(self):
-        with pytest.raises(DimensionBudgetExceeded):
-            correlated_gram_max(4, 0.1, 1.0)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("t", [0.7, 1e-3])
+    @pytest.mark.parametrize("omega2", [0.0, 0.3])
+    def test_grid_is_the_dense_diagonal_maximum(self, n, gamma, t, omega2):
+        dense = correlated_dephasing_family(n, omega2, gamma, t).derivative_at(0.0).diag
+        assert correlated_gram_max(n, gamma, t, omega2=omega2) == np.max(np.abs(dense) ** 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_holds_the_dense_values(self, n):
+        # every charge pair (alpha1, alpha2) in [-N, N]^2 occurs on 2N qubits
+        gamma, t, omega2 = 0.3, 0.7, 0.3
+        charges = np.arange(-n, n + 1)
+        grid = _correlated_derivative(charges[:, None], charges, omega2, omega2, gamma, t)
+        dense = correlated_dephasing_family(n, omega2, gamma, t).derivative_at(0.0).diag
+        assert set(np.abs(grid.ravel()) ** 2) == set(np.abs(dense) ** 2)
+
+    def test_thousand_probes_in_linear_memory(self):
+        # the 16^N diagonal is out of reach; the (2N+1)^2 grid is scanned in
+        # blocks of rows
+        n, t = 1000, 0.7
+        tracemalloc.start()
+        try:
+            value = correlated_gram_max(n, 0.3, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_allclose(value, n**2 * t**2, rtol=1e-12)
+        assert peak < 32e6
+
+    def test_budget(self, monkeypatch):
+        # the grid is (2N+1)^2: 4095^2 entries at N = 2047, 4097^2 at 2048,
+        # against a budget of 4096^2
+        monkeypatch.setattr(metrology, "_correlated_derivative", _unreached)
+        with pytest.raises(_Unreached):
+            correlated_gram_max(2047, 0.1, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionBudgetExceeded):
+                correlated_gram_max(2048, 0.1, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("gamma,t", [(-1.0, 0.7), (0.1, -0.7)])
+    def test_rejects_negative_rate_or_time(self, gamma, t):
+        # unchecked, gamma = -1 amplifies: 1.05e10 at N = 2, t = 0.7, not N^2 t^2 = 1.96
+        with pytest.raises(RangeViolation):
+            correlated_gram_max(2, gamma, t)
