@@ -27,26 +27,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidState,
-    NonTraceless,
-    NoPhysicalState,
-    ZeroOperator,
-)
+from .errors import DimensionMismatch, InvalidState, NonTraceless
 from .liouville import (
     ChannelFamily,
     GramTriple,
+    Superoperator,
     _checked_power,
     _gram_arrays,
-    _site_arrays,
-    _superop,
     covariant_gram_top,
     gram_tensor_power,
     gram_triple,
     require_budget,
 )
-from .numerics import TopEigenspace, _hermiticity_defect, _peak, _scaled, _within_top, largest_eigval_psd
+from .numerics import TopEigenspace, _hermiticity_defect, _peak, _scaled, largest_eigval_psd
 
 #: Tolerance of the state checks: on Hermiticity defects, and absolute on a
 #: state's trace deviation and negative-eigenvalue excursion.
@@ -261,31 +254,6 @@ def associated_qfi(rho: np.ndarray, rho_prime: np.ndarray) -> float:
     return 4.0 * result.f_lower / result.purity
 
 
-def bures_distance_liouville(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Bures-type distance between normalized Liouville vectors.
-
-    d^2 = 2 (1 - |(rho_a|rho_b)| / sqrt((rho_a|rho_a)(rho_b|rho_b))), the
-    pure-state overlap formula applied to operators as unit vectors.
-    """
-    a = np.asarray(rho_a, dtype=complex)
-    b = np.asarray(rho_b, dtype=complex)
-    for name, m in (("rho_a", a), ("rho_b", b)):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidState(f"{name} must be a square matrix, got {m.shape}")
-        if not m.any():
-            raise ZeroOperator(f"{name} is the zero operator")
-        if not _hermiticity_defect(m) <= STATE_TOL:
-            raise InvalidState(f"{name} is not Hermitian")
-    if a.shape != b.shape:
-        raise InvalidState(f"shape mismatch: {a.shape} vs {b.shape}")
-    # on m / max|m|, so that no inner product overflows or underflows
-    va, vb = (_scaled(m, _peak(m)).reshape(-1) for m in (a, b))
-    na = float(np.vdot(va, va).real)
-    nb = float(np.vdot(vb, vb).real)
-    overlap = abs(complex(np.vdot(va, vb))) / np.sqrt(na * nb)
-    return 2.0 * (1.0 - min(overlap, 1.0))
-
-
 def ghz_state(n: int) -> np.ndarray:
     """The N-qubit GHZ projector |GHZ><GHZ|, GHZ = (|0..0> + |1..1>)/sqrt(2)."""
     n = _checked_power(n)
@@ -361,9 +329,7 @@ def analytic_max_phase_covariant(n: int, t: float, eta_perp: float) -> float:
     return float(n) ** 2 * t**2 * eta_perp ** (2 * n)
 
 
-def max_bound_over_states(
-    family: ChannelFamily, x: float, n: int, *, require_state: bool = False
-) -> OptimalStateResult:
+def max_bound_over_states(family: ChannelFamily, x: float, n: int) -> OptimalStateResult:
     """Norm-maximized bound for the N-fold product of a channel family.
 
     norm_bound is the largest eigenvalue of the tensor-power Gram matrix;
@@ -375,9 +341,8 @@ def max_bound_over_states(
     families the GHZ projector is tried as the optimal state, its bound
     taken from the same triple (as in :func:`ghz_lower_bound`), and
     ghz_optimal is set when that bound equals norm_bound / 2; otherwise
-    initial_state is None (or, with require_state=True, NoPhysicalState is
-    raised).  The top eigenvectors and the GHZ projector are built only
-    when the result's top_eigenspace and initial_state are read.
+    initial_state is None.  The top eigenvectors and the GHZ projector are
+    built only when the result's top_eigenspace and initial_state are read.
 
     The norm and the GHZ test run on the triple of Phi' / 2^m, with 2^m the
     power of two at or below max|Phi'|, scaled before b and c are formed so
@@ -385,37 +350,15 @@ def max_bound_over_states(
     scaled back.
     """
     n = _checked_power(n)
-    phi, dphi = _site_arrays(family.evaluate(x), family.derivative_at(x))
+    phi, dphi = family.evaluate(x).matrix, family.derivative_at(x).matrix
     m = math.frexp(_peak(dphi))[1] - 1
-    triple = GramTriple(*map(_superop, _gram_arrays(phi, _scaled(dphi, math.ldexp(1.0, m)))))
+    triple = GramTriple(*map(Superoperator, _gram_arrays(phi, _scaled(dphi, math.ldexp(1.0, m)))))
     top = covariant_gram_top(triple, n)
     if top is None:
-        gram = gram_tensor_power(triple, n)
-        top = _diagonal_top(gram.diag) if gram.is_diagonal else largest_eigval_psd(gram.matrix)
+        top = largest_eigval_psd(gram_tensor_power(triple, n).matrix)
     ghz_optimal = False
     if top.value > 0.0 and triple.a.hilbert_dim == 2:
         target = top.value / 2.0
         ghz_optimal = abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * target
-    if require_state and not ghz_optimal and top.value > 0.0:
-        raise NoPhysicalState(
-            "no physical initial state achieving norm_bound/2 was constructed"
-        )
     top = TopEigenspace(value=math.ldexp(top.value, 2 * m), build=top.build)
     return OptimalStateResult(norm_bound=top.value, ghz_optimal=ghz_optimal, n=n, top=top)
-
-
-def _diagonal_top(values: np.ndarray) -> TopEigenspace:
-    """The top eigenpair of a diagonal Gram matrix; its eigenvectors are
-    the unit vectors of the top entries, built on first read."""
-    if not _hermiticity_defect(values) <= 1e-12:
-        raise InvalidState("Gram diagonal has a non-real entry")
-    values = values.real
-    top = float(np.max(values)) if values.size else 0.0
-
-    def build() -> np.ndarray:
-        idx = np.flatnonzero(_within_top(values, top)) if top > 0.0 else np.arange(0)
-        vectors = np.zeros((values.size, idx.size))
-        vectors[idx, np.arange(idx.size)] = 1.0
-        return vectors
-
-    return TopEigenspace(value=top, build=build)

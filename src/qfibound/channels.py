@@ -2,9 +2,10 @@
 
 The general phase-covariant qubit noise (noise composed with the encoding
 rotation, whose noiseless case is the rotation about z), short-time noise
-models, correlated dephasing on paired probes, photon loss as its binomial
+models, the entries of correlated dephasing on paired probes (as functions
+of their charges, for ``correlated_gram_max``), photon loss as its binomial
 loss weights (with their Kraus operators), and entangled-coherent-state
-preparation.
+preparation.  Every channel is a dense :class:`.liouville.Superoperator`.
 
 All qubit superoperators use the row-major |mu><nu| Liouville convention of
 :mod:`.liouville`; the phase-covariant channel is the 4x4 matrix
@@ -35,7 +36,7 @@ from .errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from .liouville import _CHARGE, ChannelFamily, Superoperator, _whole_number, require_budget
+from .liouville import _CHARGE, ChannelFamily, Superoperator, _whole_number
 
 #: Slack for complete-positivity checks; amplitude damping sits exactly on
 #: the boundary 1 + eta_par = sqrt(k^2 + 4 eta_perp^2).
@@ -267,74 +268,25 @@ def params_at(model: ShortTimeModel, t: float, theta: float = 0.0) -> NoiseParam
 
 # ---------------------------------------------------------------------------
 # correlated dephasing on N probes of two atoms each
-
-
-def _correlated_alphas(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index sums (alpha1, alpha2) for every |mu><nu| on 2N qubits.
-
-    alpha1 collects mu_i - nu_i over the first atom of each probe (sites
-    1, 3, ..., 2N-1 in 1-based counting: the odd bits, counting from the
-    least significant), alpha2 over the second atoms; each is the count of
-    that atom's set bits in mu less the count in nu.
-    """
-    n_probes = _whole_number(n_probes, "the number of probes", 1)
-    dim = 4**n_probes
-    require_budget(dim * dim, f"diagonal entries of correlated dephasing on {n_probes} probes")
-    first = int("10" * n_probes, 2)
-    counts = (np.bitwise_count(np.arange(dim) & m).astype(np.int64) for m in (first, first >> 1))
-    alpha1, alpha2 = (np.subtract.outer(s, s).reshape(-1) for s in counts)
-    return alpha1, alpha2
+#
+# The channel is diagonal in the |mu><nu| basis of the 2N qubits, and its
+# entry depends on the index only through the charges alpha1 (the set bits
+# of the first atoms in mu less those in nu) and alpha2 (the second atoms').
 
 
 def _correlated_phase(alpha1, alpha2, omega1: float, omega2: float, gamma: float, t: float):
-    """e^{i(alpha1 w1 + alpha2 w2) t - (alpha1 + alpha2)^2 gamma t}, elementwise."""
+    """The channel entry e^{i(alpha1 w1 + alpha2 w2) t - (alpha1 + alpha2)^2
+    gamma t}, elementwise; it keeps magnitude 1 where alpha1 + alpha2 = 0
+    (the decoherence-free subspace)."""
     alpha = alpha1 + alpha2
     return np.exp(1j * (alpha1 * omega1 + alpha2 * omega2) * t - alpha**2 * gamma * t)
 
 
 def _correlated_derivative(alpha1, alpha2, omega1: float, omega2: float, gamma: float, t: float):
-    """d/dw1 of :func:`_correlated_phase`, i alpha1 t times it.  The dense
-    family and the charge grid of ``correlated_gram_max`` both evaluate this."""
+    """d/dw1 of :func:`_correlated_phase`, i alpha1 t times it: the entries
+    of the derivative map that ``correlated_gram_max`` reads on its charge
+    grid."""
     return 1j * alpha1 * t * _correlated_phase(alpha1, alpha2, omega1, omega2, gamma, t)
-
-
-def correlated_dephasing_diag(
-    n_probes: int, omega1: float, omega2: float, gamma: float, t: float
-) -> Superoperator:
-    """Correlated-dephasing encoding channel on N two-atom probes.
-
-    Diagonal in the computational Liouville basis with elements
-    e^{i(alpha1 w1 + alpha2 w2) t - alpha^2 gamma t}, alpha = alpha1 +
-    alpha2.  Elements with alpha = 0 keep magnitude 1 for every gamma
-    (the decoherence-free subspace).  gamma < 0 or t < 0 raises
-    RangeViolation.
-    """
-    _require_rate(gamma, t, "dephasing rate")
-    diag = _correlated_phase(*_correlated_alphas(n_probes), omega1, omega2, gamma, t)
-    return Superoperator(diag=diag, trace_preserving=True)
-
-
-def correlated_dephasing_family(
-    n_probes: int, omega2: float, gamma: float, t: float
-) -> ChannelFamily:
-    """Family in the frequency difference w_bar = w1 - w2 (w2 held fixed).
-
-    Each diagonal element depends on w_bar only through e^{i alpha1 w_bar t},
-    so the analytic derivative multiplies by i alpha1 t.  The index sums
-    alpha1 and alpha2 are computed once per family, not per evaluation.
-    gamma < 0 or t < 0 raises RangeViolation.
-    """
-    _require_rate(gamma, t, "dephasing rate")
-    alphas = _correlated_alphas(n_probes)
-
-    def evaluate(omega_bar: float) -> Superoperator:
-        diag = _correlated_phase(*alphas, omega_bar + omega2, omega2, gamma, t)
-        return Superoperator(diag=diag, trace_preserving=True)
-
-    def derivative(omega_bar: float) -> Superoperator:
-        return Superoperator(diag=_correlated_derivative(*alphas, omega_bar + omega2, omega2, gamma, t))
-
-    return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
 
 # ---------------------------------------------------------------------------

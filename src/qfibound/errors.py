@@ -91,15 +91,6 @@ class NonTraceless(QfiboundError):
     """A derivative operator must be traceless but is not."""
 
 
-class ZeroOperator(QfiboundError):
-    """A nonzero operator was required."""
-
-
-class NoPhysicalState(QfiboundError):
-    """The top eigenspace of the Gram matrix admits no density-matrix
-    combination; only the eigenspace itself can be reported."""
-
-
 # ---------------------------------------------------------------------------
 # oracle
 

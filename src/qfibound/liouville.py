@@ -38,7 +38,7 @@ from .errors import (
 from .numerics import HERMITICITY_RTOL, TopEigenspace, _hermiticity_defect, _scaled, _within_top
 
 #: Dense Liouville-space matrices are capped at this many rows
-#: (4096 = six qubits); larger systems must use diagonal representations.
+#: (4096 = six qubits).
 MAX_DENSE_ROWS = 4096
 
 #: Default central-difference step for channel derivatives.
@@ -79,40 +79,22 @@ def liouville_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 class Superoperator:
-    """A linear map on vectorized operators.
+    """A linear map on vectorized operators: its dense d^2 x d^2 ``matrix``.
 
-    Either a dense ``matrix`` or, for maps that are diagonal in the
-    |mu><nu| basis, a ``diag`` vector may be supplied; the diagonal
-    representation keeps tensor powers cheap.  ``trace_preserving=True``
-    asserts the map's dual fixes the identity, which is verified at
-    construction time.
+    ``trace_preserving=True`` asserts the map's dual fixes the identity,
+    which is verified at construction time.
     """
 
-    def __init__(
-        self,
-        matrix: np.ndarray | None = None,
-        *,
-        diag: np.ndarray | None = None,
-        trace_preserving: bool = False,
-    ) -> None:
-        if (matrix is None) == (diag is None):
-            raise ValueError("supply exactly one of matrix= or diag=")
-        if matrix is not None:
-            m = np.asarray(matrix, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise NonSquare(f"superoperator matrix must be square, got {m.shape}")
-            rows = m.shape[0]
-        else:
-            m = None
-            diag = np.asarray(diag, dtype=complex).reshape(-1)
-            rows = diag.size
-        d = math.isqrt(rows)
-        if d * d != rows:
+    def __init__(self, matrix: np.ndarray, *, trace_preserving: bool = False) -> None:
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise NonSquare(f"superoperator matrix must be square, got {m.shape}")
+        d = math.isqrt(m.shape[0])
+        if d * d != m.shape[0]:
             raise DimensionMismatch(
-                f"superoperator of size {rows} is not a perfect-square dimension"
+                f"superoperator of size {m.shape[0]} is not a perfect-square dimension"
             )
-        self._matrix = m
-        self._diag = diag if m is None else None
+        self.matrix = m
         self.hilbert_dim = d
         self.trace_preserving = bool(trace_preserving)
         if self.trace_preserving:
@@ -120,42 +102,21 @@ class Superoperator:
 
     def _check_trace_preserving(self, tol: float = 1e-10) -> None:
         d = self.hilbert_dim
-        arr = self._diag if self.is_diagonal else self._matrix
         # the dual below reads only d rows, so a NaN or inf elsewhere would
         # go unseen without this test
-        if not np.isfinite(arr).all():
+        if not np.isfinite(self.matrix).all():
             raise CompletenessViolation("map flagged trace-preserving has non-finite entries")
         ident = np.zeros(d * d)
         ident[:: d + 1] = 1.0
         # the dual on the identity is M^dag vec(I), and vec(I) is 1 at the d
         # positions mu = nu: the conjugate of the sum of those d rows.  The
         # identity is real, so the defect is the same without the conjugate.
-        dual = arr * ident if self.is_diagonal else arr[:: d + 1].sum(axis=0)
+        dual = self.matrix[:: d + 1].sum(axis=0)
         defect = float(np.abs(dual - ident).max())
         if not defect <= tol:  # a NaN defect fails too
             raise CompletenessViolation(
                 f"map flagged trace-preserving but dual moves identity by {defect:.3e}"
             )
-
-    # -- representations ----------------------------------------------------
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self._diag is not None
-
-    @property
-    def diag(self) -> np.ndarray:
-        if self._diag is not None:
-            return self._diag
-        return np.diagonal(self._matrix).copy()
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix
-        return np.diag(self._diag)
-
-    # -- algebra ------------------------------------------------------------
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply the map to a vectorized operator."""
@@ -164,7 +125,7 @@ class Superoperator:
             raise DimensionMismatch(
                 f"vector of length {amps.size} does not match Hilbert dim {self.hilbert_dim}"
             )
-        return self._diag * amps if self._diag is not None else self._matrix @ amps
+        return self.matrix @ amps
 
     def compose(self, other: "Superoperator") -> "Superoperator":
         """The map self . other (other acts first)."""
@@ -172,27 +133,11 @@ class Superoperator:
             raise DimensionMismatch(
                 f"cannot compose maps on dims {self.hilbert_dim} and {other.hilbert_dim}"
             )
-        a, b = _site_arrays(self, other)
         tp = self.trace_preserving and other.trace_preserving
-        return _superop(a * b if a.ndim == 1 else a @ b, tp)
+        return Superoperator(self.matrix @ other.matrix, trace_preserving=tp)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "diagonal" if self.is_diagonal else "dense"
-        return f"Superoperator({kind}, hilbert_dim={self.hilbert_dim})"
-
-
-def _superop(arr: np.ndarray, trace_preserving: bool = False) -> Superoperator:
-    """The map whose diagonal (1-D) or dense matrix (2-D) is ``arr``."""
-    if arr.ndim == 1:
-        return Superoperator(diag=arr, trace_preserving=trace_preserving)
-    return Superoperator(arr, trace_preserving=trace_preserving)
-
-
-def _site_arrays(*ops: Superoperator) -> list[np.ndarray]:
-    """The diagonals when every map is diagonal, else the dense matrices."""
-    if all(op.is_diagonal for op in ops):
-        return [op.diag for op in ops]
-    return [op.matrix for op in ops]
+        return f"Superoperator(hilbert_dim={self.hilbert_dim})"
 
 
 @dataclass(frozen=True)
@@ -287,9 +232,9 @@ def _checked_power(n: int, d: int | None = None) -> int:
 
 
 def _to_global(out: np.ndarray, d: int, n: int, trace_preserving: bool = False) -> Superoperator:
-    """Re-index a site-major Kronecker power (diagonal or dense) to row-major."""
+    """Re-index a site-major Kronecker power to row-major."""
     perm = site_permutation(d, n)
-    return _superop(out[perm] if out.ndim == 1 else out[np.ix_(perm, perm)], trace_preserving)
+    return Superoperator(out[np.ix_(perm, perm)], trace_preserving=trace_preserving)
 
 
 def tensor_power(s: Superoperator, n: int) -> Superoperator:
@@ -302,8 +247,7 @@ def tensor_power(s: Superoperator, n: int) -> Superoperator:
     n = _checked_power(n, s.hilbert_dim)
     if n == 1:
         return s
-    base = s.diag if s.is_diagonal else s.matrix
-    return _to_global(reduce(np.kron, [base] * n), s.hilbert_dim, n, s.trace_preserving)
+    return _to_global(reduce(np.kron, [s.matrix] * n), s.hilbert_dim, n, s.trace_preserving)
 
 
 @dataclass(frozen=True)
@@ -313,7 +257,7 @@ class GramTriple:
     a = Phi^dag Phi, b = Phi'^dag Phi', c = Phi'^dag Phi.  a and b are
     Hermitian PSD by construction; this is validated on creation, for both
     at once: Hermiticity defects up to ``HERMITICITY_RTOL``, and PSD on
-    m / max|m| (one eigvalsh on the stacked pair when they are dense).
+    m / max|m| (one eigvalsh on the stacked pair).
     """
 
     a: Superoperator
@@ -321,23 +265,18 @@ class GramTriple:
     c: Superoperator
 
     def __post_init__(self) -> None:
-        pair = np.array(_site_arrays(self.a, self.b))
+        pair = np.array([self.a.matrix, self.b.matrix])
         peaks = np.abs(pair).reshape(2, -1).max(axis=1)
         # a NaN or inf entry would pass the PSD tests below, or stop eigvalsh
         for name, peak in zip("ab", peaks):
             if not math.isfinite(peak):
                 raise NonHermitian(f"Gram component {name} has non-finite entries")
         # PSD is measured on m / max|m|: a norm of entries below 1e-154 underflows
-        shape = (2,) + (1,) * (pair.ndim - 1)
-        unit = _scaled(pair, np.where(peaks > 0.0, peaks, 1.0).reshape(shape))
-        if pair.ndim == 2:
-            defects = [_hermiticity_defect(m) for m in pair]
-            psd = unit.real.min(axis=1) >= -1e-10
-        else:
-            defects = _hermiticity_defect(pair)
-            norms = np.linalg.norm(unit.reshape(2, -1), axis=1)
-            sym = (unit + unit.conj().transpose(0, 2, 1)) / 2.0
-            psd = np.linalg.eigvalsh(sym)[:, 0] >= -1e-10 * norms
+        unit = _scaled(pair, np.where(peaks > 0.0, peaks, 1.0)[:, None, None])
+        defects = _hermiticity_defect(pair)
+        norms = np.linalg.norm(unit.reshape(2, -1), axis=1)
+        sym = (unit + unit.conj().transpose(0, 2, 1)) / 2.0
+        psd = np.linalg.eigvalsh(sym)[:, 0] >= -1e-10 * norms
         for name, defect, ok_psd in zip("ab", defects, psd):
             if not defect <= HERMITICITY_RTOL:
                 raise NonHermitian(f"Gram component {name} is not Hermitian")
@@ -347,15 +286,12 @@ class GramTriple:
 
 def gram_triple(family: ChannelFamily, x: float) -> GramTriple:
     """Evaluate (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x."""
-    phi, dphi = _site_arrays(family.evaluate(x), family.derivative_at(x))
-    return GramTriple(*map(_superop, _gram_arrays(phi, dphi)))
+    phi, dphi = family.evaluate(x).matrix, family.derivative_at(x).matrix
+    return GramTriple(*map(Superoperator, _gram_arrays(phi, dphi)))
 
 
 def _gram_arrays(phi: np.ndarray, dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays of the Gram triple from the site arrays of Phi and Phi':
-    three products, elementwise when both maps are diagonal."""
-    if phi.ndim == 1:
-        return phi.conj() * phi, dphi.conj() * dphi, dphi.conj() * phi
+    """The matrices of the Gram triple from those of Phi and Phi'."""
     phi_dag, dphi_dag = phi.conj().T, dphi.conj().T
     return phi_dag @ phi, dphi_dag @ dphi, dphi_dag @ phi
 
@@ -372,7 +308,7 @@ def gram_tensor_power(triple: GramTriple, n: int) -> Superoperator:
     n = _checked_power(n, d)
     if n == 1:
         return triple.b
-    a, b, c = _site_arrays(triple.a, triple.b, triple.c)
+    a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
     cd = c.conj().T
     apow = a
     one_site = b  # all placements of a single b factor
@@ -519,7 +455,7 @@ def tensor_power_derivative(
         )
     if n == 1:
         return deriv
-    base, dbase = _site_arrays(value, deriv)
+    base, dbase = value.matrix, deriv.matrix
     cur, dcur = base, dbase
     for _ in range(n - 1):
         dcur = np.kron(dcur, base) + np.kron(cur, dbase)
@@ -583,5 +519,4 @@ def finite_diff_superop(family: ChannelFamily, x: float, h: float) -> Superopera
     """Central-difference derivative (Phi(x+h) - Phi(x-h)) / 2h."""
     if not h > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    plus, minus = _site_arrays(family.evaluate(x + h), family.evaluate(x - h))
-    return _superop((plus - minus) / (2.0 * h))
+    return Superoperator((family.evaluate(x + h).matrix - family.evaluate(x - h).matrix) / (2.0 * h))

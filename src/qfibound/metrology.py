@@ -449,10 +449,11 @@ def correlated_gram_max(
     gamma-independent.  The map is diagonal, so the Gram diagonal is
     |Phi'|^2 elementwise.  An entry depends on its index only through the
     charges (alpha1, alpha2) in [-N, N]^2, and every pair occurs, so the
-    maximum is read off that (2N+1)^2 grid in blocks of rows, from the dense
-    family's own entry formula: it is that 16^N diagonal's maximum, bit for
-    bit.  N <= 2047 (MAX_DENSE_ROWS^2 grid entries), checked before any
-    allocation; gamma < 0 or t < 0 raises RangeViolation.
+    maximum is read off that (2N+1)^2 grid in blocks of rows, from the
+    channel's own entry formula: it is the maximum of the 16^N diagonal, bit
+    for bit, and nothing of that size is built.  N <= 2047 (MAX_DENSE_ROWS^2
+    grid entries), checked before any allocation; gamma < 0 or t < 0 raises
+    RangeViolation.
     """
     n = _whole_number(n_probes, "the number of probes", 1)
     _require_rate(gamma, t, "dephasing rate")

@@ -31,8 +31,8 @@ HERMITICITY_RTOL = 1e-10
 #: considered part of the top eigenspace.
 TOP_EIGENSPACE_RTOL = 1e-8
 
-#: Negative eigenvalues of a nominally PSD matrix are clipped to zero when
-#: they exceed -PSD_CLIP_RTOL * lambda_max; anything lower is an error.
+#: A nominally PSD matrix may have eigenvalues down to -PSD_CLIP_RTOL times
+#: its norm from round-off; anything lower is an error.
 PSD_CLIP_RTOL = 1e-9
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -79,19 +79,16 @@ def _scaled(a: np.ndarray, peak: float | np.ndarray) -> np.ndarray:
 
 def _hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     """max|m - m^dag| / max|m|, the one Hermiticity measure, of a matrix or
-    each of a stack (..., n, n); of a 1-D diagonal, max|imag m| / max|m|.
-    It is 0 for the zero matrix and NaN for a non-finite entry, which a test
-    ``not defect <= tol`` refuses.  A difference and a quotient do not
-    underflow the way a sum of squares does, so m needs no scaled copy."""
+    each of a stack (..., n, n).  It is 0 for the zero matrix and NaN for a
+    non-finite entry, which a test ``not defect <= tol`` refuses.  A
+    difference and a quotient do not underflow the way a sum of squares
+    does, so m needs no scaled copy."""
     a = np.asarray(m)
     with np.errstate(all="ignore"):
-        if a.ndim == 1:  # (a - conj a) / 2 is i imag(a), and NaN at a real inf
-            skew, axes = (a - a.conj()) / 2.0, -1
-        else:
-            skew, axes = a - np.swapaxes(a, -1, -2).conj(), (-2, -1)
-        peak = np.abs(a).max(axis=axes, initial=0.0)
+        skew = a - np.swapaxes(a, -1, -2).conj()
+        peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
         # 5e-324, the least positive float, is at most max|m| unless m is 0
-        return np.abs(skew).max(axis=axes, initial=0.0) / np.maximum(peak, 5e-324)
+        return np.abs(skew).max(axis=(-2, -1), initial=0.0) / np.maximum(peak, 5e-324)
 
 
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,23 +135,6 @@ def largest_eigval_psd(m: np.ndarray) -> TopEigenspace:
     mask = _within_top(eigenvalues, top) & (top > 0.0)
     vectors = eigenvectors[:, mask]
     return TopEigenspace(value=max(top, 0.0), build=lambda: vectors)
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
-
-    Eigenvalues in ``[-1e-9 * lambda_max, 0)`` are clipped to zero;
-    genuinely negative spectra raise :class:`NegativeSpectrum`.
-    """
-    eigenvalues, v = herm_eig(m)
-    top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    floor = -PSD_CLIP_RTOL * max(abs(top), 1e-300)
-    if float(eigenvalues[0]) < floor:
-        raise NegativeSpectrum(
-            f"matrix is not PSD: min eigenvalue {eigenvalues[0]:.3e}"
-        )
-    np.clip(eigenvalues, 0.0, None, out=eigenvalues)
-    return (v * np.sqrt(eigenvalues)) @ v.conj().T
 
 
 def minimize_unimodal(

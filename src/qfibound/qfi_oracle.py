@@ -1,11 +1,11 @@
 """Independent ground truth for the bound machinery.
 
 Exact quantum Fisher information through the symmetric logarithmic
-derivative (SLD), the exact Bures distance, the eigenprojector measurement
-built from the state derivative, and classical Fisher information for
-arbitrary POVMs.  Only input validation is shared with :mod:`.bound`; the
-information quantities themselves come from independent formulas, so
-agreement between the two modules is a real check.
+derivative (SLD), the eigenprojector measurement built from the state
+derivative, and classical Fisher information for arbitrary POVMs.  Only
+input validation is shared with :mod:`.bound`; the information quantities
+themselves come from independent formulas, so agreement between the two
+modules is a real check.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .bound import _check_density, _check_derivative
 from .errors import DimensionMismatch, SingularOutcome, UnsupportedDerivative
-from .numerics import herm_eig, psd_sqrt
+from .numerics import herm_eig
 
 #: Eigenvalue pairs with lambda_i + lambda_j below this cutoff are outside
 #: the support of the SLD equation.
@@ -92,20 +92,6 @@ def pure_state_qfi(psi: np.ndarray, psi_prime: np.ndarray) -> float:
     if a.size != b.size:
         raise DimensionMismatch(f"dimension mismatch: {a.size} vs {b.size}")
     return 4.0 * float(np.vdot(b, b).real - abs(np.vdot(a, b)) ** 2)
-
-
-def bures_distance_exact(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Exact Bures distance squared: 2 (1 - tr sqrt(sqrt(a) b sqrt(a)))."""
-    a = _check_density(rho_a)
-    b = _check_density(rho_b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    root_a = psd_sqrt(a)
-    inner = root_a @ b @ root_a
-    inner = (inner + inner.conj().T) / 2.0
-    fidelity_root = float(np.trace(psd_sqrt(inner)).real)
-    d2 = 2.0 * (1.0 - min(fidelity_root, 1.0))
-    return max(d2, 0.0)
 
 
 def optimal_povm_from_rho_prime(rho_prime: np.ndarray) -> Povm:

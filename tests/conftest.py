@@ -4,9 +4,16 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
+
+from qfibound.bound import STATE_TOL, _check_density
+from qfibound.channels import _correlated_derivative, _correlated_phase, _require_rate
+from qfibound.errors import DimensionMismatch, InvalidState, NegativeSpectrum
+from qfibound.liouville import require_budget
+from qfibound.numerics import PSD_CLIP_RTOL, _hermiticity_defect, _peak, _scaled, herm_eig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,3 +70,113 @@ def golden_check():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+# ---------------------------------------------------------------------------
+# correlated dephasing on N two-atom probes, as the dense 16^N diagonal: the
+# oracle that the charge grid of ``metrology.correlated_gram_max`` is checked
+# against.  Its entries are the package's own ``channels._correlated_phase``.
+
+
+def correlated_alphas(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Charges (alpha1, alpha2) for every |mu><nu| on 2N qubits.
+
+    alpha1 collects mu_i - nu_i over the first atom of each probe (the odd
+    bits, counting from the least significant), alpha2 over the second
+    atoms; each is the count of that atom's set bits in mu less the count in
+    nu.  The 16^N entries are held to the dense budget.
+    """
+    dim = 4**n_probes
+    require_budget(dim * dim, f"diagonal entries of correlated dephasing on {n_probes} probes")
+    first = int("10" * n_probes, 2)
+    counts = (np.bitwise_count(np.arange(dim) & m).astype(np.int64) for m in (first, first >> 1))
+    alpha1, alpha2 = (np.subtract.outer(s, s).reshape(-1) for s in counts)
+    return alpha1, alpha2
+
+
+def correlated_dephasing_diag(
+    n_probes: int, omega1: float, omega2: float, gamma: float, t: float
+) -> np.ndarray:
+    """The diagonal of the correlated-dephasing channel on N two-atom probes:
+    e^{i(alpha1 w1 + alpha2 w2) t - alpha^2 gamma t}, alpha = alpha1 +
+    alpha2.  gamma < 0 or t < 0 raises RangeViolation."""
+    _require_rate(gamma, t, "dephasing rate")
+    return _correlated_phase(*correlated_alphas(n_probes), omega1, omega2, gamma, t)
+
+
+def correlated_dephasing_family(
+    n_probes: int, omega2: float, gamma: float, t: float
+) -> tuple[Callable[[float], np.ndarray], Callable[[float], np.ndarray]]:
+    """(evaluate, derivative): the diagonals of the channel and of its
+    derivative in w_bar = w1 - w2, w2 held fixed.  Each entry depends on
+    w_bar only through e^{i alpha1 w_bar t}, so the derivative multiplies by
+    i alpha1 t.  The charges are computed once per family."""
+    _require_rate(gamma, t, "dephasing rate")
+    alphas = correlated_alphas(n_probes)
+
+    def evaluate(omega_bar: float) -> np.ndarray:
+        return _correlated_phase(*alphas, omega_bar + omega2, omega2, gamma, t)
+
+    def derivative(omega_bar: float) -> np.ndarray:
+        return _correlated_derivative(*alphas, omega_bar + omega2, omega2, gamma, t)
+
+    return evaluate, derivative
+
+
+# ---------------------------------------------------------------------------
+# Bures distances: the finite-difference route to the QFI that the
+# acceptance criterion on the Bures distance checks the bound against
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix.
+
+    Eigenvalues in ``[-1e-9 * lambda_max, 0)`` are clipped to zero;
+    genuinely negative spectra raise :class:`NegativeSpectrum`.
+    """
+    eigenvalues, v = herm_eig(m)
+    top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
+    floor = -PSD_CLIP_RTOL * max(abs(top), 1e-300)
+    if float(eigenvalues[0]) < floor:
+        raise NegativeSpectrum(f"matrix is not PSD: min eigenvalue {eigenvalues[0]:.3e}")
+    np.clip(eigenvalues, 0.0, None, out=eigenvalues)
+    return (v * np.sqrt(eigenvalues)) @ v.conj().T
+
+
+def bures_distance_exact(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+    """Exact Bures distance squared: 2 (1 - tr sqrt(sqrt(a) b sqrt(a)))."""
+    a = _check_density(rho_a)
+    b = _check_density(rho_b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
+    root_a = psd_sqrt(a)
+    inner = root_a @ b @ root_a
+    inner = (inner + inner.conj().T) / 2.0
+    fidelity_root = float(np.trace(psd_sqrt(inner)).real)
+    d2 = 2.0 * (1.0 - min(fidelity_root, 1.0))
+    return max(d2, 0.0)
+
+
+def bures_distance_liouville(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+    """Bures-type distance between normalized Liouville vectors.
+
+    d^2 = 2 (1 - |(rho_a|rho_b)| / sqrt((rho_a|rho_a)(rho_b|rho_b))), the
+    pure-state overlap formula applied to operators as unit vectors.
+    """
+    a = np.asarray(rho_a, dtype=complex)
+    b = np.asarray(rho_b, dtype=complex)
+    for name, m in (("rho_a", a), ("rho_b", b)):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidState(f"{name} must be a square matrix, got {m.shape}")
+        if not m.any():
+            raise InvalidState(f"{name} is the zero operator")
+        if not _hermiticity_defect(m) <= STATE_TOL:
+            raise InvalidState(f"{name} is not Hermitian")
+    if a.shape != b.shape:
+        raise InvalidState(f"shape mismatch: {a.shape} vs {b.shape}")
+    # on m / max|m|, so that no inner product overflows or underflows
+    va, vb = (_scaled(m, _peak(m)).reshape(-1) for m in (a, b))
+    na = float(np.vdot(va, va).real)
+    nb = float(np.vdot(vb, vb).real)
+    overlap = abs(complex(np.vdot(va, vb))) / np.sqrt(na * nb)
+    return 2.0 * (1.0 - min(overlap, 1.0))

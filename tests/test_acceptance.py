@@ -11,13 +11,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import projector_distance
+from conftest import bures_distance_exact, bures_distance_liouville, projector_distance
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
     analytic_max_phase_covariant,
     associated_qfi,
-    bures_distance_liouville,
     ghz_state,
     lower_bound_from_channel,
     lower_bound_from_state,
@@ -52,7 +51,6 @@ from qfibound.metrology import (
     tau_solve,
 )
 from qfibound.qfi_oracle import (
-    bures_distance_exact,
     classical_bound,
     exact_qfi,
     optimal_povm_from_rho_prime,

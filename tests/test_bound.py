@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import projector_distance
+from conftest import bures_distance_liouville, correlated_dephasing_family, projector_distance
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
     STATE_TOL,
     _check_density,
-    _diagonal_top,
     analytic_max_phase_covariant,
     associated_qfi,
-    bures_distance_liouville,
     ghz_lower_bound,
     ghz_state,
     lower_bound_from_channel,
@@ -30,7 +28,6 @@ from qfibound.channels import (
     DEPHASING,
     DEPOLARIZING,
     NoiseParams,
-    correlated_dephasing_family,
     named_noise,
     params_at,
     phase_covariant_family,
@@ -43,7 +40,6 @@ from qfibound.errors import (
     InvalidState,
     NonHermitian,
     NonTraceless,
-    NoPhysicalState,
     RangeViolation,
 )
 from qfibound import liouville
@@ -274,15 +270,14 @@ class TestLowerBoundFromFactor:
             lower_bound_from_factor(v, v_prime[:, :1])
 
 
-def nan_derivative_family(dense):
+def nan_derivative_family():
     """The diagonal rotation family at t = 1 with a NaN in place of the
     |01) entry of its derivative map."""
     def evaluate(x):
-        return Superoperator(diag=[1.0, np.exp(-1j * x), np.exp(1j * x), 1.0], trace_preserving=True)
+        return Superoperator(np.diag([1.0, np.exp(-1j * x), np.exp(1j * x), 1.0]), trace_preserving=True)
 
     def derivative(x):
-        entries = np.array([0.0, np.nan, 1j * np.exp(1j * x), 0.0])
-        return Superoperator(np.diag(entries)) if dense else Superoperator(diag=entries)
+        return Superoperator(np.diag([0.0, np.nan, 1j * np.exp(1j * x), 0.0]))
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
@@ -290,9 +285,8 @@ def nan_derivative_family(dense):
 class TestNonFiniteProducts:
     """A non-finite inner product raises; no path returns a NaN or inf bound."""
 
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
-    def test_vector_path(self, dense):
-        family = product_family(nan_derivative_family(dense), 2)
+    def test_vector_path(self):
+        family = product_family(nan_derivative_family(), 2)
         with pytest.raises(InvalidState, match="non-finite"):
             lower_bound_from_channel(family, 0.1, ghz_state(2))
 
@@ -308,9 +302,8 @@ class TestNonFiniteProducts:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidState, match="non-finite"):
             ghz_lower_bound(rotation_family(1e154), 0.3, 2)
 
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
-    def test_gram_triple_rejects_before_eigvalsh(self, dense):
-        family = nan_derivative_family(dense)
+    def test_gram_triple_rejects_before_eigvalsh(self):
+        family = nan_derivative_family()
         with pytest.raises(NonHermitian, match="non-finite"):
             ghz_lower_bound(family, 0.1, 2)
         with pytest.raises(NonHermitian, match="non-finite"):
@@ -411,11 +404,11 @@ class TestMaxBoundOverStates:
     def test_dephasing_norm_and_state(self):
         params = NoiseParams(eta_perp=0.8)
         family = phase_covariant_family(1.0, params)
-        result = max_bound_over_states(family, 0.0, 3, require_state=True)
+        result = max_bound_over_states(family, 0.0, 3)
         assert_allclose(
             result.norm_bound, analytic_max_phase_covariant(3, 1.0, 0.8), rtol=1e-12
         )
-        assert result.initial_state is not None
+        assert result.ghz_optimal
         assert_allclose(result.initial_state, ghz_state(3))
 
     def test_top_eigenspace_holds_extremal_coherences(self):
@@ -431,7 +424,11 @@ class TestMaxBoundOverStates:
     def test_diagonal_family_outside_the_closed_form(self):
         # correlated dephasing on two probes: a diagonal map on a 16-dim site,
         # maximal on the two decoherence-free coherences with alpha1 = +-2
-        family = correlated_dephasing_family(2, omega2=0.3, gamma=0.5, t=0.7)
+        evaluate, derivative = correlated_dephasing_family(2, omega2=0.3, gamma=0.5, t=0.7)
+        family = ChannelFamily(
+            evaluate=lambda x: Superoperator(np.diag(evaluate(x)), trace_preserving=True),
+            derivative=lambda x: Superoperator(np.diag(derivative(x))),
+        )
         assert covariant_gram_top(gram_triple(family, 0.1), 1) is None
         result = max_bound_over_states(family, 0.1, 1)
         assert_allclose(result.norm_bound, 4 * 0.49, rtol=1e-12)
@@ -444,9 +441,8 @@ class TestMaxBoundOverStates:
         family = phase_covariant_family(t, NoiseParams(k=0.0, eta_par=1.0, eta_perp=0.5))
         result = max_bound_over_states(family, 0.2, 4)
         assert_allclose(ghz_lower_bound(family, 0.2, 4).f_lower, result.norm_bound / 8, rtol=1e-12)
+        assert not result.ghz_optimal
         assert result.initial_state is None
-        with pytest.raises(NoPhysicalState):
-            max_bound_over_states(family, 0.2, 4, require_state=True)
 
     @pytest.mark.parametrize("s", [1e-85, 1e-90])
     def test_norm_is_scale_free(self, s):
@@ -510,7 +506,8 @@ class TestMaxBoundOverStates:
     @pytest.mark.parametrize("t", [1.0, 1e-5])
     def test_ghz_found_at_any_scale(self, t):
         family = phase_covariant_family(t, NoiseParams(eta_perp=0.9))
-        result = max_bound_over_states(family, 0.2, 4, require_state=True)
+        result = max_bound_over_states(family, 0.2, 4)
+        assert result.ghz_optimal
         assert_allclose(result.initial_state, ghz_state(4))
 
     def test_zero_gram_has_no_eigenspace_on_dense_path(self):
@@ -522,19 +519,22 @@ class TestMaxBoundOverStates:
         assert result.norm_bound == 0.0
         assert result.top_eigenspace == []
 
-    def test_no_state_raises_when_required(self):
+    def test_qutrit_family_has_no_state(self):
         # a qutrit family has no GHZ candidate wired up
-        with pytest.raises(NoPhysicalState):
-            max_bound_over_states(qutrit_family(), 0.2, 1, require_state=True)
+        result = max_bound_over_states(qutrit_family(), 0.2, 1)
+        assert result.norm_bound > 0.0
+        assert not result.ghz_optimal
+        assert result.initial_state is None
 
     def test_budget_edge(self):
         # below the crossover (eta_perp > 5/6 at N = 6), so GHZ is optimal
         family = phase_covariant_family(1.0, NoiseParams(eta_perp=0.9))
-        result = max_bound_over_states(family, 0.0, 6, require_state=True)
+        result = max_bound_over_states(family, 0.0, 6)
         assert_allclose(result.norm_bound, analytic_max_phase_covariant(6, 1.0, 0.9), rtol=1e-12)
+        assert result.ghz_optimal
         assert len(result.top_eigenspace) == 2
         # at N = 7 the call answers, and the 4^N objects raise on first read
-        result = max_bound_over_states(family, 0.0, 7, require_state=True)
+        result = max_bound_over_states(family, 0.0, 7)
         assert_allclose(result.norm_bound, analytic_max_phase_covariant(7, 1.0, 0.9), rtol=1e-12)
         assert result.ghz_optimal
         with pytest.raises(DimensionBudgetExceeded):
@@ -557,7 +557,7 @@ class TestMaxBoundOverStates:
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            result = max_bound_over_states(family, 0.3, n, require_state=True)
+            result = max_bound_over_states(family, 0.3, n)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) < 0.25, elapsed
         assert_allclose(result.norm_bound, analytic_max_phase_covariant(n, 1.0, eta), rtol=1e-12)
@@ -842,9 +842,9 @@ class TestLazyEigenspace:
         assert result.top_eigenspace is result.top_eigenspace
         assert result.initial_state is result.initial_state
         assert result.top.vectors is result.top.vectors
-        for dense in (largest_eigval_psd(np.diag([1.0, 3.0])), _diagonal_top(np.array([1.0, 3.0 + 0j]))):
-            assert dense.vectors is dense.vectors
-            assert_allclose(np.abs(dense.vectors), [[0.0], [1.0]])
+        dense = largest_eigval_psd(np.diag([1.0, 3.0]))
+        assert dense.vectors is dense.vectors
+        assert_allclose(np.abs(dense.vectors), [[0.0], [1.0]])
 
 
 class TestGhzCrossover:
@@ -910,7 +910,8 @@ class TestGhzFromTriple:
 
         monkeypatch.setattr(liouville._ProductFamily, "apply_with_derivative", refuse)
         for family in (rotation_family(0.7), model_family(0, 0.8, 3)):
-            result = max_bound_over_states(family, 0.3, 3, require_state=True)
+            result = max_bound_over_states(family, 0.3, 3)
+            assert result.ghz_optimal
             assert_allclose(result.initial_state, ghz_state(3))
 
     @pytest.mark.parametrize("n", [50, 200, 1000])

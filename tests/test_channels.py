@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import conftest
+from conftest import correlated_alphas, correlated_dephasing_diag, correlated_dephasing_family
 from qfibound import channels
 from qfibound.channels import (
     AMPLITUDE_DAMPING,
@@ -17,8 +19,6 @@ from qfibound.channels import (
     EcsSpec,
     NoiseParams,
     ShortTimeModel,
-    correlated_dephasing_diag,
-    correlated_dephasing_family,
     ecs_vector,
     loss_kraus,
     loss_weight_rows,
@@ -104,9 +104,9 @@ class TestPhaseCovariantSuperop:
     def test_reduces_to_rotation_when_noiseless(self, coherence_diagonal):
         params = NoiseParams()
         s = phase_covariant_superop(0.7, 1.0, params, coherence_diagonal=coherence_diagonal)
-        r = Superoperator(diag=[1.0, np.exp(-0.7j), np.exp(0.7j), 1.0])
+        r = Superoperator(np.diag([1.0, np.exp(-0.7j), np.exp(0.7j), 1.0]))
         if coherence_diagonal:
-            assert_allclose(s.matrix, np.diag(r.diag))
+            assert_allclose(s.matrix, r.matrix)
         else:
             # the swap form agrees with the plain rotation on any state
             # whose coherences are real (it conjugates them first)
@@ -234,7 +234,7 @@ class TestParamsAt:
 
 
 def correlated_alphas_by_qubit(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index sums of ``channels._correlated_alphas``, one qubit at a
+    """The index sums of ``conftest.correlated_alphas``, one qubit at a
     time: qubit i of 2N (most significant first) adds mu_i - nu_i to alpha1
     when i is even (a first atom) and to alpha2 when it is odd."""
     n_qubits = 2 * n_probes
@@ -253,9 +253,12 @@ def correlated_alphas_by_qubit(n_probes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestCorrelatedDephasing:
+    """The dense diagonal oracle of ``conftest`` against hand values: the
+    charge grid of ``correlated_gram_max`` is checked against it."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_index_sums_match_the_qubit_loop(self, n):
-        for got, want in zip(channels._correlated_alphas(n), correlated_alphas_by_qubit(n)):
+        for got, want in zip(correlated_alphas(n), correlated_alphas_by_qubit(n)):
             assert got.dtype == want.dtype
             assert_array_equal(got, want)
 
@@ -271,46 +274,41 @@ class TestCorrelatedDephasing:
         # |01><10| has alpha1 = -1, alpha2 = +1, so alpha = 0
         for gamma in (0.0, 1.0, 10.0):
             s = correlated_dephasing_diag(1, 0.4, 0.7, gamma, 1.0)
-            assert_allclose(abs(s.diag[1 * 4 + 2]), 1.0)
+            assert_allclose(abs(s[1 * 4 + 2]), 1.0)
 
     def test_phase_and_damping_factors(self):
         s = correlated_dephasing_diag(1, 0.4, 0.7, 0.2, 1.0)
         # |01><10|: pure phase e^{i(-w1 + w2)t}
-        assert_allclose(s.diag[1 * 4 + 2], np.exp(1j * 0.3))
+        assert_allclose(s[1 * 4 + 2], np.exp(1j * 0.3))
         # |11><00|: alpha1 = alpha2 = 1, alpha = 2
-        assert_allclose(s.diag[3 * 4 + 0], np.exp(1j * 1.1 - 4.0 * 0.2))
+        assert_allclose(s[3 * 4 + 0], np.exp(1j * 1.1 - 4.0 * 0.2))
 
     def test_gamma_zero_is_unitary(self):
         s = correlated_dephasing_diag(2, 0.4, 0.7, 0.0, 1.3)
-        assert_allclose(np.abs(s.diag), np.ones(256))
+        assert_allclose(np.abs(s), np.ones(256))
 
     def test_family_derivative_factor(self):
-        fam = correlated_dephasing_family(1, omega2=0.7, gamma=0.5, t=1.2)
-        base = fam.evaluate(0.4)
-        deriv = fam.derivative_at(0.4)
-        ratio = deriv.diag[np.abs(base.diag) > 1e-15] / base.diag[np.abs(base.diag) > 1e-15]
+        evaluate, derivative = correlated_dephasing_family(1, omega2=0.7, gamma=0.5, t=1.2)
+        base = evaluate(0.4)
+        deriv = derivative(0.4)
+        ratio = deriv[np.abs(base) > 1e-15] / base[np.abs(base) > 1e-15]
         # every element is i alpha1 t with alpha1 in {-1, 0, +1} for one probe
         assert set(np.round(ratio.imag / 1.2).astype(int)) <= {-1, 0, 1}
         assert_allclose(ratio.real, 0.0, atol=1e-14)
 
     def test_family_matches_diag(self):
-        fam = correlated_dephasing_family(2, omega2=0.7, gamma=0.5, t=1.2)
+        evaluate, _ = correlated_dephasing_family(2, omega2=0.7, gamma=0.5, t=1.2)
         for omega_bar in (0.0, 0.4):
-            assert_array_equal(
-                fam.evaluate(omega_bar).diag,
-                correlated_dephasing_diag(2, omega_bar + 0.7, 0.7, 0.5, 1.2).diag,
-            )
+            assert_array_equal(evaluate(omega_bar), correlated_dephasing_diag(2, omega_bar + 0.7, 0.7, 0.5, 1.2))
 
     def test_family_computes_index_sums_once(self, monkeypatch):
         calls = []
-        original = channels._correlated_alphas
-        monkeypatch.setattr(
-            channels, "_correlated_alphas", lambda n: calls.append(n) or original(n)
-        )
-        fam = correlated_dephasing_family(2, omega2=0.7, gamma=0.5, t=1.2)
+        original = conftest.correlated_alphas
+        monkeypatch.setattr(conftest, "correlated_alphas", lambda n: calls.append(n) or original(n))
+        evaluate, derivative = correlated_dephasing_family(2, omega2=0.7, gamma=0.5, t=1.2)
         for omega_bar in (0.0, 0.4):
-            fam.evaluate(omega_bar)
-            fam.derivative_at(omega_bar)
+            evaluate(omega_bar)
+            derivative(omega_bar)
         assert calls == [2]
 
     def test_budget(self):

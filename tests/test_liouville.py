@@ -103,32 +103,22 @@ class TestSuperoperator:
         out = devectorize(s.apply(vectorize(rho)))
         assert_allclose(out, u @ rho @ u.conj().T, atol=1e-14)
 
-    def test_requires_exactly_one_representation(self):
-        with pytest.raises(ValueError):
-            Superoperator(np.eye(4), diag=np.ones(4))
-        with pytest.raises(ValueError):
-            Superoperator()
-
     def test_rejects_non_square_dimension(self):
         with pytest.raises(DimensionMismatch):
-            Superoperator(diag=np.ones(5))
+            Superoperator(np.eye(5))
 
     def test_trace_preserving_check_fires(self):
         with pytest.raises(CompletenessViolation):
-            Superoperator(diag=np.array([0.5, 1.0, 1.0, 1.0]), trace_preserving=True)
+            Superoperator(np.diag([0.5, 1.0, 1.0, 1.0]), trace_preserving=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
-    def test_trace_preserving_check_rejects_non_finite_maps(self, bad, dense):
+    def test_trace_preserving_check_rejects_non_finite_maps(self, bad):
         # a NaN defect compares false against any tolerance; inf times the
         # identity's zero imaginary parts is such a NaN
         entries = np.ones(4, dtype=complex)
         entries[0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(CompletenessViolation):
-            if dense:
-                Superoperator(np.diag(entries), trace_preserving=True)
-            else:
-                Superoperator(diag=entries, trace_preserving=True)
+            Superoperator(np.diag(entries), trace_preserving=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_trace_preserving_check_sees_every_row(self, bad):
@@ -144,16 +134,6 @@ class TestSuperoperator:
         m2 = rng.normal(size=(4, 4))
         composed = Superoperator(m1).compose(Superoperator(m2))
         assert_allclose(composed.matrix, m1 @ m2)
-
-    def test_diag_compose_stays_diagonal(self):
-        s = Superoperator(diag=np.array([1.0, 0.5, 0.5, 1.0]))
-        out = s.compose(s)
-        assert out.is_diagonal
-        assert_allclose(out.diag, [1.0, 0.25, 0.25, 1.0])
-
-    def test_diag_matrix_view(self):
-        s = Superoperator(diag=np.array([1.0, 2.0, 3.0, 4.0]))
-        assert_allclose(s.matrix, np.diag([1.0, 2.0, 3.0, 4.0]))
 
 
 class TestSuperopFromKraus:
@@ -204,15 +184,9 @@ class TestTensorPower:
         uu = np.kron(u, u)
         assert_allclose(out, uu @ np.kron(rho, sigma) @ uu.conj().T, atol=1e-13)
 
-    def test_diagonal_map_stays_diagonal(self):
-        s = Superoperator(diag=np.array([1.0, 0.5, 0.5, 1.0]))
-        s3 = tensor_power(s, 3)
-        assert s3.is_diagonal
-        assert s3.diag.size == 4**3
-
     def test_identity_power(self):
-        s = Superoperator(diag=[1.0, np.exp(-0.7j), np.exp(0.7j), 1.0])
-        assert_allclose(tensor_power(s, 1).diag, s.diag)
+        s = Superoperator(np.diag([1.0, np.exp(-0.7j), np.exp(0.7j), 1.0]))
+        assert_allclose(tensor_power(s, 1).matrix, s.matrix)
 
     def test_derivative_is_product_rule(self):
         # against a central difference of the dense power of a non-diagonal family
@@ -228,46 +202,40 @@ class TestTensorPower:
         with pytest.raises(DimensionBudgetExceeded):
             tensor_power(s, 7)
 
-    def test_diagonal_budget_enforced(self):
-        s = Superoperator(diag=np.array([1.0, 0.5, 0.5, 1.0]))
-        with pytest.raises(DimensionBudgetExceeded):
-            tensor_power(s, 40)
-
 
 class TestGramTriple:
     def test_rotation_building_blocks(self):
         t = 1.3
         triple = gram_triple(rotation_family(t), 0.9)
-        assert_allclose(triple.a.diag, [1.0, 1.0, 1.0, 1.0])
-        assert_allclose(triple.b.diag, [0.0, t * t, t * t, 0.0])
-        assert_allclose(triple.c.diag, [0.0, 1j * t, -1j * t, 0.0])
+        assert_allclose(triple.a.matrix, np.eye(4))
+        assert_allclose(triple.b.matrix, np.diag([0.0, t * t, t * t, 0.0]))
+        assert_allclose(triple.c.matrix, np.diag([0.0, 1j * t, -1j * t, 0.0]))
 
     def test_validation_rejects_negative_diagonal(self):
-        good = Superoperator(diag=np.ones(4))
-        bad = Superoperator(diag=np.array([1.0, -0.5, 1.0, 1.0]))
+        good = Superoperator(np.eye(4))
+        bad = Superoperator(np.diag([1.0, -0.5, 1.0, 1.0]))
         with pytest.raises(NonHermitian):
             GramTriple(a=good, b=bad, c=good)
 
     def test_validation_rejects_complex_diagonal(self):
-        good = Superoperator(diag=np.ones(4))
-        bad = Superoperator(diag=np.array([1.0, 0.5j, 1.0, 1.0]))
+        good = Superoperator(np.eye(4))
+        bad = Superoperator(np.diag([1.0, 0.5j, 1.0, 1.0]))
         with pytest.raises(NonHermitian):
             GramTriple(a=bad, b=good, c=good)
 
     def test_validation_rejects_non_hermitian_dense(self):
-        good = Superoperator(diag=np.ones(4))
+        good = Superoperator(np.eye(4))
         bad = Superoperator(np.eye(4) + np.triu(np.ones((4, 4)), 1))
         with pytest.raises(NonHermitian):
             GramTriple(a=good, b=bad, c=good)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "diagonal"])
     @pytest.mark.parametrize("name", ["a", "b"])
-    def test_validation_rejects_non_finite(self, name, dense, bad):
+    def test_validation_rejects_non_finite(self, name, bad):
         entries = np.ones(4, dtype=complex)
         entries[1] = bad
-        bad_op = Superoperator(np.diag(entries)) if dense else Superoperator(diag=entries)
-        good = Superoperator(diag=np.ones(4))
+        bad_op = Superoperator(np.diag(entries))
+        good = Superoperator(np.eye(4))
         parts = {"a": good, "b": good, "c": good, name: bad_op}
         with pytest.raises(NonHermitian, match="non-finite"):
             GramTriple(**parts)
@@ -295,8 +263,7 @@ class TestGramTensorPower:
         t = 0.6
         triple = gram_triple(rotation_family(t), 0.0)
         g = gram_tensor_power(triple, 3)
-        top = np.max(np.abs(g.diag.real)) if g.is_diagonal else np.max(np.linalg.eigvalsh(g.matrix))
-        assert_allclose(top, 9.0 * t * t, rtol=1e-12)
+        assert_allclose(np.max(np.linalg.eigvalsh(g.matrix)), 9.0 * t * t, rtol=1e-12)
 
 
 def _amplitude_damping():
@@ -377,7 +344,7 @@ class TestFamilies:
 
     def test_family_fd_fallback(self):
         family = ChannelFamily(
-            evaluate=lambda x: Superoperator(diag=[1.0, np.exp(-1j * x), np.exp(1j * x), 1.0]),
+            evaluate=lambda x: Superoperator(np.diag([1.0, np.exp(-1j * x), np.exp(1j * x), 1.0])),
             derivative=None,
             fd_step=1e-6,
         )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import correlated_dephasing_family
 from qfibound import metrology
 from qfibound.bound import lower_bound_from_state
 from qfibound.channels import (
@@ -16,7 +17,6 @@ from qfibound.channels import (
     EcsSpec,
     ShortTimeModel,
     _correlated_derivative,
-    correlated_dephasing_family,
     ecs_vector,
     loss_kraus,
 )
@@ -198,10 +198,10 @@ def loss_phase_family(n_photons, eta):
     delta = (levels[:, None] - levels[None, :]).reshape(-1)  # k - m at |k><m|
 
     def evaluate(phi):
-        return loss.compose(Superoperator(diag=np.exp(-1j * phi * delta), trace_preserving=True))
+        return loss.compose(Superoperator(np.diag(np.exp(-1j * phi * delta)), trace_preserving=True))
 
     def derivative(phi):
-        return loss.compose(Superoperator(diag=-1j * delta * np.exp(-1j * phi * delta)))
+        return loss.compose(Superoperator(np.diag(-1j * delta * np.exp(-1j * phi * delta))))
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
@@ -534,7 +534,8 @@ class TestCorrelatedGramMax:
     @pytest.mark.parametrize("t", [0.7, 1e-3])
     @pytest.mark.parametrize("omega2", [0.0, 0.3])
     def test_grid_is_the_dense_diagonal_maximum(self, n, gamma, t, omega2):
-        dense = correlated_dephasing_family(n, omega2, gamma, t).derivative_at(0.0).diag
+        _, derivative = correlated_dephasing_family(n, omega2, gamma, t)
+        dense = derivative(0.0)
         assert correlated_gram_max(n, gamma, t, omega2=omega2) == np.max(np.abs(dense) ** 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -543,7 +544,8 @@ class TestCorrelatedGramMax:
         gamma, t, omega2 = 0.3, 0.7, 0.3
         charges = np.arange(-n, n + 1)
         grid = _correlated_derivative(charges[:, None], charges, omega2, omega2, gamma, t)
-        dense = correlated_dephasing_family(n, omega2, gamma, t).derivative_at(0.0).diag
+        _, derivative = correlated_dephasing_family(n, omega2, gamma, t)
+        dense = derivative(0.0)
         assert set(np.abs(grid.ravel()) ** 2) == set(np.abs(dense) ** 2)
 
     def test_thousand_probes_in_linear_memory(self):

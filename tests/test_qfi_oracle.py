@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import bures_distance_exact
 from qfibound.bound import lower_bound_from_state
 from qfibound.errors import SingularOutcome, UnsupportedDerivative
 from qfibound.qfi_oracle import (
     Povm,
-    bures_distance_exact,
     classical_bound,
     classical_fisher,
     exact_qfi,

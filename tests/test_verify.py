@@ -64,5 +64,5 @@ class TestCorruption:
         bad = corrupt_family(family, factor=1.5)
         good_d = family.derivative_at(0.3)
         bad_d = bad.derivative_at(0.3)
-        assert_allclose(bad_d.diag, 1.5 * good_d.diag)
-        assert_allclose(bad.evaluate(0.3).diag, family.evaluate(0.3).diag)
+        assert_allclose(bad_d.matrix, 1.5 * good_d.matrix)
+        assert_allclose(bad.evaluate(0.3).matrix, family.evaluate(0.3).matrix)
