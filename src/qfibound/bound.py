@@ -159,7 +159,9 @@ def _bound_from_vectors(rho_vec: np.ndarray, prime_vec: np.ndarray) -> BoundResu
 
 def _bound_from_products(term_grad: float, overlap: complex, purity: float) -> BoundResult:
     """The bound from (rho'|rho'), (rho|rho') and (rho|rho); InvalidState
-    when any of the three is non-finite or the purity is not positive."""
+    when any of the three is non-finite or the purity is not positive.  A
+    negative bound within 1e-12 (rho'|rho') of zero is round-off and reads 0,
+    so scaling the three products scales the result."""
     if not (math.isfinite(term_grad) and math.isfinite(abs(overlap)) and math.isfinite(purity)):
         raise InvalidState(
             f"non-finite inner products: (rho'|rho') = {term_grad}, "
@@ -169,7 +171,7 @@ def _bound_from_products(term_grad: float, overlap: complex, purity: float) -> B
         raise InvalidState("state has vanishing Hilbert-Schmidt norm")
     term_proj = abs(overlap) ** 2 / purity
     f_lower = term_grad - term_proj
-    if f_lower < 0.0 and f_lower >= -1e-12 * max(term_grad, 1.0):
+    if f_lower < 0.0 and f_lower >= -1e-12 * term_grad:
         f_lower = 0.0
     return BoundResult(
         f_lower=f_lower, term_grad=term_grad, term_proj=term_proj, purity=purity
@@ -183,48 +185,6 @@ def lower_bound_from_state(rho: np.ndarray, rho_prime: np.ndarray) -> BoundResul
     if m.shape != mp.shape:
         raise InvalidState(f"shape mismatch: {m.shape} vs {mp.shape}")
     return _bound_from_vectors(m.reshape(-1), mp.reshape(-1))
-
-
-def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
-    """The bound for rho = V V^dag and rho' = V' V^dag + V V'^dag, never forming rho.
-
-    V and V' are dim x k.  With the k x k matrices A = V^dag V, B = V^dag V'
-    and C = V'^dag V', the inner products are (rho|rho) = ||A||_F^2,
-    (rho|rho') = 2 Re tr(AB) and (rho'|rho') = 2 Re tr(B^2) + 2 tr(AC), with
-    tr(AC) = (V'|V' A) so that C is never formed.  rho and rho' are
-    Hermitian and rho is PSD by construction, so of the checks of
-    :func:`lower_bound_from_state` the finite entries and the two traces
-    remain: tr rho = ||V||_F^2 and tr rho' = 2 Re tr B, the latter with
-    max|rho'| <= 2 ||V||_F ||V'||_F and max|rho| <= tr rho.  Finiteness is read
-    off the squared norms ||V||_F^2 and ||V'||_F^2, which a NaN or infinite
-    entry (or an overflowing sum) makes non-finite, so no pass over the
-    entries is spent on it.  Besides V and V', the call holds at most three
-    k x k matrices and one dim x k copy.
-    """
-    f = np.asarray(v, dtype=complex)
-    fp = np.asarray(v_prime, dtype=complex)
-    if f.ndim != 2 or f.shape != fp.shape:
-        raise InvalidState(f"factors must be matrices of one shape, got {f.shape} and {fp.shape}")
-    trace = float(np.vdot(f, f).real)
-    prime_sq = float(np.vdot(fp, fp).real)
-    for name, norm_sq in (("state", trace), ("derivative", prime_sq)):
-        if not math.isfinite(norm_sq):
-            raise InvalidState(f"{name} factor has non-finite entries or norm")
-    if abs(trace - 1.0) > STATE_TOL:
-        raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
-    f_dag = f.conj().T
-    a = f_dag @ f
-    b = f_dag @ fp
-    del f_dag
-    prime_trace = 2.0 * float(np.trace(b).real)
-    if abs(prime_trace) > _derivative_tol(2.0 * math.sqrt(trace * prime_sq), trace, len(f)):
-        raise NonTraceless(f"derivative trace {prime_trace:.3e} is not 0")
-    # tr(XY) = vdot(X, Y) for Hermitian X; tr(B^2) = sum_ij B_ij B_ji
-    return _bound_from_products(
-        term_grad=2.0 * float(np.sum(b * b.T).real + np.vdot(fp, fp @ a).real),
-        overlap=2.0 * float(np.vdot(a, b).real),
-        purity=float(np.vdot(a, a).real),
-    )
 
 
 def channel_output(family: ChannelFamily, x: float, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

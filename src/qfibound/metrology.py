@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import analytic_max_phase_covariant, lower_bound_from_factor
+from .bound import STATE_TOL, _bound_from_products, analytic_max_phase_covariant
 from .channels import (
     EXPONENTIAL_FORM,
     EcsSpec,
@@ -30,6 +30,7 @@ from .channels import (
 )
 from .errors import (
     IndexOutOfRange,
+    InvalidState,
     MaxRowMismatch,
     NoInteriorMinimum,
     NoRoot,
@@ -49,10 +50,10 @@ TAU_ETA_FLOOR = 0.01
 STATIONARITY_RTOL = 1e-6
 
 #: Copies of the ECS factor V that ecs_lower_bound_numeric holds at its peak,
-#: charged to its budget.  The peak falls in lower_bound_from_factor, while V,
-#: V', V^dag, A and B coexist: tracemalloc puts it at 5.60, 5.45, 5.42 and
-#: 5.41 V for n_max 100, 200, 300 and 400.
-ECS_FACTOR_COPIES = 6
+#: charged to its budget.  The peak falls in the product rho = V V^dag, while
+#: V, its conjugate and rho coexist: tracemalloc puts it at 3.40, 3.39, 3.39
+#: and 3.39 V for n_max 100, 200, 300 and 400.
+ECS_FACTOR_COPIES = 4
 
 
 @dataclass(frozen=True)
@@ -377,24 +378,28 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
 
     Phase encoding acts on arm a; photon loss with the same transmissivity
     acts on each arm independently (the symmetric-loss interferometer the
-    closed form describes).  rho = V V^dag is never formed.  K_l is a shifted
-    diagonal, so Kraus pair (l, r) maps the branch amplitudes E to
-    sqrt(W[i+l, l] W[k+r, r]) E[i+l, k+r] at output levels (i, k), with W =
-    loss_weights.  The suffix-OR mask reach[i, k] = any(E nonzero on
-    [i:, k:]) names both the surviving pairs and the rows where V can be
+    closed form describes).  K_l is a shifted diagonal, so Kraus pair (l, r)
+    maps the branch amplitudes E to sqrt(W[i+l, l] W[k+r, r]) E[i+l, k+r] at
+    output levels (i, k), with W = loss_weights.  The suffix-OR mask
+    reach[i, k] = any(E nonzero on [i:, k:]) names both the surviving pairs
+    and the rows where the Kraus-branch factor V of rho = V V^dag can be
     nonzero, so V is gathered as reachable rows x kept pairs ((2 n_max + 1)^2
-    entries for the ECS) for :func:`lower_bound_from_factor`, with one flat
-    index per entry.  V' = -i n_a V scales each gathered entry by its level
-    n_a = i + l before the loss.
+    entries for the ECS), with one flat index per entry, and rho is formed
+    on the reachable levels by one product.
 
-    The bound does not depend on ``phi``: loss commutes with e^{-i phi n_a}
-    up to a phase per Kraus operator, so the encoded state is a unitary
-    rotation of the phi = 0 one, and the bound is unitarily invariant.  The
-    phase is never applied, and any phi returns the phi = 0 value exactly.
-    DimensionBudgetExceeded is raised before the (n_max+1)^2 amplitudes when
-    they exceed MAX_DENSE_ROWS^2 entries (n_max <= 4095 passes), and before
-    the gather when ECS_FACTOR_COPIES copies of V would (n_max <= 835 passes
-    on the ECS support).
+    Loss commutes with e^{-i phi n_a} up to a phase per Kraus operator, so
+    the encoded state is U rho U^dag with U = e^{-i phi n_a}, and rho' =
+    -i [n_a, rho] exactly, on any two-mode support.  With n the a-mode level
+    of each row, the inner products are (rho|rho) = sum |rho_jk|^2,
+    (rho|rho') = -i sum (n_j - n_k) |rho_jk|^2 and (rho'|rho') = sum (n_j -
+    n_k)^2 |rho_jk|^2; all three are unitarily invariant, so the bound does
+    not depend on ``phi``, the phase is never applied, and any phi returns
+    the phi = 0 value exactly.  rho is Hermitian and PSD, and rho' Hermitian
+    and traceless, by construction; a non-finite entry and a trace off 1 are
+    read off tr rho = ||V||_F^2.  DimensionBudgetExceeded is raised before
+    the (n_max+1)^2 amplitudes when they exceed MAX_DENSE_ROWS^2 entries
+    (n_max <= 4095 passes), and before the gather when ECS_FACTOR_COPIES
+    copies of V would (n_max <= 1023 passes on the ECS support).
     """
     if not 0.0 <= eta <= 1.0:
         raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
@@ -420,19 +425,27 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     weight = amplitudes[source_a, kept_a]
     weight *= amplitudes[source_b, kept_b]
     weight *= inside
-    # V' = -i n_a V, read at the level n_a = i + l before source_a becomes
-    # the flat index, since d/dphi e^{-i phi n_a} = -i n_a e^{-i phi n_a}
-    v_prime = -1j * source_a
     # one flat index into E for the levels (i + l, k + r)
     source_a *= dim
     source_a += source_b
     v = branch.take(source_a)
-    v_prime *= v
-    v_prime *= weight
     v *= weight
-    # only V and V' stay alive into lower_bound_from_factor, which holds the peak
     del source_a, source_b, inside, weight
-    return lower_bound_from_factor(v, v_prime).f_lower
+    # tr rho = ||V||_F^2, which a NaN or infinite entry makes fail the test too
+    trace = float(np.vdot(v, v).real)
+    if not abs(trace - 1.0) <= STATE_TOL:
+        raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
+    rho = v @ v.conj().T
+    del v
+    abs_sq = rho.real**2
+    abs_sq += rho.imag**2
+    del rho
+    purity = float(abs_sq.sum())
+    gap = kept_a[:, None] - kept_a.astype(float)  # n_j - n_k
+    abs_sq *= gap
+    overlap = complex(0.0, -float(abs_sq.sum()))
+    abs_sq *= gap
+    return _bound_from_products(float(abs_sq.sum()), overlap, purity).f_lower
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from qfibound.bound import STATE_TOL, _check_density
+from qfibound.bound import STATE_TOL, BoundResult, _bound_from_products, _check_density, _derivative_tol
 from qfibound.channels import _correlated_derivative, _correlated_phase, _require_rate
-from qfibound.errors import DimensionMismatch, InvalidState, NegativeSpectrum
+from qfibound.errors import DimensionMismatch, InvalidState, NegativeSpectrum, NonTraceless
 from qfibound.liouville import require_budget
 from qfibound.numerics import PSD_CLIP_RTOL, _hermiticity_defect, _peak, _scaled, herm_eig
 
@@ -180,3 +180,51 @@ def bures_distance_liouville(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     nb = float(np.vdot(vb, vb).real)
     overlap = abs(complex(np.vdot(va, vb))) / np.sqrt(na * nb)
     return 2.0 * (1.0 - min(overlap, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the bound from a Kraus-branch factor V of rho = V V^dag and its derivative
+# V': the oracle that the ECS bound, read off rho and the phase commutator
+# rho' = -i [n_a, rho], is checked against at sizes the dense Kraus assembly
+# cannot reach
+
+
+def lower_bound_from_factor(v: np.ndarray, v_prime: np.ndarray) -> BoundResult:
+    """The bound for rho = V V^dag and rho' = V' V^dag + V V'^dag, never forming rho.
+
+    V and V' are dim x k.  With the k x k matrices A = V^dag V, B = V^dag V'
+    and C = V'^dag V', the inner products are (rho|rho) = ||A||_F^2,
+    (rho|rho') = 2 Re tr(AB) and (rho'|rho') = 2 Re tr(B^2) + 2 tr(AC), with
+    tr(AC) = (V'|V' A) so that C is never formed.  rho and rho' are
+    Hermitian and rho is PSD by construction, so of the checks of
+    :func:`lower_bound_from_state` the finite entries and the two traces
+    remain: tr rho = ||V||_F^2 and tr rho' = 2 Re tr B, the latter with
+    max|rho'| <= 2 ||V||_F ||V'||_F and max|rho| <= tr rho.  Finiteness is read
+    off the squared norms ||V||_F^2 and ||V'||_F^2, which a NaN or infinite
+    entry (or an overflowing sum) makes non-finite, so no pass over the
+    entries is spent on it.
+    """
+    f = np.asarray(v, dtype=complex)
+    fp = np.asarray(v_prime, dtype=complex)
+    if f.ndim != 2 or f.shape != fp.shape:
+        raise InvalidState(f"factors must be matrices of one shape, got {f.shape} and {fp.shape}")
+    trace = float(np.vdot(f, f).real)
+    prime_sq = float(np.vdot(fp, fp).real)
+    for name, norm_sq in (("state", trace), ("derivative", prime_sq)):
+        if not math.isfinite(norm_sq):
+            raise InvalidState(f"{name} factor has non-finite entries or norm")
+    if abs(trace - 1.0) > STATE_TOL:
+        raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
+    f_dag = f.conj().T
+    a = f_dag @ f
+    b = f_dag @ fp
+    del f_dag
+    prime_trace = 2.0 * float(np.trace(b).real)
+    if abs(prime_trace) > _derivative_tol(2.0 * math.sqrt(trace * prime_sq), trace, len(f)):
+        raise NonTraceless(f"derivative trace {prime_trace:.3e} is not 0")
+    # tr(XY) = vdot(X, Y) for Hermitian X; tr(B^2) = sum_ij B_ij B_ji
+    return _bound_from_products(
+        term_grad=2.0 * float(np.sum(b * b.T).real + np.vdot(fp, fp @ a).real),
+        overlap=2.0 * float(np.vdot(a, b).real),
+        purity=float(np.vdot(a, a).real),
+    )

@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import bures_distance_liouville, correlated_dephasing_family, projector_distance
+from conftest import bures_distance_liouville, correlated_dephasing_family, lower_bound_from_factor, projector_distance
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
     STATE_TOL,
+    _bound_from_products,
     _check_density,
     analytic_max_phase_covariant,
     associated_qfi,
     ghz_lower_bound,
     ghz_state,
     lower_bound_from_channel,
-    lower_bound_from_factor,
     lower_bound_from_state,
     max_bound_over_states,
 )
@@ -227,6 +227,26 @@ class TestDerivativeCheck:
         # its trace is its whole scale: the floor is the state's round-off, not 1
         with pytest.raises(InvalidState):
             lower_bound_from_state(np.diag([0.5, 0.5]), 1e-12 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestRoundOffClip:
+    """A negative bound within 1e-12 (rho'|rho') of zero is round-off and
+    reads 0; the rule looks at the three products alone, so scaling them
+    scales the result."""
+
+    @pytest.mark.parametrize("exponent", [0, -66, 66])
+    @pytest.mark.parametrize("excess", [1e-6, 1e-14])
+    def test_scales_with_the_products(self, excess, exponent):
+        # (rho|rho') = sqrt(1 + excess), so term_proj = (1 + excess) term_grad;
+        # a power-of-two scale leaves every rounding as it is
+        base = _bound_from_products(1.0, math.sqrt(1.0 + excess), 1.0).f_lower
+        scale = math.ldexp(1.0, exponent)
+        got = _bound_from_products(scale, scale * math.sqrt(1.0 + excess), scale).f_lower
+        assert got == scale * base
+        if excess > 1e-12:
+            assert_allclose(base, -excess, rtol=1e-9)
+        else:
+            assert base == 0.0
 
 
 class TestLowerBoundFromFactor:

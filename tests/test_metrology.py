@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import correlated_dephasing_family
+from conftest import correlated_dephasing_family, lower_bound_from_factor
 from qfibound import metrology
 from qfibound.bound import lower_bound_from_state
 from qfibound.channels import (
@@ -23,6 +23,7 @@ from qfibound.channels import (
 from qfibound.errors import (
     DimensionBudgetExceeded,
     IndexOutOfRange,
+    InvalidState,
     MaxRowMismatch,
     NoInteriorMinimum,
     NoRoot,
@@ -388,6 +389,30 @@ class TestEcsPractical:
         assert_allclose((f_c, f_h), (0.5, 0.5))
 
 
+def ecs_factor(spec, eta):
+    """The Kraus-branch factor V of the lossy ECS, one column per Kraus pair
+    (l, r) that leaves a branch and one row per output level (i, k) that one
+    reaches, with V' = -i n_a V at the level n_a = i + l before the loss.
+    K_l has its entries on the l-th superdiagonal, so pair (l, r) maps E to
+    diag(K_l) diag(K_r)^T E[l:, r:] on the levels from (0, 0)."""
+    dim = spec.n_max + 1
+    branch = ecs_vector(spec).reshape(dim, dim)
+    shifts = [np.diagonal(k, offset=l) for l, k in enumerate(loss_kraus(spec.n_max, eta))]
+    levels = np.arange(dim)
+    columns, prime_columns = [], []
+    for l in range(dim):
+        for r in range(dim):
+            if not branch[l:, r:].any():
+                continue
+            out = np.zeros((dim, dim), dtype=complex)
+            out[: dim - l, : dim - r] = shifts[l][:, None] * shifts[r] * branch[l:, r:]
+            columns.append(out.reshape(-1))
+            prime_columns.append((-1j * (levels + l)[:, None] * out).reshape(-1))
+    v, v_prime = np.stack(columns, axis=1), np.stack(prime_columns, axis=1)
+    rows = np.flatnonzero(v.any(axis=1))
+    return v[rows], v_prime[rows]
+
+
 def ecs_numeric_dense(spec, eta, phi=0.0, psi=None):
     """Reference ECS bound: assembles the dense (n_max+1)^2 state rho = V V^dag
     and its derivative rho' = V' V^dag + V V'^dag, then bounds them directly.
@@ -443,6 +468,27 @@ class TestEcsNumeric:
             want = ecs_numeric_dense(spec, eta, phi, psi=psi)
             assert_allclose(ecs_lower_bound_numeric(spec, eta, phi), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("eta", [0.3, 0.9])
+    @pytest.mark.parametrize("alpha_sq", [1.0, 9.0, 25.0])
+    def test_matches_factor_form(self, alpha_sq, eta):
+        # rho' = -i [n_a, rho] against rho' = V' V^dag + V V'^dag, at
+        # truncations the dense Kraus assembly cannot reach
+        spec = EcsSpec.for_alpha(math.sqrt(alpha_sq))
+        want = lower_bound_from_factor(*ecs_factor(spec, eta)).f_lower
+        assert_allclose(ecs_lower_bound_numeric(spec, eta, 0.4), want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "corrupt", [lambda psi: psi * np.sqrt(1.0 + 1e-6), lambda psi: np.where(np.arange(psi.size) == 3, np.nan, psi)],
+        ids=["trace-off-by-1e-6", "non-finite-amplitude"],
+    )
+    def test_refuses_what_the_trace_refuses(self, monkeypatch, corrupt):
+        # the two checks rho = V V^dag does not make true by construction
+        spec = EcsSpec.for_alpha(1.0)
+        psi = corrupt(ecs_vector(spec))
+        monkeypatch.setattr(metrology, "ecs_vector", lambda _: psi)
+        with pytest.raises(InvalidState):
+            ecs_lower_bound_numeric(spec, 0.9)
+
     def test_amplitude_budget_edge(self, monkeypatch):
         # the (n_max+1)^2 amplitudes and weights: 4096^2 entries at n_max =
         # 4095, 4097^2 at 4096, against a budget of 4096^2
@@ -454,23 +500,24 @@ class TestEcsNumeric:
 
     def test_factor_budget_edge(self, monkeypatch):
         # on the ECS support V is (2 n_max + 1)^2, charged ECS_FACTOR_COPIES
-        # = 6 times: 6 * 1671^2 = 16 753 446 entries at n_max = 835 and
-        # 6 * 1673^2 = 16 793 574 at 836, against a budget of 4096^2 =
+        # = 4 times: 4 * 2047^2 = 16 760 836 entries at n_max = 1023 and
+        # 4 * 2049^2 = 16 793 604 at 1024, against a budget of 4096^2 =
         # 16 777 216
-        assert metrology.ECS_FACTOR_COPIES == 6
+        assert metrology.ECS_FACTOR_COPIES == 4
         small = EcsSpec.for_alpha(2.0)
         assert_array_equal(_ecs_support(small) != 0, ecs_vector(small) != 0)
         monkeypatch.setattr(metrology, "ecs_vector", _ecs_support)
         monkeypatch.setattr(metrology, "loss_weights", _unreached)
         with pytest.raises(_Unreached):
-            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=835), 0.9)
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=1023), 0.9)
         with pytest.raises(DimensionBudgetExceeded):
-            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=836), 0.9)
+            ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=1024), 0.9)
 
     @pytest.mark.parametrize("n_max", [200, 300])
     def test_peak_memory_within_charged_copies(self, n_max):
         # the guard charges ECS_FACTOR_COPIES copies of V; the traced peak,
-        # everything the call allocates, must stay within that charge
+        # everything the call allocates, must stay within that charge and
+        # above one copy less, so that the charge cannot drift loose
         spec = EcsSpec(alpha=3.0, n_max=n_max)
         factor_bytes = (2 * n_max + 1) ** 2 * np.dtype(complex).itemsize
         tracemalloc.start()
@@ -479,7 +526,8 @@ class TestEcsNumeric:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= metrology.ECS_FACTOR_COPIES * factor_bytes
+        copies = metrology.ECS_FACTOR_COPIES
+        assert (copies - 1) * factor_bytes < peak <= copies * factor_bytes
 
     @pytest.mark.parametrize("alpha_sq", [16.0, 25.0])
     def test_matches_closed_form_at_large_alpha(self, alpha_sq):
