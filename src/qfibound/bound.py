@@ -30,8 +30,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidState, NonTraceless
 from .liouville import (
     ChannelFamily,
-    GramTriple,
-    Superoperator,
     _checked_power,
     _gram_arrays,
     covariant_gram_top,
@@ -237,7 +235,7 @@ def ghz_lower_bound(family: ChannelFamily, x: float, n: int) -> BoundResult:
     return _ghz_bound(gram_triple(family, x), _checked_power(n))
 
 
-def _ghz_bound(triple: GramTriple, n: int) -> BoundResult:
+def _ghz_bound(triple: np.ndarray, n: int) -> BoundResult:
     """The GHZ bound of an N-fold qubit product channel from its Gram triple.
 
     GHZ = 1/2 sum_k X_k^xN over the four basis operators X_k = |mu><nu|, so
@@ -252,15 +250,14 @@ def _ghz_bound(triple: GramTriple, n: int) -> BoundResult:
     back by max|g|^N, so g^N does not underflow at large N.  The g^(N-2)
     term is absent at N = 1.
     """
-    if triple.a.hilbert_dim != 2:
+    if triple.shape[-1] != 4:
         raise DimensionMismatch(
-            f"a GHZ state needs a qubit family, got Hilbert dim {triple.a.hilbert_dim}"
+            f"a GHZ state needs a qubit family, got Hilbert dim {math.isqrt(triple.shape[-1])}"
         )
-    blocks = np.array([triple.a.matrix, triple.b.matrix, triple.c.matrix])
-    scale = float(np.abs(blocks[0]).max())
+    scale = _peak(triple[0])
     if scale == 0.0:
         raise InvalidState("state has vanishing Hilbert-Schmidt norm")
-    g, e, c = _scaled(blocks, scale)
+    g, e, c = _scaled(triple, scale)
     h = c.conj().T
     lead = g ** (n - 1)
     term_grad = n * (lead * e).sum()
@@ -312,12 +309,12 @@ def max_bound_over_states(family: ChannelFamily, x: float, n: int) -> OptimalSta
     n = _checked_power(n)
     phi, dphi = family.evaluate(x).matrix, family.derivative_at(x).matrix
     m = math.frexp(_peak(dphi))[1] - 1
-    triple = GramTriple(*map(Superoperator, _gram_arrays(phi, _scaled(dphi, math.ldexp(1.0, m)))))
+    triple = _gram_arrays(phi, _scaled(dphi, math.ldexp(1.0, m)))
     top = covariant_gram_top(triple, n)
     if top is None:
         top = largest_eigval_psd(gram_tensor_power(triple, n).matrix)
     ghz_optimal = False
-    if top.value > 0.0 and triple.a.hilbert_dim == 2:
+    if top.value > 0.0 and triple.shape[-1] == 4:
         target = top.value / 2.0
         ghz_optimal = abs(_ghz_bound(triple, n).f_lower - target) <= ACHIEVES_RTOL * target
     top = TopEigenspace(value=math.ldexp(top.value, 2 * m), build=top.build)

@@ -378,7 +378,7 @@ def _run_sweep(opts: dict) -> tuple[dict, list[str], list[list]]:
     config = PrecisionConfig(
         total_time_T=opts["T"], N_range=tuple(opts["N_list"]), model=model
     )
-    scaling = precision_scaling(config, driver="numeric")
+    scaling = precision_scaling(config)
     rows = []
     for n, t_numeric, min_cost in scaling.per_N:
         rows.append(

@@ -35,7 +35,7 @@ from .errors import (
     NonHermitian,
     NonSquare,
 )
-from .numerics import HERMITICITY_RTOL, TopEigenspace, _hermiticity_defect, _scaled, _within_top
+from .numerics import TopEigenspace, _within_top
 
 #: Dense Liouville-space matrices are capped at this many rows
 #: (4096 = six qubits).
@@ -173,8 +173,9 @@ def superop_from_kraus(
 ) -> Superoperator:
     """Build Phi-tilde = sum_l kron(K_l, conj(K_l)) from Kraus operators.
 
-    When ``trace_preserving`` the completeness relation
-    sum_l K_l^dag K_l = I is checked to 1e-9.
+    When ``trace_preserving`` the map's trace-preserving check runs: its
+    dual on the identity is conj(sum_l K_l^dag K_l), so that is the
+    completeness relation, to 1e-10.
     """
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
@@ -184,13 +185,6 @@ def superop_from_kraus(
         raise NonSquare(f"Kraus operators must be square, got {shape}")
     if any(op.shape != shape for op in ops):
         raise DimensionMismatch("Kraus operators must all share one shape")
-    if trace_preserving:
-        gram = sum(op.conj().T @ op for op in ops)
-        defect = float(np.max(np.abs(gram - np.eye(shape[0]))))
-        if defect > 1e-9:
-            raise CompletenessViolation(
-                f"sum K^dag K deviates from identity by {defect:.3e}"
-            )
     mat = sum(np.kron(op, op.conj()) for op in ops)
     return Superoperator(mat, trace_preserving=trace_preserving)
 
@@ -250,65 +244,39 @@ def tensor_power(s: Superoperator, n: int) -> Superoperator:
     return _to_global(reduce(np.kron, [s.matrix] * n), s.hilbert_dim, n, s.trace_preserving)
 
 
-@dataclass(frozen=True)
-class GramTriple:
-    """Single-site building blocks of the product-channel Gram matrix.
-
-    a = Phi^dag Phi, b = Phi'^dag Phi', c = Phi'^dag Phi.  a and b are
-    Hermitian PSD by construction; this is validated on creation, for both
-    at once: Hermiticity defects up to ``HERMITICITY_RTOL``, and PSD on
-    m / max|m| (one eigvalsh on the stacked pair).
-    """
-
-    a: Superoperator
-    b: Superoperator
-    c: Superoperator
-
-    def __post_init__(self) -> None:
-        pair = np.array([self.a.matrix, self.b.matrix])
-        peaks = np.abs(pair).reshape(2, -1).max(axis=1)
-        # a NaN or inf entry would pass the PSD tests below, or stop eigvalsh
-        for name, peak in zip("ab", peaks):
-            if not math.isfinite(peak):
-                raise NonHermitian(f"Gram component {name} has non-finite entries")
-        # PSD is measured on m / max|m|: a norm of entries below 1e-154 underflows
-        unit = _scaled(pair, np.where(peaks > 0.0, peaks, 1.0)[:, None, None])
-        defects = _hermiticity_defect(pair)
-        norms = np.linalg.norm(unit.reshape(2, -1), axis=1)
-        sym = (unit + unit.conj().transpose(0, 2, 1)) / 2.0
-        psd = np.linalg.eigvalsh(sym)[:, 0] >= -1e-10 * norms
-        for name, defect, ok_psd in zip("ab", defects, psd):
-            if not defect <= HERMITICITY_RTOL:
-                raise NonHermitian(f"Gram component {name} is not Hermitian")
-            if not ok_psd:
-                raise NonHermitian(f"Gram component {name} is not PSD")
+def gram_triple(family: ChannelFamily, x: float) -> np.ndarray:
+    """The Gram triple (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x."""
+    return _gram_arrays(family.evaluate(x).matrix, family.derivative_at(x).matrix)
 
 
-def gram_triple(family: ChannelFamily, x: float) -> GramTriple:
-    """Evaluate (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x."""
-    phi, dphi = family.evaluate(x).matrix, family.derivative_at(x).matrix
-    return GramTriple(*map(Superoperator, _gram_arrays(phi, dphi)))
-
-
-def _gram_arrays(phi: np.ndarray, dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The matrices of the Gram triple from those of Phi and Phi'."""
+def _gram_arrays(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """The Gram triple a, b, c of the matrices of Phi and Phi', stacked as
+    one (3, d^2, d^2) array.  a and b are products X^dag X, so they are
+    Hermitian PSD up to round-off by construction; the one refusal is
+    NonHermitian for a non-finite entry, from a NaN or inf map or from a
+    product that overflows."""
     phi_dag, dphi_dag = phi.conj().T, dphi.conj().T
-    return phi_dag @ phi, dphi_dag @ dphi, dphi_dag @ phi
+    triple = np.array([phi_dag @ phi, dphi_dag @ dphi, dphi_dag @ phi])
+    if not np.isfinite(triple).all():
+        raise NonHermitian("Gram triple has non-finite entries")
+    return triple
 
 
-def gram_tensor_power(triple: GramTriple, n: int) -> Superoperator:
-    """Gram matrix of the N-fold product channel from single-site blocks.
+def gram_tensor_power(triple: np.ndarray, n: int) -> Superoperator:
+    """Gram matrix of the N-fold product channel from the single-site Gram
+    triple a, b, c of :func:`gram_triple`.
 
     Expanding (Phi^xN)'^dag (Phi^xN)' by the product rule gives N terms
     with one b factor plus N(N-1) cross terms with a c and a c^dag factor;
     both sums are accumulated in one left-to-right recursion.  Output is in
     the global row-major basis.
     """
-    d = triple.a.hilbert_dim
+    a, b, c = triple
+    site = Superoperator(b)
+    d = site.hilbert_dim
     n = _checked_power(n, d)
     if n == 1:
-        return triple.b
-    a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
+        return site
     cd = c.conj().T
     apow = a
     one_site = b  # all placements of a single b factor
@@ -344,7 +312,7 @@ def _population_top(a: np.ndarray) -> float:
     return float((a[0, 0].real + a[3, 3].real) / 2.0 + math.hypot(half_gap, abs(a[0, 3])))
 
 
-def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
+def covariant_gram_top(triple: np.ndarray, n: int) -> TopEigenspace | None:
     """Top eigenpair of ``gram_tensor_power(triple, n)`` in closed form, or
     None when the triple is not that of a phase-covariant qubit channel.
 
@@ -377,10 +345,10 @@ def covariant_gram_top(triple: GramTriple, n: int) -> TopEigenspace | None:
     the 4^N-row budget is checked and DimensionBudgetExceeded is raised.
     """
     n = _checked_power(n)
-    if triple.a.hilbert_dim != 2:
+    if triple.shape[-1] != 4:
         return None
-    a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
-    mags = np.abs(np.array([a, b, c]))
+    a, b, c = triple
+    mags = np.abs(triple)
     scale_a, scale_b, _ = mags.max(axis=(1, 2)).tolist()
     off_a, off_b, off_c = np.where(_OFF_PATTERN, mags, 0.0).max(axis=(1, 2)).tolist()
     if (

@@ -215,26 +215,14 @@ def t_opt_numeric(model: ShortTimeModel, n_probes: int) -> float:
     return t_star
 
 
-def precision_scaling(
-    config: PrecisionConfig, *, driver: str = "numeric"
-) -> ScalingResult:
-    """Sweep probe counts, optimize the interrogation time, fit the cost slope.
-
-    ``driver`` selects which optimal time feeds the cost: "numeric" uses
-    :func:`t_opt_numeric`, "paper" the closed form :func:`t_opt_paper`.
-    Both produce the same scaling exponent; the costs differ by an
-    N-independent factor.
-    """
-    if driver not in ("numeric", "paper"):
-        raise ValueError(f"driver must be 'numeric' or 'paper', got {driver!r}")
+def precision_scaling(config: PrecisionConfig) -> ScalingResult:
+    """Sweep probe counts, optimize the interrogation time with
+    :func:`t_opt_numeric`, fit the cost slope."""
     model = config.model
     total_time = config.total_time_T
     per_n: list[tuple[int, float, float]] = []
     for n in config.N_range:
-        if driver == "numeric":
-            t = t_opt_numeric(model, n)
-        else:
-            t = t_opt_paper(model.alpha_perp, model.beta_perp, n)
+        t = t_opt_numeric(model, n)
         f_max = 0.5 * analytic_max_phase_covariant(n, t, model.eta_perp_at(t))
         per_n.append((n, t, t / (total_time * f_max)))
     slope: float | None = None

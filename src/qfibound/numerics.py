@@ -24,7 +24,8 @@ from .errors import (
 )
 
 #: Largest Hermiticity defect (:func:`_hermiticity_defect`) of a matrix
-#: that an eigensolver or a Gram triple accepts.
+#: that an eigensolver accepts.  The a and b of a Gram triple, products
+#: X^dag X, meet it by construction and are not checked.
 HERMITICITY_RTOL = 1e-10
 
 #: Eigenvalues within this relative distance of the largest one are

@@ -45,7 +45,6 @@ from qfibound.errors import (
 from qfibound import liouville
 from qfibound.liouville import (
     ChannelFamily,
-    GramTriple,
     Superoperator,
     _population_top,
     covariant_gram_top,
@@ -746,11 +745,11 @@ class TestCovariantGramOracle:
         # beyond round-off it routes the triple to the dense path
         triple = gram_triple(covariant_map_family(0), 0.0)
         for size, covariant in ((1e-14, True), (1e-9, False)):
-            parts = {key: getattr(triple, key).matrix.copy() for key in "abc"}
-            parts[name][i, j] += size * np.max(np.abs(parts[name]))
+            changed = triple.copy()
+            part = changed["abc".index(name)]
+            part[i, j] += size * np.max(np.abs(part))
             if name != "c":
-                parts[name][j, i] = parts[name][i, j].conjugate()
-            changed = GramTriple(**{key: Superoperator(m) for key, m in parts.items()})
+                part[j, i] = part[i, j].conjugate()
             assert (covariant_gram_top(changed, 2) is not None) == covariant
 
     def test_other_triples_fail_the_detection(self, rng):
@@ -760,10 +759,10 @@ class TestCovariantGramOracle:
         assert covariant_gram_top(gram_triple(qutrit_family(), 0.2), 1) is None
 
 
-def five_term_norm(triple: GramTriple, n: int) -> float:
+def five_term_norm(triple: np.ndarray, n: int) -> float:
     """||G|| of a covariant triple from the five terms of g, each evaluated
     on the full (N+1) x (N+1) grid, and lambda_A from eigh."""
-    a, b, c = triple.a.matrix, triple.b.matrix, triple.c.matrix
+    a, b, c = triple
     ap, am, bp, bm, cp, cm = a[1, 1].real, a[2, 2].real, b[1, 1].real, b[2, 2].real, c[1, 1], c[2, 2]
     k = np.arange(n + 1)
     pp, pm = np.append(ap**k, [0.0, 0.0]), np.append(am**k, [0.0, 0.0])
@@ -795,12 +794,12 @@ class TestSeparableNorm:
 
     @pytest.mark.parametrize("family", [c[1] for c in POPULATION_CASES], ids=[c[0] for c in POPULATION_CASES])
     def test_population_top_matches_eigh(self, family):
-        a = gram_triple(family, 0.3).a.matrix
+        a = gram_triple(family, 0.3)[0]
         want = np.linalg.eigvalsh(a[np.ix_([0, 3], [0, 3])])[-1]
         assert_allclose(_population_top(a), want, rtol=1e-14, atol=0.0)
 
     def test_population_cases_cover_each_block_shape(self):
-        blocks = {name: gram_triple(family, 0.3).a.matrix[np.ix_([0, 3], [0, 3])]
+        blocks = {name: gram_triple(family, 0.3)[0][np.ix_([0, 3], [0, 3])]
                   for name, family in POPULATION_CASES}
         assert abs(blocks["amplitude-damping"][0, 1]) > 0.1
         assert blocks["dephasing"][0, 1] == 0.0

@@ -20,8 +20,8 @@ from qfibound.errors import (
 from qfibound.liouville import (
     MAX_DENSE_ROWS,
     ChannelFamily,
-    GramTriple,
     Superoperator,
+    _gram_arrays,
     devectorize,
     finite_diff_superop,
     gram_tensor_power,
@@ -34,6 +34,7 @@ from qfibound.liouville import (
     tensor_power_derivative,
     vectorize,
 )
+from qfibound.numerics import HERMITICITY_RTOL, _hermiticity_defect, _scaled
 from qfibound.sampling import random_cptp_params, random_unitary_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -156,6 +157,17 @@ class TestSuperopFromKraus:
         with pytest.raises(CompletenessViolation):
             superop_from_kraus([0.9 * np.eye(2)], trace_preserving=True)
 
+    @pytest.mark.parametrize("defect,refused", [(2e-10, True), (5e-11, False)])
+    def test_completeness_tolerance_is_the_trace_preserving_one(self, defect, refused):
+        # sum K^dag K = (1 + defect) I: the trace-preserving check's 1e-10
+        # is the one tolerance, with no looser pre-check
+        kraus = [np.sqrt(1.0 + defect) * np.eye(2)]
+        if refused:
+            with pytest.raises(CompletenessViolation, match="dual moves identity"):
+                superop_from_kraus(kraus)
+        else:
+            assert superop_from_kraus(kraus).trace_preserving
+
 
 class TestSitePermutation:
     def test_is_a_permutation(self):
@@ -207,38 +219,43 @@ class TestGramTriple:
     def test_rotation_building_blocks(self):
         t = 1.3
         triple = gram_triple(rotation_family(t), 0.9)
-        assert_allclose(triple.a.matrix, np.eye(4))
-        assert_allclose(triple.b.matrix, np.diag([0.0, t * t, t * t, 0.0]))
-        assert_allclose(triple.c.matrix, np.diag([0.0, 1j * t, -1j * t, 0.0]))
+        assert isinstance(triple, np.ndarray) and triple.shape == (3, 4, 4)
+        a, b, c = triple
+        assert_allclose(a, np.eye(4))
+        assert_allclose(b, np.diag([0.0, t * t, t * t, 0.0]))
+        assert_allclose(c, np.diag([0.0, 1j * t, -1j * t, 0.0]))
 
-    def test_validation_rejects_negative_diagonal(self):
-        good = Superoperator(np.eye(4))
-        bad = Superoperator(np.diag([1.0, -0.5, 1.0, 1.0]))
-        with pytest.raises(NonHermitian):
-            GramTriple(a=good, b=bad, c=good)
-
-    def test_validation_rejects_complex_diagonal(self):
-        good = Superoperator(np.eye(4))
-        bad = Superoperator(np.diag([1.0, 0.5j, 1.0, 1.0]))
-        with pytest.raises(NonHermitian):
-            GramTriple(a=bad, b=good, c=good)
-
-    def test_validation_rejects_non_hermitian_dense(self):
-        good = Superoperator(np.eye(4))
-        bad = Superoperator(np.eye(4) + np.triu(np.ones((4, 4)), 1))
-        with pytest.raises(NonHermitian):
-            GramTriple(a=good, b=bad, c=good)
+    @pytest.mark.parametrize("k", [-500, 0, 500])
+    def test_a_and_b_are_hermitian_psd_by_construction(self, rng, k):
+        # random finite maps, some rank-deficient, at scales 2^k: the
+        # products X^dag X need no runtime check
+        for rank in (1, 2, 4, 9):
+            phi, dphi = (
+                2.0**k * (rng.normal(size=(9, rank)) + 1j * rng.normal(size=(9, rank)))
+                @ (rng.normal(size=(rank, 9)) + 1j * rng.normal(size=(rank, 9)))
+                for _ in range(2)
+            )
+            pair = _gram_arrays(phi, dphi)[:2]
+            assert np.all(_hermiticity_defect(pair) <= HERMITICITY_RTOL)
+            unit = _scaled(pair, np.abs(pair).max(axis=(1, 2))[:, None, None])
+            lowest = np.linalg.eigvalsh((unit + unit.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+            assert np.all(lowest >= -1e-10 * np.linalg.norm(unit, axis=(1, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["a", "b"])
     def test_validation_rejects_non_finite(self, name, bad):
-        entries = np.ones(4, dtype=complex)
-        entries[1] = bad
-        bad_op = Superoperator(np.diag(entries))
-        good = Superoperator(np.eye(4))
-        parts = {"a": good, "b": good, "c": good, name: bad_op}
-        with pytest.raises(NonHermitian, match="non-finite"):
-            GramTriple(**parts)
+        # a non-finite entry in Phi (name a) or in Phi' (name b)
+        maps = {"a": np.eye(4, dtype=complex), "b": np.eye(4, dtype=complex)}
+        maps[name][1, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NonHermitian, match="non-finite"):
+            _gram_arrays(maps["a"], maps["b"])
+
+    def test_validation_rejects_overflowing_product(self):
+        # every entry of Phi' is finite, but b = Phi'^dag Phi' overflows
+        dphi = np.diag([0.0, 1e155, 1.0, 0.0]).astype(complex)
+        assert np.isfinite(dphi).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonHermitian, match="non-finite"):
+            _gram_arrays(np.eye(4, dtype=complex), dphi)
 
 
 class TestGramTensorPower:

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import correlated_dephasing_family, lower_bound_from_factor
 from qfibound import metrology
-from qfibound.bound import lower_bound_from_state
+from qfibound.bound import analytic_max_phase_covariant, lower_bound_from_state
 from qfibound.channels import (
     EXPONENTIAL_FORM,
     TRUNCATED_FORM,
@@ -31,6 +31,7 @@ from qfibound.errors import (
     TruncationInsufficient,
 )
 from qfibound.liouville import ChannelFamily, Superoperator, gram_triple, superop_from_kraus
+from qfibound.numerics import loglog_slope
 from qfibound.metrology import (
     EcsBreakdown,
     PrecisionConfig,
@@ -169,16 +170,15 @@ class TestPrecisionScaling:
         assert precision_scaling(config).slope is None
 
     def test_paper_driver_same_slope(self):
+        # the cost 1 / (T F_max / t) at the closed-form t_opt_paper has the
+        # slope of precision_scaling's numeric optimum
         model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0, form=EXPONENTIAL_FORM)
-        config = PrecisionConfig(total_time_T=1.0, N_range=(8, 16, 32), model=model)
-        result = precision_scaling(config, driver="paper")
-        assert_allclose(result.slope, -1.0, rtol=1e-10)
-
-    def test_rejects_unknown_driver(self):
-        model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0, form=EXPONENTIAL_FORM)
-        config = PrecisionConfig(total_time_T=1.0, N_range=(8, 16), model=model)
-        with pytest.raises(ValueError):
-            precision_scaling(config, driver="closed")
+        costs = []
+        for n in (8, 16, 32):
+            t = t_opt_paper(model.alpha_perp, model.beta_perp, n)
+            f_max = 0.5 * analytic_max_phase_covariant(n, t, model.eta_perp_at(t))
+            costs.append((n, t / f_max))
+        assert_allclose(loglog_slope(costs), -1.0, rtol=1e-10)
 
     def test_config_validation(self):
         model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
@@ -211,7 +211,7 @@ class TestInterferometerGram:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.77, 1.0])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_gram_of_the_loss_phase_channel(self, n, eta):
-        gram = gram_triple(loss_phase_family(n, eta), 0.9).b.matrix
+        gram = gram_triple(loss_phase_family(n, eta), 0.9)[1]
         # row k (N + 1) + m of the Gram matrix is the coherence |k><m|
         diag = np.diag(gram).reshape(n + 1, n + 1)
         assert_allclose(diag.imag, 0.0, atol=1e-14)

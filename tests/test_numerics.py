@@ -17,7 +17,6 @@ from qfibound.errors import (
     NonSquare,
     NoSignChange,
 )
-from qfibound.liouville import GramTriple, Superoperator
 from qfibound.numerics import (
     _hermiticity_defect,
     _scaled,
@@ -109,12 +108,6 @@ def _skewed(m):
 # so the state carries the scale too.
 SCALE_FREE_CHECKS = {
     "herm_eig": (lambda m, s: herm_eig(m), NonHermitian, _PSD, _skewed(_PSD)),
-    "GramTriple": (
-        lambda m, s: GramTriple(a=Superoperator(m), b=Superoperator(m), c=Superoperator(m)),
-        NonHermitian,
-        _PSD,
-        _skewed(_PSD),
-    ),
     "_check_derivative": (
         lambda m, s: _check_derivative(m, s * np.diag([0.5, 0.5])),
         InvalidState,
