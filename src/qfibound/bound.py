@@ -32,6 +32,7 @@ from .liouville import (
     ChannelFamily,
     _checked_power,
     _gram_arrays,
+    _site_maps,
     covariant_gram_top,
     gram_tensor_power,
     gram_triple,
@@ -307,12 +308,12 @@ def max_bound_over_states(family: ChannelFamily, x: float, n: int) -> OptimalSta
     scaled back.
     """
     n = _checked_power(n)
-    phi, dphi = family.evaluate(x).matrix, family.derivative_at(x).matrix
+    phi, dphi, _ = _site_maps(family, x)
     m = math.frexp(_peak(dphi))[1] - 1
     triple = _gram_arrays(phi, _scaled(dphi, math.ldexp(1.0, m)))
     top = covariant_gram_top(triple, n)
     if top is None:
-        top = largest_eigval_psd(gram_tensor_power(triple, n).matrix)
+        top = largest_eigval_psd(gram_tensor_power(triple, n))
     ghz_optimal = False
     if top.value > 0.0 and triple.shape[-1] == 4:
         target = top.value / 2.0

@@ -5,7 +5,7 @@ rotation, whose noiseless case is the rotation about z), short-time noise
 models, the entries of correlated dephasing on paired probes (as functions
 of their charges, for ``correlated_gram_max``), photon loss as its binomial
 loss weights (with their Kraus operators), and entangled-coherent-state
-preparation.  Every channel is a dense :class:`.liouville.Superoperator`.
+preparation.  Every channel is a plain d^2 x d^2 complex array.
 
 All qubit superoperators use the row-major |mu><nu| Liouville convention of
 :mod:`.liouville`; the phase-covariant channel is the 4x4 matrix
@@ -36,7 +36,7 @@ from .errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from .liouville import _CHARGE, ChannelFamily, Superoperator, _whole_number
+from .liouville import _CHARGE, ChannelFamily, _check_trace_preserving, _whole_number
 
 #: Slack for complete-positivity checks; amplitude damping sits exactly on
 #: the boundary 1 + eta_par = sqrt(k^2 + 4 eta_perp^2).
@@ -130,8 +130,9 @@ def phase_covariant_superop(
     params: NoiseParams,
     *,
     coherence_diagonal: bool = False,
-) -> Superoperator:
-    """Noisy encoding channel: rotation followed by phase-covariant noise.
+) -> np.ndarray:
+    """Noisy encoding channel, rotation followed by phase-covariant noise:
+    its 4 x 4 matrix, checked to preserve the trace.
 
     The default form carries the coherence factors eta_perp e^{-+i phi} on
     the |10)->|01| and |01)->|10| entries (so the noise part swaps the two
@@ -139,7 +140,7 @@ def phase_covariant_superop(
     the diagonal instead.  Populations and all Gram/bound quantities are
     identical between the two forms.
     """
-    return Superoperator(_qubit_map(omega, t, params, coherence_diagonal), trace_preserving=True)
+    return _check_trace_preserving(_qubit_map(omega, t, params, coherence_diagonal))
 
 
 def phase_covariant_derivative(
@@ -148,12 +149,12 @@ def phase_covariant_derivative(
     params: NoiseParams,
     *,
     coherence_diagonal: bool = False,
-) -> Superoperator:
+) -> np.ndarray:
     """d/d omega of :func:`phase_covariant_superop`, read off the map as
     -i t Q Phi with Q = diag(0, 1, -1, 0) the charge nu - mu of the output
     |mu><nu|: the noise commutes with the rotation, so omega enters only as
     the output phase e^{-i Q (omega t + theta)}."""
-    return Superoperator(-1j * t * _CHARGE[:, None] * _qubit_map(omega, t, params, coherence_diagonal))
+    return -1j * t * _CHARGE[:, None] * _qubit_map(omega, t, params, coherence_diagonal)
 
 
 def phase_covariant_family(

@@ -41,9 +41,6 @@ from .numerics import TopEigenspace, _within_top
 #: (4096 = six qubits).
 MAX_DENSE_ROWS = 4096
 
-#: Default central-difference step for channel derivatives.
-DEFAULT_FD_STEP = 1e-6
-
 
 def vectorize(a: np.ndarray) -> np.ndarray:
     """Flatten a square operator into its Liouville vector, a row-major copy."""
@@ -78,105 +75,77 @@ def liouville_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
 
 
-class Superoperator:
-    """A linear map on vectorized operators: its dense d^2 x d^2 ``matrix``.
+def _check_trace_preserving(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """``m``, a d^2 x d^2 map, once it is finite and its dual fixes the
+    identity to ``tol``; else CompletenessViolation."""
+    # the dual below reads only d rows, so a NaN or inf elsewhere would go
+    # unseen without this test
+    if not np.isfinite(m).all():
+        raise CompletenessViolation("map flagged trace-preserving has non-finite entries")
+    # the dual on the identity is M^dag vec(I), and vec(I) is 1 at the d
+    # positions mu = nu: the conjugate of the sum of those d rows.  The
+    # identity is real, so the defect is the same without the conjugate.
+    d = math.isqrt(m.shape[0])
+    dual = m[:: d + 1].sum(axis=0)
+    dual[:: d + 1] -= 1.0
+    defect = float(np.abs(dual).max())
+    if not defect <= tol:  # a NaN defect fails too
+        raise CompletenessViolation(
+            f"map flagged trace-preserving but dual moves identity by {defect:.3e}"
+        )
+    return m
 
-    ``trace_preserving=True`` asserts the map's dual fixes the identity,
-    which is verified at construction time.
-    """
 
-    def __init__(self, matrix: np.ndarray, *, trace_preserving: bool = False) -> None:
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquare(f"superoperator matrix must be square, got {m.shape}")
-        d = math.isqrt(m.shape[0])
-        if d * d != m.shape[0]:
-            raise DimensionMismatch(
-                f"superoperator of size {m.shape[0]} is not a perfect-square dimension"
-            )
-        self.matrix = m
-        self.hilbert_dim = d
-        self.trace_preserving = bool(trace_preserving)
-        if self.trace_preserving:
-            self._check_trace_preserving()
+def _checked_superop(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``m`` as a complex d^2 x d^2 matrix and its Hilbert dim d: NonSquare
+    for a non-square ``m``, DimensionMismatch when its side is not a square."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSquare(f"superoperator matrix must be square, got {m.shape}")
+    d = math.isqrt(m.shape[0])
+    if d * d != m.shape[0]:
+        raise DimensionMismatch(f"superoperator of size {m.shape[0]} is not a perfect-square dimension")
+    return m, d
 
-    def _check_trace_preserving(self, tol: float = 1e-10) -> None:
-        d = self.hilbert_dim
-        # the dual below reads only d rows, so a NaN or inf elsewhere would
-        # go unseen without this test
-        if not np.isfinite(self.matrix).all():
-            raise CompletenessViolation("map flagged trace-preserving has non-finite entries")
-        ident = np.zeros(d * d)
-        ident[:: d + 1] = 1.0
-        # the dual on the identity is M^dag vec(I), and vec(I) is 1 at the d
-        # positions mu = nu: the conjugate of the sum of those d rows.  The
-        # identity is real, so the defect is the same without the conjugate.
-        dual = self.matrix[:: d + 1].sum(axis=0)
-        defect = float(np.abs(dual - ident).max())
-        if not defect <= tol:  # a NaN defect fails too
-            raise CompletenessViolation(
-                f"map flagged trace-preserving but dual moves identity by {defect:.3e}"
-            )
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply the map to a vectorized operator."""
-        amps = _amplitudes(v)
-        if amps.size != (self.hilbert_dim**2):
-            raise DimensionMismatch(
-                f"vector of length {amps.size} does not match Hilbert dim {self.hilbert_dim}"
-            )
-        return self.matrix @ amps
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """The map self . other (other acts first)."""
-        if self.hilbert_dim != other.hilbert_dim:
-            raise DimensionMismatch(
-                f"cannot compose maps on dims {self.hilbert_dim} and {other.hilbert_dim}"
-            )
-        tp = self.trace_preserving and other.trace_preserving
-        return Superoperator(self.matrix @ other.matrix, trace_preserving=tp)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Superoperator(hilbert_dim={self.hilbert_dim})"
+def _checked_pair(phi: np.ndarray, dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Complex (Phi, Phi', d) once Phi passes :func:`_checked_superop` and Phi' has its shape."""
+    phi, d = _checked_superop(phi)
+    dphi = np.asarray(dphi, dtype=complex)
+    if dphi.shape != phi.shape:
+        raise DimensionMismatch(f"derivative of shape {dphi.shape} does not match the map's {phi.shape}")
+    return phi, dphi, d
 
 
 @dataclass(frozen=True)
 class ChannelFamily:
-    """A differentiable one-parameter family of channels x -> Phi(x).
+    """A differentiable one-parameter family of channels x -> Phi(x):
+    ``evaluate`` and ``derivative`` return the d^2 x d^2 matrices of Phi(x)
+    and Phi'(x) in the row-major Liouville basis."""
 
-    ``derivative`` is an analytic closure when available; otherwise the
-    derivative falls back to a central finite difference with step
-    ``fd_step``.
-    """
-
-    evaluate: Callable[[float], Superoperator]
-    derivative: Callable[[float], Superoperator] | None = None
-    fd_step: float = DEFAULT_FD_STEP
-
-    def derivative_at(self, x: float) -> Superoperator:
-        if self.derivative is not None:
-            return self.derivative(x)
-        return finite_diff_superop(self, x, self.fd_step)
+    evaluate: Callable[[float], np.ndarray]
+    derivative: Callable[[float], np.ndarray]
 
     def apply_with_derivative(
         self, x: float, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The amplitude pair (Phi(x) v, Phi'(x) v)."""
+        phi, dphi, d = _site_maps(self, x)
         amps = _amplitudes(v)
-        return self.evaluate(x).apply(amps), self.derivative_at(x).apply(amps)
+        if amps.size != d * d:
+            raise DimensionMismatch(f"vector of length {amps.size} does not match Hilbert dim {d}")
+        return phi @ amps, dphi @ amps
 
 
-def superop_from_kraus(
-    kraus: list[np.ndarray] | tuple[np.ndarray, ...],
-    *,
-    trace_preserving: bool = True,
-) -> Superoperator:
-    """Build Phi-tilde = sum_l kron(K_l, conj(K_l)) from Kraus operators.
+def _site_maps(family: ChannelFamily, x: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The one read of a family: :func:`_checked_pair` of Phi(x) and Phi'(x)."""
+    return _checked_pair(family.evaluate(x), family.derivative(x))
 
-    When ``trace_preserving`` the map's trace-preserving check runs: its
-    dual on the identity is conj(sum_l K_l^dag K_l), so that is the
-    completeness relation, to 1e-10.
-    """
+
+def superop_from_kraus(kraus: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
+    """The d^2 x d^2 matrix sum_l kron(K_l, conj(K_l)) of a Kraus set, once
+    it passes :func:`_check_trace_preserving`: its dual on the identity is
+    conj(sum_l K_l^dag K_l), so that is the completeness relation, to 1e-10."""
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise CompletenessViolation("empty Kraus list")
@@ -185,8 +154,7 @@ def superop_from_kraus(
         raise NonSquare(f"Kraus operators must be square, got {shape}")
     if any(op.shape != shape for op in ops):
         raise DimensionMismatch("Kraus operators must all share one shape")
-    mat = sum(np.kron(op, op.conj()) for op in ops)
-    return Superoperator(mat, trace_preserving=trace_preserving)
+    return _check_trace_preserving(sum(np.kron(op, op.conj()) for op in ops))
 
 
 def site_permutation(d: int, n: int) -> np.ndarray:
@@ -225,28 +193,30 @@ def _checked_power(n: int, d: int | None = None) -> int:
     return n
 
 
-def _to_global(out: np.ndarray, d: int, n: int, trace_preserving: bool = False) -> Superoperator:
+def _to_global(out: np.ndarray, d: int, n: int) -> np.ndarray:
     """Re-index a site-major Kronecker power to row-major."""
     perm = site_permutation(d, n)
-    return Superoperator(out[np.ix_(perm, perm)], trace_preserving=trace_preserving)
+    return out[np.ix_(perm, perm)]
 
 
-def tensor_power(s: Superoperator, n: int) -> Superoperator:
-    """N-fold Kronecker power of a channel, in the global row-major basis.
+def tensor_power(s: np.ndarray, n: int) -> np.ndarray:
+    """N-fold Kronecker power of a channel's matrix, in the global row-major basis.
 
     The naive Kronecker power interleaves per-site (mu_i, nu_i) pairs; the
     result here is re-indexed so that it acts on vectorize() of composite
     operators directly.
     """
-    n = _checked_power(n, s.hilbert_dim)
+    s, d = _checked_superop(s)
+    n = _checked_power(n, d)
     if n == 1:
         return s
-    return _to_global(reduce(np.kron, [s.matrix] * n), s.hilbert_dim, n, s.trace_preserving)
+    return _to_global(reduce(np.kron, [s] * n), d, n)
 
 
 def gram_triple(family: ChannelFamily, x: float) -> np.ndarray:
     """The Gram triple (Phi^dag Phi, Phi'^dag Phi', Phi'^dag Phi) at x."""
-    return _gram_arrays(family.evaluate(x).matrix, family.derivative_at(x).matrix)
+    phi, dphi, _ = _site_maps(family, x)
+    return _gram_arrays(phi, dphi)
 
 
 def _gram_arrays(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -262,7 +232,7 @@ def _gram_arrays(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return triple
 
 
-def gram_tensor_power(triple: np.ndarray, n: int) -> Superoperator:
+def gram_tensor_power(triple: np.ndarray, n: int) -> np.ndarray:
     """Gram matrix of the N-fold product channel from the single-site Gram
     triple a, b, c of :func:`gram_triple`.
 
@@ -272,11 +242,10 @@ def gram_tensor_power(triple: np.ndarray, n: int) -> Superoperator:
     the global row-major basis.
     """
     a, b, c = triple
-    site = Superoperator(b)
-    d = site.hilbert_dim
+    b, d = _checked_superop(b)
     n = _checked_power(n, d)
     if n == 1:
-        return site
+        return b
     cd = c.conj().T
     apow = a
     one_site = b  # all placements of a single b factor
@@ -407,28 +376,22 @@ def covariant_gram_top(triple: np.ndarray, n: int) -> TopEigenspace | None:
     return TopEigenspace(value=norm, build=build)
 
 
-def tensor_power_derivative(
-    value: Superoperator, deriv: Superoperator, n: int
-) -> Superoperator:
+def tensor_power_derivative(value: np.ndarray, deriv: np.ndarray, n: int) -> np.ndarray:
     """Derivative of the N-fold Kronecker power by the product rule.
 
-    Given Phi(x) and Phi'(x) at one site, returns
+    Given the matrices of Phi(x) and Phi'(x) at one site, returns
     sum_i Phi x ... x Phi'_(site i) x ... x Phi in the global row-major
     basis.
     """
-    n = _checked_power(n, value.hilbert_dim)
-    if value.hilbert_dim != deriv.hilbert_dim:
-        raise DimensionMismatch(
-            f"value and derivative dims differ: {value.hilbert_dim} vs {deriv.hilbert_dim}"
-        )
+    base, dbase, d = _checked_pair(value, deriv)
+    n = _checked_power(n, d)
     if n == 1:
-        return deriv
-    base, dbase = value.matrix, deriv.matrix
+        return dbase
     cur, dcur = base, dbase
     for _ in range(n - 1):
         dcur = np.kron(dcur, base) + np.kron(cur, dbase)
         cur = np.kron(cur, base)
-    return _to_global(dcur, value.hilbert_dim, n)
+    return _to_global(dcur, d, n)
 
 
 @dataclass(frozen=True)
@@ -453,16 +416,13 @@ class _ProductFamily:
         one matmul and rotates that site to the back, so after N steps the
         sites are in order again and one permutation restores row-major.
         """
+        phi, dphi, d = _site_maps(self.site, x)
         amps, n = _amplitudes(v), self.n
-        phi, dphi = self.site.evaluate(x), self.site.derivative_at(x)
-        d = phi.hilbert_dim
         if amps.size != d ** (2 * n):
-            raise DimensionMismatch(
-                f"vector of length {amps.size} does not match {n} sites of Hilbert dim {d}"
-            )
+            raise DimensionMismatch(f"vector of length {amps.size} does not match {n} sites of Hilbert dim {d}")
         block = np.zeros((2 * d * d, 2 * d * d), dtype=complex)
-        block[: d * d, : d * d] = block[d * d :, d * d :] = phi.matrix
-        block[d * d :, : d * d] = dphi.matrix
+        block[: d * d, : d * d] = block[d * d :, d * d :] = phi
+        block[d * d :, : d * d] = dphi
         w = np.zeros((2, d * d, d ** (2 * n - 2)), dtype=complex)
         w[0] = amps.reshape((d,) * (2 * n)).transpose(
             [axis for i in range(n) for axis in (i, n + i)]
@@ -482,9 +442,3 @@ def product_family(family: ChannelFamily, n: int) -> ChannelFamily | _ProductFam
     n = _checked_power(n)
     return family if n == 1 else _ProductFamily(site=family, n=n)
 
-
-def finite_diff_superop(family: ChannelFamily, x: float, h: float) -> Superoperator:
-    """Central-difference derivative (Phi(x+h) - Phi(x-h)) / 2h."""
-    if not h > 0.0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
-    return Superoperator((family.evaluate(x + h).matrix - family.evaluate(x - h).matrix) / (2.0 * h))

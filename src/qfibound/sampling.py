@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import EXPONENTIAL_FORM, NoiseParams, ShortTimeModel, params_at
 from .errors import CptpViolation, RangeViolation
-from .liouville import ChannelFamily, Superoperator, superop_from_kraus
+from .liouville import ChannelFamily, _check_trace_preserving, superop_from_kraus
 from .numerics import herm_eig
 
 
@@ -66,13 +66,13 @@ def random_unitary_family(
     def unitary_prime(x: float) -> np.ndarray:
         return (v * (-1j * w * np.exp(-1j * x * w))) @ v.conj().T
 
-    def evaluate(x: float) -> Superoperator:
+    def evaluate(x: float) -> np.ndarray:
         u = unitary(x)
-        return Superoperator(np.kron(u, u.conj()), trace_preserving=True)
+        return _check_trace_preserving(np.kron(u, u.conj()))
 
-    def derivative(x: float) -> Superoperator:
+    def derivative(x: float) -> np.ndarray:
         u, du = unitary(x), unitary_prime(x)
-        return Superoperator(np.kron(du, u.conj()) + np.kron(u, du.conj()))
+        return np.kron(du, u.conj()) + np.kron(u, du.conj())
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
@@ -84,8 +84,8 @@ def random_noisy_family(
     noise = superop_from_kraus(random_kraus_set(rng, dim, n_kraus))
     base = random_unitary_family(rng, dim, scale=scale)
     return ChannelFamily(
-        evaluate=lambda x: noise.compose(base.evaluate(x)),
-        derivative=lambda x: noise.compose(base.derivative_at(x)),
+        evaluate=lambda x: noise @ base.evaluate(x),
+        derivative=lambda x: noise @ base.derivative(x),
     )
 
 

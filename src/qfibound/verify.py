@@ -31,7 +31,7 @@ from .channels import (
     rotation_family,
 )
 from .errors import CptpViolation, RangeViolation
-from .liouville import ChannelFamily, Superoperator, liouville_inner, product_family
+from .liouville import ChannelFamily, liouville_inner, product_family
 from .metrology import (
     correlated_gram_max,
     ecs_lower_bound_closed,
@@ -100,8 +100,7 @@ def corrupt_family(family: ChannelFamily, factor: float = CORRUPTION_FACTOR) -> 
     """Negative-control wrapper: same channel, derivative scaled by ``factor``."""
     return ChannelFamily(
         evaluate=family.evaluate,
-        derivative=lambda x: Superoperator(family.derivative_at(x).matrix * factor),
-        fd_step=family.fd_step,
+        derivative=lambda x: family.derivative(x) * factor,
     )
 
 

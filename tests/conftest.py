@@ -72,6 +72,12 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+def finite_diff(family, x: float, h: float = 1e-6) -> np.ndarray:
+    """Central difference (Phi(x+h) - Phi(x-h)) / 2h of a channel family:
+    the oracle that every analytic ``derivative`` is checked against."""
+    return (family.evaluate(x + h) - family.evaluate(x - h)) / (2.0 * h)
+
+
 # ---------------------------------------------------------------------------
 # correlated dephasing on N two-atom probes, as the dense 16^N diagonal: the
 # oracle that the charge grid of ``metrology.correlated_gram_max`` is checked

@@ -71,8 +71,8 @@ def report(number: int, text: str) -> None:
 
 
 def apply_family(family, x, rho0):
-    rho = devectorize(family.evaluate(x).apply(vectorize(rho0)))
-    rho_prime = devectorize(family.derivative_at(x).apply(vectorize(rho0)))
+    rho = devectorize(family.evaluate(x) @ vectorize(rho0))
+    rho_prime = devectorize(family.derivative(x) @ vectorize(rho0))
     return rho, rho_prime
 
 
@@ -245,11 +245,11 @@ def test_criterion_09_gram_recursion_vs_direct():
             family = phase_covariant_family(t, params)
             x = float(rng.uniform(-1.0, 1.0))
             triple = gram_triple(family, x)
-            via_recursion = gram_tensor_power(triple, n).matrix
+            via_recursion = gram_tensor_power(triple, n)
             dphi_n = tensor_power_derivative(
-                family.evaluate(x), family.derivative_at(x), n
+                family.evaluate(x), family.derivative(x), n
             )
-            direct = dphi_n.matrix.conj().T @ dphi_n.matrix
+            direct = dphi_n.conj().T @ dphi_n
             worst = max(worst, float(np.max(np.abs(via_recursion - direct))))
     assert worst <= 1e-10, f"worst entrywise deviation {worst:.3e}"
     report(9, f"two-summation Gram equals product-rule construction "
@@ -323,10 +323,10 @@ def test_criterion_13_bures_consistency():
         x = float(rng.uniform(-1.0, 1.0))
 
         def state_at(y):
-            return devectorize(family.evaluate(y).apply(vectorize(rho0)))
+            return devectorize(family.evaluate(y) @ vectorize(rho0))
 
         rho = state_at(x)
-        rho_prime = devectorize(family.derivative_at(x).apply(vectorize(rho0)))
+        rho_prime = devectorize(family.derivative(x) @ vectorize(rho0))
         f_tilde = associated_qfi(rho, rho_prime)
         fd = 2.0 * (
             bures_distance_liouville(rho, state_at(x + h))
@@ -342,10 +342,10 @@ def test_criterion_13_bures_consistency():
         x = float(rng.uniform(-1.0, 1.0))
 
         def state_at(y):
-            return devectorize(family.evaluate(y).apply(vectorize(rho0)))
+            return devectorize(family.evaluate(y) @ vectorize(rho0))
 
         rho = state_at(x)
-        rho_prime = devectorize(family.derivative_at(x).apply(vectorize(rho0)))
+        rho_prime = devectorize(family.derivative(x) @ vectorize(rho0))
         f_exact = exact_qfi(rho, rho_prime).qfi
         if f_exact < 1e-6:
             continue

@@ -45,7 +45,7 @@ from qfibound.errors import (
 from qfibound import liouville
 from qfibound.liouville import (
     ChannelFamily,
-    Superoperator,
+    _check_trace_preserving,
     _population_top,
     covariant_gram_top,
     devectorize,
@@ -70,8 +70,8 @@ PLUS = np.full((2, 2), 0.5)
 
 
 def apply_family(family, x, rho0):
-    rho = devectorize(family.evaluate(x).apply(vectorize(rho0)))
-    rho_prime = devectorize(family.derivative_at(x).apply(vectorize(rho0)))
+    rho = devectorize(family.evaluate(x) @ vectorize(rho0))
+    rho_prime = devectorize(family.derivative(x) @ vectorize(rho0))
     return rho, rho_prime
 
 
@@ -293,10 +293,10 @@ def nan_derivative_family():
     """The diagonal rotation family at t = 1 with a NaN in place of the
     |01) entry of its derivative map."""
     def evaluate(x):
-        return Superoperator(np.diag([1.0, np.exp(-1j * x), np.exp(1j * x), 1.0]), trace_preserving=True)
+        return _check_trace_preserving(np.diag([1.0, np.exp(-1j * x), np.exp(1j * x), 1.0]))
 
     def derivative(x):
-        return Superoperator(np.diag([0.0, np.nan, 1j * np.exp(1j * x), 0.0]))
+        return np.diag([0.0, np.nan, 1j * np.exp(1j * x), 0.0])
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
@@ -445,8 +445,8 @@ class TestMaxBoundOverStates:
         # maximal on the two decoherence-free coherences with alpha1 = +-2
         evaluate, derivative = correlated_dephasing_family(2, omega2=0.3, gamma=0.5, t=0.7)
         family = ChannelFamily(
-            evaluate=lambda x: Superoperator(np.diag(evaluate(x)), trace_preserving=True),
-            derivative=lambda x: Superoperator(np.diag(derivative(x))),
+            evaluate=lambda x: _check_trace_preserving(np.diag(evaluate(x))),
+            derivative=lambda x: np.diag(derivative(x)),
         )
         assert covariant_gram_top(gram_triple(family, 0.1), 1) is None
         result = max_bound_over_states(family, 0.1, 1)
@@ -531,9 +531,7 @@ class TestMaxBoundOverStates:
 
     def test_zero_gram_has_no_eigenspace_on_dense_path(self):
         # a constant qutrit channel: its dense N-fold Gram matrix is 0
-        family = ChannelFamily(
-            evaluate=lambda x: Superoperator(np.eye(9)), derivative=lambda x: Superoperator(np.zeros((9, 9)))
-        )
+        family = ChannelFamily(evaluate=lambda x: np.eye(9), derivative=lambda x: np.zeros((9, 9)))
         result = max_bound_over_states(family, 0.2, 2)
         assert result.norm_bound == 0.0
         assert result.top_eigenspace == []
@@ -608,12 +606,12 @@ def qutrit_family() -> ChannelFamily:
 
     def evaluate(x):
         w = np.diag([1.0, np.exp(-1j * x), np.exp(-3j * x)])
-        return Superoperator(np.kron(w, w.conj()), trace_preserving=True)
+        return _check_trace_preserving(np.kron(w, w.conj()))
 
     def derivative(x):
         w = np.diag([1.0, np.exp(-1j * x), np.exp(-3j * x)])
         dw = np.diag([0.0, -1j * np.exp(-1j * x), -3j * np.exp(-3j * x)])
-        return Superoperator(np.kron(dw, w.conj()) + np.kron(w, dw.conj()))
+        return np.kron(dw, w.conj()) + np.kron(w, dw.conj())
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 
@@ -672,7 +670,7 @@ def covariant_map_family(seed: int, *, mirrored: bool = False) -> ChannelFamily:
     if mirrored:
         value[2, 2], prime_minus = value[1, 1], prime_plus
     prime = np.diag([0.0, prime_plus, prime_minus, 0.0])
-    return ChannelFamily(evaluate=lambda x: Superoperator(value), derivative=lambda x: Superoperator(prime))
+    return ChannelFamily(evaluate=lambda x: value, derivative=lambda x: prime)
 
 
 # (id, family at N, largest N checked against the dense oracle, first N past tau)
@@ -712,7 +710,7 @@ class TestCovariantGramOracle:
         for n in range(1, n_max + 1):
             triple = gram_triple(make_family(n), 0.3)
             got = covariant_gram_top(triple, n)
-            want = largest_eigval_psd(gram_tensor_power(triple, n).matrix)
+            want = largest_eigval_psd(gram_tensor_power(triple, n))
             assert got is not None
             assert_allclose(got.value, want.value, rtol=1e-12, atol=0.0)
             if want.value == 0.0:
@@ -783,8 +781,8 @@ POPULATION_CASES = [
     *((f"covariant-map{seed}", covariant_map_family(seed)) for seed in (0, 1, 7, 9)),
     ("amplitude-damping", phase_covariant_family(1.3, named_noise(AMPLITUDE_DAMPING, 0.5, 1.3))),
     ("dephasing", phase_covariant_family(1.3, NoiseParams(eta_perp=0.7))),
-    ("zero", ChannelFamily(evaluate=lambda x: Superoperator(np.diag([0.0, 1.0, 1.0, 0.0])),
-                           derivative=lambda x: Superoperator(np.diag([0.0, 1.0, -1.0, 0.0])))),
+    ("zero", ChannelFamily(evaluate=lambda x: np.diag([0.0, 1.0, 1.0, 0.0]),
+                           derivative=lambda x: np.diag([0.0, 1.0, -1.0, 0.0]))),
 ]
 
 
@@ -950,8 +948,8 @@ class TestGhzFromTriple:
         n, c = 300, 0.5
         base = random_noisy_family(np.random.default_rng(3), 2, 2)
         scaled = ChannelFamily(
-            evaluate=lambda x: Superoperator(c * base.evaluate(x).matrix),
-            derivative=lambda x: Superoperator(c * base.derivative_at(x).matrix),
+            evaluate=lambda x: c * base.evaluate(x),
+            derivative=lambda x: c * base.derivative(x),
         )
         want = ghz_lower_bound(base, 0.3, n)
         got = ghz_lower_bound(scaled, 0.3, n)

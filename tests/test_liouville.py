@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from conftest import finite_diff
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qfibound.bound import ghz_lower_bound, ghz_state, lower_bound_from_channel, max_bound_over_states
 from qfibound.channels import (
+    NoiseParams,
     named_noise,
     phase_covariant_family,
     rotation_family,
@@ -16,14 +21,14 @@ from qfibound.errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
     NonHermitian,
+    NonSquare,
 )
 from qfibound.liouville import (
     MAX_DENSE_ROWS,
     ChannelFamily,
-    Superoperator,
+    _check_trace_preserving,
     _gram_arrays,
     devectorize,
-    finite_diff_superop,
     gram_tensor_power,
     gram_triple,
     liouville_inner,
@@ -35,7 +40,8 @@ from qfibound.liouville import (
     vectorize,
 )
 from qfibound.numerics import HERMITICITY_RTOL, _hermiticity_defect, _scaled
-from qfibound.sampling import random_cptp_params, random_unitary_family
+from qfibound.sampling import random_cptp_params, random_kraus_set, random_noisy_family, random_unitary_family
+from qfibound.verify import corrupt_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -97,20 +103,24 @@ class TestLiouvilleInner:
 
 
 class TestSuperoperator:
+    """A channel is its d^2 x d^2 matrix; trace preservation is checked by
+    ``_check_trace_preserving``."""
+
     def test_unitary_conjugation(self, rng):
         u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
-        s = Superoperator(np.kron(u, u.conj()), trace_preserving=True)
+        s = _check_trace_preserving(np.kron(u, u.conj()))
         rho = random_density(rng, 2)
-        out = devectorize(s.apply(vectorize(rho)))
+        out = devectorize(s @ vectorize(rho))
         assert_allclose(out, u @ rho @ u.conj().T, atol=1e-14)
 
     def test_rejects_non_square_dimension(self):
+        # a 5 x 5 matrix is no map on d x d operators
         with pytest.raises(DimensionMismatch):
-            Superoperator(np.eye(5))
+            tensor_power(np.eye(5), 2)
 
     def test_trace_preserving_check_fires(self):
         with pytest.raises(CompletenessViolation):
-            Superoperator(np.diag([0.5, 1.0, 1.0, 1.0]), trace_preserving=True)
+            _check_trace_preserving(np.diag([0.5, 1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_trace_preserving_check_rejects_non_finite_maps(self, bad):
@@ -119,7 +129,7 @@ class TestSuperoperator:
         entries = np.ones(4, dtype=complex)
         entries[0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(CompletenessViolation):
-            Superoperator(np.diag(entries), trace_preserving=True)
+            _check_trace_preserving(np.diag(entries))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_trace_preserving_check_sees_every_row(self, bad):
@@ -128,13 +138,14 @@ class TestSuperoperator:
         m = np.eye(4, dtype=complex)
         m[1, 2] = bad
         with pytest.raises(CompletenessViolation, match="non-finite"):
-            Superoperator(m, trace_preserving=True)
+            _check_trace_preserving(m)
 
     def test_compose_matches_matrix_product(self, rng):
-        m1 = rng.normal(size=(4, 4))
-        m2 = rng.normal(size=(4, 4))
-        composed = Superoperator(m1).compose(Superoperator(m2))
-        assert_allclose(composed.matrix, m1 @ m2)
+        # the channel K . L (L acts first) is the matrix product of the two
+        # channel matrices: composing Kraus sets multiplies superoperators
+        ks, ls = random_kraus_set(rng, 2, 2), random_kraus_set(rng, 2, 3)
+        composed = superop_from_kraus([k @ m for k in ks for m in ls])
+        assert_allclose(composed, superop_from_kraus(ks) @ superop_from_kraus(ls), atol=1e-14)
 
 
 class TestSuperopFromKraus:
@@ -143,7 +154,7 @@ class TestSuperopFromKraus:
         p = (1.0 + eta) / 2.0
         kraus = [np.sqrt(p) * np.eye(2), np.sqrt(1.0 - p) * SZ]
         s = superop_from_kraus(kraus)
-        assert_allclose(s.matrix, np.diag([1.0, eta, eta, 1.0]), atol=1e-14)
+        assert_allclose(s, np.diag([1.0, eta, eta, 1.0]), atol=1e-14)
 
     def test_matches_direct_action(self, rng):
         k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(0.4)]])
@@ -151,11 +162,11 @@ class TestSuperopFromKraus:
         s = superop_from_kraus([k0, k1])
         rho = random_density(rng, 2)
         expected = k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
-        assert_allclose(devectorize(s.apply(vectorize(rho))), expected, atol=1e-14)
+        assert_allclose(devectorize(s @ vectorize(rho)), expected, atol=1e-14)
 
     def test_incomplete_set_rejected_when_tp_required(self):
         with pytest.raises(CompletenessViolation):
-            superop_from_kraus([0.9 * np.eye(2)], trace_preserving=True)
+            superop_from_kraus([0.9 * np.eye(2)])
 
     @pytest.mark.parametrize("defect,refused", [(2e-10, True), (5e-11, False)])
     def test_completeness_tolerance_is_the_trace_preserving_one(self, defect, refused):
@@ -166,7 +177,7 @@ class TestSuperopFromKraus:
             with pytest.raises(CompletenessViolation, match="dual moves identity"):
                 superop_from_kraus(kraus)
         else:
-            assert superop_from_kraus(kraus).trace_preserving
+            assert_allclose(superop_from_kraus(kraus), (1.0 + defect) * np.eye(4))
 
 
 class TestSitePermutation:
@@ -188,31 +199,29 @@ class TestSitePermutation:
 class TestTensorPower:
     def test_matches_product_action(self, rng):
         u = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
-        s = Superoperator(np.kron(u, u.conj()), trace_preserving=True)
-        s2 = tensor_power(s, 2)
+        s2 = tensor_power(np.kron(u, u.conj()), 2)
         rho = random_density(rng, 2)
         sigma = random_density(rng, 2)
-        out = devectorize(s2.apply(vectorize(np.kron(rho, sigma))))
+        out = devectorize(s2 @ vectorize(np.kron(rho, sigma)))
         uu = np.kron(u, u)
         assert_allclose(out, uu @ np.kron(rho, sigma) @ uu.conj().T, atol=1e-13)
 
     def test_identity_power(self):
-        s = Superoperator(np.diag([1.0, np.exp(-0.7j), np.exp(0.7j), 1.0]))
-        assert_allclose(tensor_power(s, 1).matrix, s.matrix)
+        s = np.diag([1.0, np.exp(-0.7j), np.exp(0.7j), 1.0])
+        assert_allclose(tensor_power(s, 1), s)
 
     def test_derivative_is_product_rule(self):
         # against a central difference of the dense power of a non-diagonal family
         family = _amplitude_damping()
         x, h = 0.4, 1e-6
-        analytic = tensor_power_derivative(family.evaluate(x), family.derivative_at(x), 2)
-        plus, minus = (tensor_power(family.evaluate(x + s * h), 2).matrix for s in (1, -1))
-        assert np.max(np.abs(analytic.matrix - (plus - minus) / (2 * h))) < 1e-8
+        analytic = tensor_power_derivative(family.evaluate(x), family.derivative(x), 2)
+        plus, minus = (tensor_power(family.evaluate(x + s * h), 2) for s in (1, -1))
+        assert np.max(np.abs(analytic - (plus - minus) / (2 * h))) < 1e-8
 
     def test_dense_budget_enforced(self):
         u = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
-        s = Superoperator(np.kron(u, u.conj()))
         with pytest.raises(DimensionBudgetExceeded):
-            tensor_power(s, 7)
+            tensor_power(np.kron(u, u.conj()), 7)
 
 
 class TestGramTriple:
@@ -270,9 +279,9 @@ class TestGramTensorPower:
         via_recursion = gram_tensor_power(triple, n)
 
         phi_n = tensor_power(family.evaluate(x), n)
-        dphi_n = tensor_power_derivative(family.evaluate(x), family.derivative_at(x), n)
-        direct = dphi_n.matrix.conj().T @ dphi_n.matrix
-        delta = via_recursion.matrix - direct
+        dphi_n = tensor_power_derivative(family.evaluate(x), family.derivative(x), n)
+        direct = dphi_n.conj().T @ dphi_n
+        delta = via_recursion - direct
         assert np.max(np.abs(delta)) < 1e-10
 
     def test_unitary_gram_norm_value(self):
@@ -280,7 +289,7 @@ class TestGramTensorPower:
         t = 0.6
         triple = gram_triple(rotation_family(t), 0.0)
         g = gram_tensor_power(triple, 3)
-        assert_allclose(np.max(np.linalg.eigvalsh(g.matrix)), 9.0 * t * t, rtol=1e-12)
+        assert_allclose(np.max(np.linalg.eigvalsh(g)), 9.0 * t * t, rtol=1e-12)
 
 
 def _amplitude_damping():
@@ -292,7 +301,8 @@ def _random_phase_covariant():
 
 
 def _finite_difference():
-    return ChannelFamily(evaluate=_amplitude_damping().evaluate, derivative=None)
+    family = _amplitude_damping()
+    return ChannelFamily(evaluate=family.evaluate, derivative=lambda x: finite_diff(family, x))
 
 
 def _qutrit_unitary():
@@ -322,13 +332,14 @@ class TestProductAction:
         ],
     )
     def test_matches_dense_oracle(self, name, n, rng):
-        family = _PRODUCT_FAMILIES[name][0]()
+        make_family, d = _PRODUCT_FAMILIES[name]
+        family = make_family()
         site = family.evaluate(0.4)
-        rows = site.hilbert_dim ** (2 * n)
+        rows = d ** (2 * n)
         v = rng.normal(size=rows) + 1j * rng.normal(size=rows)
         value, deriv = product_family(family, n).apply_with_derivative(0.4, v)
-        oracle = tensor_power(site, n).apply(v)
-        d_oracle = tensor_power_derivative(site, family.derivative_at(0.4), n).apply(v)
+        oracle = tensor_power(site, n) @ v
+        d_oracle = tensor_power_derivative(site, family.derivative(0.4), n) @ v
         assert_allclose(value, oracle, rtol=0, atol=1e-12)
         assert_allclose(deriv, d_oracle, rtol=0, atol=1e-12)
 
@@ -352,20 +363,62 @@ class TestProductAction:
         assert not hasattr(prod, "evaluate") and not hasattr(prod, "derivative")
 
 
-class TestFamilies:
-    def test_finite_diff_matches_analytic(self):
-        family = rotation_family(1.1)
-        fd = finite_diff_superop(family, 0.2, 1e-6)
-        exact = family.derivative_at(0.2)
-        assert np.max(np.abs(fd.matrix - exact.matrix)) < 1e-9
+# id -> (family factory, x, tolerance, derivative / central difference):
+# every channel family of the package against the central-difference oracle
+_FD_CASES = {
+    "phase-covariant-swap": (
+        lambda: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3)), 0.4, 1e-9, 1.0),
+    "phase-covariant-diagonal": (
+        lambda: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3), coherence_diagonal=True),
+        0.4, 1e-9, 1.0),
+    "rotation": (lambda: rotation_family(1.7), 0.25, 1e-9, 1.0),
+    "random-unitary": (lambda: random_unitary_family(np.random.default_rng(20240817), 3), 0.3, 1e-7, 1.0),
+    "random-noisy": (lambda: random_noisy_family(np.random.default_rng(20240817), 2, 3), 0.5, 1e-7, 1.0),
+    "corrupt": (lambda: corrupt_family(rotation_family(1.1), 1.5), 0.2, 1e-9, 1.5),
+}
 
-    def test_family_fd_fallback(self):
-        family = ChannelFamily(
-            evaluate=lambda x: Superoperator(np.diag([1.0, np.exp(-1j * x), np.exp(1j * x), 1.0])),
-            derivative=None,
-            fd_step=1e-6,
-        )
-        assert family.derivative is None
-        approx = family.derivative_at(0.3)
-        exact = rotation_family(1.0).derivative_at(0.3)
-        assert np.max(np.abs(approx.matrix - exact.matrix)) < 1e-9
+
+class TestFamilies:
+    @pytest.mark.parametrize("name", list(_FD_CASES))
+    def test_derivative_matches_central_difference(self, name):
+        make_family, x, tol, factor = _FD_CASES[name]
+        family = make_family()
+        value, exact = family.evaluate(x), family.derivative(x)
+        assert isinstance(value, np.ndarray) and isinstance(exact, np.ndarray)
+        d = math.isqrt(len(value))
+        assert value.shape == exact.shape == (d * d, d * d)
+        assert np.max(np.abs(exact - factor * finite_diff(family, x))) < tol
+
+
+def _mismatched():
+    # a qubit map with a qutrit-sized derivative
+    return ChannelFamily(evaluate=lambda x: np.eye(4), derivative=lambda x: np.zeros((9, 9)))
+
+
+def _non_square():
+    return ChannelFamily(evaluate=lambda x: np.ones((4, 9)), derivative=lambda x: np.ones((4, 9)))
+
+
+def _side_five():
+    return ChannelFamily(evaluate=lambda x: np.eye(5), derivative=lambda x: np.zeros((5, 5)))
+
+
+# every entry point that reads a family's matrices
+_ENTRY_POINTS = {
+    "max_bound_over_states": lambda f: max_bound_over_states(f, 0.0, 2),
+    "ghz_lower_bound": lambda f: ghz_lower_bound(f, 0.0, 2),
+    "gram_triple": lambda f: gram_triple(f, 0.0),
+    "product-kernel": lambda f: lower_bound_from_channel(product_family(f, 2), 0.0, ghz_state(2)),
+    "single-site": lambda f: lower_bound_from_channel(f, 0.0, np.eye(2) / 2.0),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "make_family,error",
+    [(_mismatched, DimensionMismatch), (_non_square, NonSquare), (_side_five, DimensionMismatch)],
+    ids=["mismatched-derivative", "non-square", "side-five"],
+)
+def test_malformed_family_is_refused_alike(entry, make_family, error):
+    with pytest.raises(error):
+        _ENTRY_POINTS[entry](make_family())

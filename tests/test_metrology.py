@@ -30,7 +30,7 @@ from qfibound.errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from qfibound.liouville import ChannelFamily, Superoperator, gram_triple, superop_from_kraus
+from qfibound.liouville import ChannelFamily, gram_triple, superop_from_kraus
 from qfibound.numerics import loglog_slope
 from qfibound.metrology import (
     EcsBreakdown,
@@ -199,10 +199,10 @@ def loss_phase_family(n_photons, eta):
     delta = (levels[:, None] - levels[None, :]).reshape(-1)  # k - m at |k><m|
 
     def evaluate(phi):
-        return loss.compose(Superoperator(np.diag(np.exp(-1j * phi * delta)), trace_preserving=True))
+        return loss @ np.diag(np.exp(-1j * phi * delta))
 
     def derivative(phi):
-        return loss.compose(Superoperator(np.diag(-1j * delta * np.exp(-1j * phi * delta))))
+        return loss @ np.diag(-1j * delta * np.exp(-1j * phi * delta))
 
     return ChannelFamily(evaluate=evaluate, derivative=derivative)
 

@@ -5,13 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qfibound.channels import EXPONENTIAL_FORM
-from qfibound.liouville import devectorize, finite_diff_superop, vectorize
+from qfibound.liouville import devectorize, vectorize
 from qfibound.sampling import (
     random_cptp_params,
     random_hermitian,
     random_kraus_set,
     random_mixed_state,
-    random_noisy_family,
     random_pure_state,
     random_short_time_model,
     random_unitary,
@@ -65,20 +64,8 @@ class TestRandomFamilies:
     def test_unitary_family_preserves_trace(self, rng):
         family = random_unitary_family(rng, 3)
         rho = random_mixed_state(rng, 3)
-        out = family.evaluate(0.7).apply(vectorize(rho))
+        out = family.evaluate(0.7) @ vectorize(rho)
         assert_allclose(np.trace(devectorize(out)).real, 1.0, atol=1e-12)
-
-    def test_unitary_family_derivative(self, rng):
-        family = random_unitary_family(rng, 3)
-        fd = finite_diff_superop(family, 0.3, 1e-6)
-        exact = family.derivative_at(0.3)
-        assert np.max(np.abs(fd.matrix - exact.matrix)) < 1e-7
-
-    def test_noisy_family_derivative(self, rng):
-        family = random_noisy_family(rng, 2, 3)
-        fd = finite_diff_superop(family, 0.5, 1e-6)
-        exact = family.derivative_at(0.5)
-        assert np.max(np.abs(fd.matrix - exact.matrix)) < 1e-7
 
 
 def test_random_short_time_model_ranges(rng):
