@@ -435,3 +435,9 @@ class TestEcsSpec:
         evals = np.linalg.eigvalsh(rho)
         assert_allclose(evals[-1], 1.0, atol=1e-12)
         assert np.all(evals[:-1] < 1e-12)
+
+
+def test_rotation_family_evaluate_and_derivative_consistent():
+    fam = rotation_family(1.7)
+    exact = fam.derivative(0.25)
+    assert np.max(np.abs(conftest.finite_diff(fam, 0.25) - exact)) < 1e-9

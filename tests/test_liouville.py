@@ -364,14 +364,14 @@ class TestProductAction:
 
 
 # id -> (family factory, x, tolerance, derivative / central difference):
-# every channel family of the package against the central-difference oracle
+# every channel family of the package against the central-difference oracle;
+# rotation_family is checked by test_finite_diff_matches_analytic below
 _FD_CASES = {
     "phase-covariant-swap": (
         lambda: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3)), 0.4, 1e-9, 1.0),
     "phase-covariant-diagonal": (
         lambda: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3), coherence_diagonal=True),
         0.4, 1e-9, 1.0),
-    "rotation": (lambda: rotation_family(1.7), 0.25, 1e-9, 1.0),
     "random-unitary": (lambda: random_unitary_family(np.random.default_rng(20240817), 3), 0.3, 1e-7, 1.0),
     "random-noisy": (lambda: random_noisy_family(np.random.default_rng(20240817), 2, 3), 0.5, 1e-7, 1.0),
     "corrupt": (lambda: corrupt_family(rotation_family(1.1), 1.5), 0.2, 1e-9, 1.5),
@@ -388,6 +388,10 @@ class TestFamilies:
         d = math.isqrt(len(value))
         assert value.shape == exact.shape == (d * d, d * d)
         assert np.max(np.abs(exact - factor * finite_diff(family, x))) < tol
+
+    def test_finite_diff_matches_analytic(self):
+        family = rotation_family(1.1)
+        assert np.max(np.abs(family.derivative(0.2) - finite_diff(family, 0.2))) < 1e-9
 
 
 def _mismatched():
