@@ -9,153 +9,94 @@ lossy interferometry, entangled coherent states).
 """
 from __future__ import annotations
 
-from . import errors
-from .bound import (
-    BoundResult,
-    OptimalStateResult,
-    analytic_max_phase_covariant,
-    associated_qfi,
-    ghz_lower_bound,
-    ghz_state,
-    lower_bound_from_channel,
-    lower_bound_from_state,
-    max_bound_over_states,
-)
-from .channels import (
-    AMPLITUDE_DAMPING,
-    DEPHASING,
-    DEPOLARIZING,
-    EXPONENTIAL_FORM,
-    TRUNCATED_FORM,
-    EcsSpec,
-    NoiseParams,
-    ShortTimeModel,
-    ecs_vector,
-    loss_kraus,
-    named_noise,
-    params_at,
-    phase_covariant_family,
-    rotation_family,
-)
-from .liouville import (
-    ChannelFamily,
-    devectorize,
-    gram_tensor_power,
-    gram_triple,
-    liouville_inner,
-    product_family,
-    superop_from_kraus,
-    tensor_power,
-    tensor_power_derivative,
-    vectorize,
-)
-from .metrology import (
-    EcsBreakdown,
-    PrecisionConfig,
-    ScalingResult,
-    correlated_gram_max,
-    ecs_lower_bound_closed,
-    ecs_lower_bound_numeric,
-    ecs_lower_bound_practical,
-    ecs_practical_forms,
-    interferometer_gram_diag,
-    interferometer_optimal_m,
-    precision_scaling,
-    t_opt_numeric,
-    t_opt_paper,
-    tau_solve,
-)
-from .qfi_oracle import (
-    Povm,
-    SldResult,
-    classical_bound,
-    classical_fisher,
-    exact_qfi,
-    optimal_povm_from_rho_prime,
-    pure_state_qfi,
-)
-from .sampling import (
-    random_cptp_params,
-    random_hermitian,
-    random_kraus_set,
-    random_mixed_state,
-    random_noisy_family,
-    random_pure_state,
-    random_short_time_model,
-    random_unitary,
-    random_unitary_family,
-)
-from .verify import DEFAULT_SEED, VERIFY_REPORT_SCHEMA, corrupt_family, run_verification
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMPLITUDE_DAMPING",
-    "BoundResult",
-    "ChannelFamily",
-    "DEFAULT_SEED",
-    "DEPHASING",
-    "DEPOLARIZING",
-    "EXPONENTIAL_FORM",
-    "EcsBreakdown",
-    "EcsSpec",
-    "NoiseParams",
-    "OptimalStateResult",
-    "Povm",
-    "PrecisionConfig",
-    "ScalingResult",
-    "ShortTimeModel",
-    "SldResult",
-    "TRUNCATED_FORM",
-    "VERIFY_REPORT_SCHEMA",
-    "analytic_max_phase_covariant",
-    "associated_qfi",
-    "classical_bound",
-    "classical_fisher",
-    "correlated_gram_max",
-    "corrupt_family",
-    "devectorize",
-    "ecs_lower_bound_closed",
-    "ecs_lower_bound_numeric",
-    "ecs_lower_bound_practical",
-    "ecs_practical_forms",
-    "ecs_vector",
-    "errors",
-    "exact_qfi",
-    "ghz_lower_bound",
-    "ghz_state",
-    "gram_tensor_power",
-    "gram_triple",
-    "interferometer_gram_diag",
-    "interferometer_optimal_m",
-    "liouville_inner",
-    "loss_kraus",
-    "lower_bound_from_channel",
-    "lower_bound_from_state",
-    "max_bound_over_states",
-    "named_noise",
-    "optimal_povm_from_rho_prime",
-    "params_at",
-    "phase_covariant_family",
-    "precision_scaling",
-    "product_family",
-    "pure_state_qfi",
-    "random_cptp_params",
-    "random_hermitian",
-    "random_kraus_set",
-    "random_mixed_state",
-    "random_noisy_family",
-    "random_pure_state",
-    "random_short_time_model",
-    "random_unitary",
-    "random_unitary_family",
-    "rotation_family",
-    "run_verification",
-    "superop_from_kraus",
-    "t_opt_numeric",
-    "t_opt_paper",
-    "tau_solve",
-    "tensor_power",
-    "tensor_power_derivative",
-    "vectorize",
-]
+#: Submodule -> the public names it exports.  Every name is written here
+#: once; the loop below binds it on the package, and ``__all__`` is this
+#: table plus the submodule of error classes, which the imports bind too.
+_EXPORTS = {
+    "bound": (
+        "BoundResult",
+        "OptimalStateResult",
+        "analytic_max_phase_covariant",
+        "associated_qfi",
+        "ghz_lower_bound",
+        "ghz_state",
+        "lower_bound_from_channel",
+        "lower_bound_from_state",
+        "max_bound_over_states",
+    ),
+    "channels": (
+        "AMPLITUDE_DAMPING",
+        "DEPHASING",
+        "DEPOLARIZING",
+        "EXPONENTIAL_FORM",
+        "TRUNCATED_FORM",
+        "EcsSpec",
+        "NoiseParams",
+        "ShortTimeModel",
+        "ecs_vector",
+        "loss_kraus",
+        "named_noise",
+        "params_at",
+        "phase_covariant_family",
+        "rotation_family",
+    ),
+    "liouville": (
+        "ChannelFamily",
+        "devectorize",
+        "gram_tensor_power",
+        "gram_triple",
+        "liouville_inner",
+        "product_family",
+        "superop_from_kraus",
+        "tensor_power",
+        "tensor_power_derivative",
+        "vectorize",
+    ),
+    "metrology": (
+        "EcsBreakdown",
+        "PrecisionConfig",
+        "ScalingResult",
+        "correlated_gram_max",
+        "ecs_lower_bound_closed",
+        "ecs_lower_bound_numeric",
+        "ecs_lower_bound_practical",
+        "ecs_practical_forms",
+        "interferometer_gram_diag",
+        "interferometer_optimal_m",
+        "precision_scaling",
+        "t_opt_numeric",
+        "t_opt_paper",
+        "tau_solve",
+    ),
+    "qfi_oracle": (
+        "Povm",
+        "SldResult",
+        "classical_bound",
+        "classical_fisher",
+        "exact_qfi",
+        "optimal_povm_from_rho_prime",
+        "pure_state_qfi",
+    ),
+    "sampling": (
+        "random_cptp_params",
+        "random_hermitian",
+        "random_kraus_set",
+        "random_mixed_state",
+        "random_noisy_family",
+        "random_pure_state",
+        "random_short_time_model",
+        "random_unitary",
+        "random_unitary_family",
+    ),
+    "verify": ("DEFAULT_SEED", "VERIFY_REPORT_SCHEMA", "corrupt_family", "run_verification"),
+}
+
+for _module, _names in _EXPORTS.items():
+    _namespace = vars(importlib.import_module(f".{_module}", __name__))
+    globals().update({name: _namespace[name] for name in _names})
+
+__all__ = sorted(["errors", *(name for names in _EXPORTS.values() for name in names)])

@@ -98,27 +98,27 @@ class OptimalStateResult:
         return ghz_state(self.n) if self.ghz_optimal else None
 
 
-def _check_density(rho: np.ndarray, *, tol: float = STATE_TOL) -> np.ndarray:
-    """rho, once square, finite, Hermitian, of unit trace and PSD to ``tol``.
-    PSD is a Cholesky factorization of sym(rho) + tol I, which exists when no
-    eigenvalue is below -tol, up to round-off; only when it fails does
-    eigvalsh run, to confirm the refusal and name the eigenvalue."""
+def _check_density(rho: np.ndarray) -> np.ndarray:
+    """rho, once square, finite, Hermitian, of unit trace and PSD to STATE_TOL.
+    PSD is a Cholesky factorization of sym(rho) + STATE_TOL I, which exists
+    when no eigenvalue is below -STATE_TOL, up to round-off; only when it
+    fails does eigvalsh run, to confirm the refusal and name the eigenvalue."""
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidState(f"density matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidState("density matrix has non-finite entries")
-    if not _hermiticity_defect(m) <= tol:
+    if not _hermiticity_defect(m) <= STATE_TOL:
         raise InvalidState("density matrix is not Hermitian")
     trace = complex(np.trace(m))
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > STATE_TOL:
         raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
     sym = (m + m.conj().T) / 2.0
     try:
-        np.linalg.cholesky(sym + tol * np.eye(len(sym)))
+        np.linalg.cholesky(sym + STATE_TOL * np.eye(len(sym)))
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(sym)[0])
-        if min_eig < -tol:
+        if min_eig < -STATE_TOL:
             raise InvalidState(f"density matrix has negative eigenvalue {min_eig:.3e}") from None
     return m
 

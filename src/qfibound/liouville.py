@@ -75,9 +75,9 @@ def liouville_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
 
 
-def _check_trace_preserving(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_trace_preserving(m: np.ndarray) -> np.ndarray:
     """``m``, a d^2 x d^2 map, once it is finite and its dual fixes the
-    identity to ``tol``; else CompletenessViolation."""
+    identity to 1e-10; else CompletenessViolation."""
     # the dual below reads only d rows, so a NaN or inf elsewhere would go
     # unseen without this test
     if not np.isfinite(m).all():
@@ -89,7 +89,7 @@ def _check_trace_preserving(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     dual = m[:: d + 1].sum(axis=0)
     dual[:: d + 1] -= 1.0
     defect = float(np.abs(dual).max())
-    if not defect <= tol:  # a NaN defect fails too
+    if not defect <= 1e-10:  # a NaN defect fails too
         raise CompletenessViolation(
             f"map flagged trace-preserving but dual moves identity by {defect:.3e}"
         )

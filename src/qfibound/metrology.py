@@ -124,12 +124,12 @@ def t_opt_paper(alpha_perp: float, beta_perp: float, n_probes: int) -> float:
     return (2.0 * alpha_perp * n_probes * (beta_perp + 1.0)) ** (-1.0 / beta_perp)
 
 
-def _eta_horizon(model: ShortTimeModel, floor: float = TAU_ETA_FLOOR) -> float:
-    """Time at which eta_perp(t) decays to ``floor`` (search-window edge)."""
+def _eta_horizon(model: ShortTimeModel) -> float:
+    """Time at which eta_perp(t) decays to TAU_ETA_FLOOR (search-window edge)."""
     if model.form == EXPONENTIAL_FORM:
-        x = math.log(1.0 / floor) / model.alpha_perp
+        x = math.log(1.0 / TAU_ETA_FLOOR) / model.alpha_perp
     else:
-        x = (1.0 - floor) / model.alpha_perp
+        x = (1.0 - TAU_ETA_FLOOR) / model.alpha_perp
     return x ** (1.0 / model.beta_perp)
 
 
@@ -440,19 +440,19 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
 # correlated dephasing
 
 
-def correlated_gram_max(
-    n_probes: int, gamma: float, t: float, *, omega2: float = 0.0
-) -> float:
+def correlated_gram_max(n_probes: int, gamma: float, t: float) -> float:
     """Largest Gram diagonal for the two-atom correlated-dephasing probes.
 
     The maximum sits on coherences with alpha1 = +-N and alpha1 + alpha2 =
     0, which dephasing never touches, so the value N^2 t^2 is
     gamma-independent.  The map is diagonal, so the Gram diagonal is
-    |Phi'|^2 elementwise.  An entry depends on its index only through the
-    charges (alpha1, alpha2) in [-N, N]^2, and every pair occurs, so the
-    maximum is read off that (2N+1)^2 grid in blocks of rows, from the
-    channel's own entry formula: it is the maximum of the 16^N diagonal, bit
-    for bit, and nothing of that size is built.  N <= 2047 (MAX_DENSE_ROWS^2
+    |Phi'|^2 elementwise, alpha1^2 t^2 e^{-2 alpha^2 gamma t}: the field
+    strengths only set phases, so the maximum is read at w1 = w2 = 0.  An
+    entry depends on its index only through the charges (alpha1, alpha2) in
+    [-N, N]^2, and every pair occurs, so the maximum is read off that
+    (2N+1)^2 grid in blocks of rows, from the channel's own entry formula:
+    it is the maximum of the 16^N diagonal at w1 = w2 = 0, bit for bit, and
+    nothing of that size is built.  N <= 2047 (MAX_DENSE_ROWS^2
     grid entries), checked before any allocation; gamma < 0 or t < 0 raises
     RangeViolation.
     """
@@ -463,6 +463,6 @@ def correlated_gram_max(
     step = max(1, 2**13 // charges.size)  # blocks of about 2^13 entries stay in cache
     best = 0.0
     for lo in range(0, charges.size, step):
-        dphi = _correlated_derivative(charges[lo : lo + step, None], charges, omega2, omega2, gamma, t)
+        dphi = _correlated_derivative(charges[lo : lo + step, None], charges, 0.0, 0.0, gamma, t)
         best = float(np.maximum(best, (np.abs(dphi) ** 2).max()))  # NaN propagates
     return best

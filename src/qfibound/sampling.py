@@ -28,21 +28,17 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def random_mixed_state(rng: np.random.Generator, dim: int, *, rank: int | None = None) -> np.ndarray:
-    """Full-rank (by default) random density matrix from a Wishart draw."""
-    k = rank if rank is not None else dim
-    g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+def random_mixed_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Full-rank random density matrix from a square Wishart draw."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, *, traceless: bool = False) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (g + g.conj().T) / 2.0
-    if traceless:
-        h -= np.trace(h).real / dim * np.eye(dim)
-    return h
+    return (g + g.conj().T) / 2.0
 
 
 def random_kraus_set(rng: np.random.Generator, dim: int, n_kraus: int) -> list[np.ndarray]:
@@ -112,14 +108,13 @@ def random_short_time_model(rng: np.random.Generator) -> ShortTimeModel:
     )
 
 
-def random_cptp_params(
-    rng: np.random.Generator, t: float, *, max_tries: int = 200
-) -> NoiseParams:
-    """Rejection-sample a CPTP-valid phase-covariant parameter set at time t."""
-    for _ in range(max_tries):
+def random_cptp_params(rng: np.random.Generator, t: float) -> NoiseParams:
+    """Rejection-sample a CPTP-valid phase-covariant parameter set at time t,
+    in at most 200 draws."""
+    for _ in range(200):
         model = random_short_time_model(rng)
         try:
             return params_at(model, t, theta=float(rng.uniform(0.0, 2.0 * np.pi)))
         except (CptpViolation, RangeViolation):
             continue
-    raise CptpViolation(f"no CPTP parameter set found in {max_tries} draws")
+    raise CptpViolation("no CPTP parameter set found in 200 draws")

@@ -580,11 +580,11 @@ class TestCorrelatedGramMax:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 10.0])
     @pytest.mark.parametrize("t", [0.7, 1e-3])
-    @pytest.mark.parametrize("omega2", [0.0, 0.3])
+    @pytest.mark.parametrize("omega2", [0.0])
     def test_grid_is_the_dense_diagonal_maximum(self, n, gamma, t, omega2):
         _, derivative = correlated_dephasing_family(n, omega2, gamma, t)
         dense = derivative(0.0)
-        assert correlated_gram_max(n, gamma, t, omega2=omega2) == np.max(np.abs(dense) ** 2)
+        assert correlated_gram_max(n, gamma, t) == np.max(np.abs(dense) ** 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_grid_holds_the_dense_values(self, n):
