@@ -11,17 +11,15 @@ All qubit superoperators use the row-major |mu><nu| Liouville convention of
 :mod:`.liouville`; the phase-covariant channel is the 4x4 matrix
 
     [[ J_pp, 0,        0,        J_pm ],
-     [ 0,    .,        h e^-if,  0    ],
-     [ 0,    h e^+if,  .,        0    ],
+     [ 0,    h e^-if,  0,        0    ],
+     [ 0,    0,        h e^+if,  0    ],
      [ J_mm, 0,        0,        J_mp ]]
 
 with J_{s s'} = (1 + s k + s' eta_par)/2, h = eta_perp and f = omega*t +
-theta.  The default ("verbatim") form carries the coherence factors on the
-|01)<->|10| swap entries; the ``coherence_diagonal`` variant places them on
-the |01)->|01), |10)->|10) diagonal instead.  The two forms share every
-spectral quantity used by the bound machinery.  Since omega enters only
-through the phase of the output coherences, the derivative in omega is the
-map itself times -i t Q, Q = diag(0, 1, -1, 0).
+theta.  It is completely positive exactly on the region NoiseParams
+accepts.  Since omega enters only through the phase of the output
+coherences, the derivative in omega is the map itself times -i t Q,
+Q = diag(0, 1, -1, 0).
 """
 from __future__ import annotations
 
@@ -111,63 +109,43 @@ def rotation_family(t: float) -> ChannelFamily:
     """The unitary encoding family omega -> U_omega rho U_omega^dag with
     U = e^{-i omega t sz/2}: noiseless phase-covariant noise, diagonal in
     the |mu><nu| basis (|01) picks up e^{-i omega t}, |10) e^{+i omega t})."""
-    return phase_covariant_family(t, NoiseParams(), coherence_diagonal=True)
+    return phase_covariant_family(t, NoiseParams())
 
 
-def _qubit_map(omega: float, t: float, params: NoiseParams, coherence_diagonal: bool) -> np.ndarray:
+def _qubit_map(omega: float, t: float, params: NoiseParams) -> np.ndarray:
     """The 4 x 4 matrix of the module docstring: the one place where the
     coherence phase e^{-+i phi} is computed."""
     coh = params.eta_perp * np.exp(-1j * (omega * t + params.theta))
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[0, 3], m[3, 0], m[3, 3] = params.j_pp, params.j_pm, params.j_mm, params.j_mp
-    m[1, 1 if coherence_diagonal else 2], m[2, 2 if coherence_diagonal else 1] = coh, coh.conjugate()
+    m[1, 1], m[2, 2] = coh, coh.conjugate()
     return m
 
 
-def phase_covariant_superop(
-    omega: float,
-    t: float,
-    params: NoiseParams,
-    *,
-    coherence_diagonal: bool = False,
-) -> np.ndarray:
+def phase_covariant_superop(omega: float, t: float, params: NoiseParams) -> np.ndarray:
     """Noisy encoding channel, rotation followed by phase-covariant noise:
     its 4 x 4 matrix, checked to preserve the trace.
 
-    The default form carries the coherence factors eta_perp e^{-+i phi} on
-    the |10)->|01| and |01)->|10| entries (so the noise part swaps the two
-    coherence basis vectors); ``coherence_diagonal=True`` places them on
-    the diagonal instead.  Populations and all Gram/bound quantities are
-    identical between the two forms.
+    The coherence factors eta_perp e^{-+i phi} sit on the |01)->|01| and
+    |10)->|10| diagonal entries, so the map is completely positive exactly
+    where NoiseParams accepts its parameters.
     """
-    return _check_trace_preserving(_qubit_map(omega, t, params, coherence_diagonal))
+    return _check_trace_preserving(_qubit_map(omega, t, params))
 
 
-def phase_covariant_derivative(
-    omega: float,
-    t: float,
-    params: NoiseParams,
-    *,
-    coherence_diagonal: bool = False,
-) -> np.ndarray:
+def phase_covariant_derivative(omega: float, t: float, params: NoiseParams) -> np.ndarray:
     """d/d omega of :func:`phase_covariant_superop`, read off the map as
     -i t Q Phi with Q = diag(0, 1, -1, 0) the charge nu - mu of the output
     |mu><nu|: the noise commutes with the rotation, so omega enters only as
     the output phase e^{-i Q (omega t + theta)}."""
-    return -1j * t * _CHARGE[:, None] * _qubit_map(omega, t, params, coherence_diagonal)
+    return -1j * t * _CHARGE[:, None] * _qubit_map(omega, t, params)
 
 
-def phase_covariant_family(
-    t: float, params: NoiseParams, *, coherence_diagonal: bool = False
-) -> ChannelFamily:
+def phase_covariant_family(t: float, params: NoiseParams) -> ChannelFamily:
     """The noisy-encoding family omega -> J . U_omega with analytic derivative."""
     return ChannelFamily(
-        evaluate=lambda omega: phase_covariant_superop(
-            omega, t, params, coherence_diagonal=coherence_diagonal
-        ),
-        derivative=lambda omega: phase_covariant_derivative(
-            omega, t, params, coherence_diagonal=coherence_diagonal
-        ),
+        evaluate=lambda omega: phase_covariant_superop(omega, t, params),
+        derivative=lambda omega: phase_covariant_derivative(omega, t, params),
     )
 
 
@@ -177,6 +155,12 @@ def _require_rate(rate: float, t: float, what: str) -> None:
         raise RangeViolation(f"{what} must be >= 0, got {rate}")
     if t < 0.0:
         raise RangeViolation(f"time must be >= 0, got {t}")
+
+
+def _require_transmissivity(eta: float) -> None:
+    """RangeViolation for a transmissivity outside [0, 1] (or nan)."""
+    if not 0.0 <= eta <= 1.0:
+        raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
 
 
 def named_noise(kind: str, strength: float, t: float) -> NoiseParams:
@@ -326,8 +310,7 @@ def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
     K_l |k> = sqrt(C(k, l) eta^{k-l} (1-eta)^l) |k-l> for l <= k.  The set
     {K_0, ..., K_{n_max}} is exactly complete on the truncated space.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    _require_transmissivity(eta)
     n_max = _whole_number(n_max, "n_max", 0)
     amplitudes = np.sqrt(loss_weights(n_max, eta))
     return [np.diag(amplitudes[level:, level], k=level) for level in range(n_max + 1)]

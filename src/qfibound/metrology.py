@@ -24,6 +24,7 @@ from .channels import (
     ShortTimeModel,
     _correlated_derivative,
     _require_rate,
+    _require_transmissivity,
     ecs_vector,
     loss_weight_rows,
     loss_weights,
@@ -34,7 +35,6 @@ from .errors import (
     MaxRowMismatch,
     NoInteriorMinimum,
     NoRoot,
-    RangeViolation,
 )
 from .liouville import MAX_DENSE_ROWS, _whole_number, require_budget
 from .numerics import loglog_slope, minimize_unimodal, solve_root_bisect
@@ -254,8 +254,7 @@ def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> floa
     (k, m) and zero on the diagonal k = m.
     """
     n_photons = _whole_number(n_photons, "photon number", 1)
-    if not 0.0 <= eta <= 1.0:
-        raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
+    _require_transmissivity(eta)
     for name, idx in (("k", k), ("m", m)):
         if not 0 <= idx <= n_photons:
             raise IndexOutOfRange(
@@ -279,8 +278,7 @@ def interferometer_optimal_m(n_photons: int, eta: float) -> int:
     it does not.  N + 1 > MAX_DENSE_ROWS raises DimensionBudgetExceeded.
     """
     n_photons = _whole_number(n_photons, "photon number", 1)
-    if not 0.0 <= eta <= 1.0:
-        raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
+    _require_transmissivity(eta)
     size = n_photons + 1
     require_budget(size, f"loss-weight rows at N = {n_photons}")
     w = loss_weights(n_photons, eta)
@@ -318,8 +316,7 @@ def ecs_lower_bound_closed(spec: EcsSpec, eta: float) -> EcsBreakdown:
     f_C = (N_alpha^2 / 4) xi, f_H = (xi/2 - 1)/2, and the bound is
     2 n_bar eta f_C + (n_bar eta)^2 f_H.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
+    _require_transmissivity(eta)
     mean = abs(spec.alpha) ** 2
     e1 = math.exp(-(1.0 - eta) * mean)
     e2 = math.exp(-eta * mean)
@@ -347,8 +344,7 @@ def ecs_practical_forms(spec: EcsSpec, eta: float) -> tuple[float, float]:
     exact forms only for |alpha|^2 large; they are reported separately and
     never substituted into the exact bound.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
+    _require_transmissivity(eta)
     mean = abs(spec.alpha) ** 2
     e1 = math.exp(-(1.0 - eta) * mean)
     return (1.0 + e1 * e1) / 4.0, e1 / 2.0
@@ -389,8 +385,7 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     (n_max <= 4095 passes), and before the gather when ECS_FACTOR_COPIES
     copies of V would (n_max <= 1023 passes on the ECS support).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise RangeViolation(f"transmissivity must lie in [0, 1], got {eta}")
+    _require_transmissivity(eta)
     dim = spec.n_max + 1
     require_budget(dim * dim, f"ECS amplitudes at n_max = {spec.n_max}", MAX_DENSE_ROWS**2)
     # mode a indexes rows, mode b columns

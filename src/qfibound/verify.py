@@ -96,11 +96,11 @@ VERIFY_REPORT_SCHEMA = {
 }
 
 
-def corrupt_family(family: ChannelFamily, factor: float = CORRUPTION_FACTOR) -> ChannelFamily:
-    """Negative-control wrapper: same channel, derivative scaled by ``factor``."""
+def corrupt_family(family: ChannelFamily) -> ChannelFamily:
+    """Negative-control wrapper: same channel, derivative scaled by CORRUPTION_FACTOR."""
     return ChannelFamily(
         evaluate=family.evaluate,
-        derivative=lambda x: family.derivative(x) * factor,
+        derivative=lambda x: family.derivative(x) * CORRUPTION_FACTOR,
     )
 
 

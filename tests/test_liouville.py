@@ -41,7 +41,7 @@ from qfibound.liouville import (
 )
 from qfibound.numerics import HERMITICITY_RTOL, _hermiticity_defect, _scaled
 from qfibound.sampling import random_cptp_params, random_kraus_set, random_noisy_family, random_unitary_family
-from qfibound.verify import corrupt_family
+from qfibound.verify import CORRUPTION_FACTOR, corrupt_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -367,14 +367,11 @@ class TestProductAction:
 # every channel family of the package against the central-difference oracle;
 # rotation_family is checked by test_finite_diff_matches_analytic below
 _FD_CASES = {
-    "phase-covariant-swap": (
-        lambda: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3)), 0.4, 1e-9, 1.0),
     "phase-covariant-diagonal": (
-        lambda: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3), coherence_diagonal=True),
-        0.4, 1e-9, 1.0),
+        lambda: phase_covariant_family(1.3, NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3)), 0.4, 1e-9, 1.0),
     "random-unitary": (lambda: random_unitary_family(np.random.default_rng(20240817), 3), 0.3, 1e-7, 1.0),
     "random-noisy": (lambda: random_noisy_family(np.random.default_rng(20240817), 2, 3), 0.5, 1e-7, 1.0),
-    "corrupt": (lambda: corrupt_family(rotation_family(1.1), 1.5), 0.2, 1e-9, 1.5),
+    "corrupt": (lambda: corrupt_family(rotation_family(1.1)), 0.2, 1e-9, CORRUPTION_FACTOR),
 }
 
 

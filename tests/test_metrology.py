@@ -247,8 +247,6 @@ class TestInterferometerGram:
             interferometer_gram_diag(3, 0.5, 4, 0)
         with pytest.raises(IndexOutOfRange):
             interferometer_gram_diag(3, 0.5, 2, -1)
-        with pytest.raises(RangeViolation):
-            interferometer_gram_diag(3, 1.1, 2, 0)
         with pytest.raises(ValueError):
             interferometer_gram_diag(0, 0.5, 0, 0)
 
@@ -336,6 +334,24 @@ class TestWholeNumberArguments:
             call()
 
 
+# id -> an entry point that takes a transmissivity, with its other arguments valid
+TRANSMISSIVITY_CALLS = {
+    "loss-kraus": lambda eta: loss_kraus(3, eta),
+    "gram-diag": lambda eta: interferometer_gram_diag(3, eta, 2, 0),
+    "optimal-m": lambda eta: interferometer_optimal_m(4, eta),
+    "ecs-closed": lambda eta: ecs_lower_bound_closed(EcsSpec.for_alpha(1.0), eta),
+    "ecs-practical": lambda eta: ecs_practical_forms(EcsSpec.for_alpha(1.0), eta),
+    "ecs-numeric": lambda eta: ecs_lower_bound_numeric(EcsSpec.for_alpha(1.0), eta),
+}
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.1, math.nan])
+@pytest.mark.parametrize("name", list(TRANSMISSIVITY_CALLS))
+def test_rejects_transmissivity_outside_unit_interval(name, eta):
+    with pytest.raises(RangeViolation, match="transmissivity"):
+        TRANSMISSIVITY_CALLS[name](eta)
+
+
 class TestEcsClosed:
     def test_breakdown_sums(self):
         spec = EcsSpec.for_alpha(math.sqrt(2.0))
@@ -359,10 +375,6 @@ class TestEcsClosed:
     def test_full_loss_kills_the_bound(self):
         spec = EcsSpec.for_alpha(1.0)
         assert ecs_lower_bound_closed(spec, 0.0).f_lower == 0.0
-
-    def test_rejects_bad_eta(self):
-        with pytest.raises(RangeViolation):
-            ecs_lower_bound_closed(EcsSpec.for_alpha(1.0), -0.1)
 
 
 class TestEcsPractical:
@@ -564,10 +576,6 @@ class TestEcsNumeric:
     def test_truncation_guard(self):
         with pytest.raises(TruncationInsufficient):
             ecs_lower_bound_numeric(EcsSpec(alpha=2.0, n_max=5), 0.9)
-
-    def test_rejects_bad_eta(self):
-        with pytest.raises(RangeViolation):
-            ecs_lower_bound_numeric(EcsSpec.for_alpha(1.0), 1.5)
 
 
 class TestCorrelatedGramMax:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from qfibound.channels import rotation_family
 from qfibound.verify import (
+    CORRUPTION_FACTOR,
     DEFAULT_SEED,
     VERIFY_REPORT_SCHEMA,
     corrupt_family,
@@ -61,6 +62,6 @@ class TestCorruption:
 
     def test_corrupt_family_scales_derivative(self):
         family = rotation_family(1.0)
-        bad = corrupt_family(family, factor=1.5)
-        assert_allclose(bad.derivative(0.3), 1.5 * family.derivative(0.3))
+        bad = corrupt_family(family)
+        assert_allclose(bad.derivative(0.3), CORRUPTION_FACTOR * family.derivative(0.3))
         assert_allclose(bad.evaluate(0.3), family.evaluate(0.3))
