@@ -26,6 +26,7 @@ from qfibound.channels import (
     named_noise,
     params_at,
     phase_covariant_derivative,
+    phase_covariant_family,
     phase_covariant_superop,
     rotation_family,
 )
@@ -35,6 +36,7 @@ from qfibound.errors import (
     RangeViolation,
     TruncationInsufficient,
 )
+from qfibound.liouville import devectorize, vectorize
 from qfibound.metrology import interferometer_gram_diag
 from qfibound.sampling import random_cptp_params
 
@@ -105,9 +107,26 @@ class TestPhaseCovariantSuperop:
         expected[2, 2] = 0.3 * np.exp(+1j * phi)
         assert_allclose(m, expected, rtol=0, atol=1e-15)
 
-    def test_reduces_to_rotation_when_noiseless(self):
+    def test_diagonal_variant_moves_coherences(self):
+        # the coherence factors sit on the diagonal; nothing swaps |01) and |10)
+        params = NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3)
+        m = phase_covariant_superop(0.5, 2.0, params)
+        phi = 1.0
+        assert_allclose(m[1, 1], 0.3 * np.exp(-1j * phi))
+        assert_allclose(m[2, 2], 0.3 * np.exp(+1j * phi))
+        assert m[1, 2] == 0.0 and m[2, 1] == 0.0
+
+    @pytest.mark.parametrize("on_state", [False, True])
+    def test_reduces_to_rotation_when_noiseless(self, on_state):
         s = phase_covariant_superop(0.7, 1.0, NoiseParams())
-        assert_allclose(s, np.diag([1.0, np.exp(-0.7j), np.exp(0.7j), 1.0]))
+        if not on_state:
+            assert_allclose(s, np.diag([1.0, np.exp(-0.7j), np.exp(0.7j), 1.0]))
+        else:
+            # U rho U^dag with U = e^{-i omega t sz/2}, on a state with complex coherences
+            rho = np.array([[0.6, 0.25 + 0.1j], [0.25 - 0.1j, 0.4]])
+            u = np.diag([np.exp(-0.35j), np.exp(0.35j)])
+            out = devectorize(s @ vectorize(rho))
+            assert_allclose(out, u @ rho @ u.conj().T, rtol=0, atol=1e-15)
 
     def test_populations_are_phase_independent(self):
         params = NoiseParams(k=0.1, eta_par=0.8, eta_perp=0.4)
@@ -126,10 +145,14 @@ class TestPhaseCovariantSuperop:
             family.derivative(omega), np.diag([0.0, -1j * t * minus, 1j * t * plus, 0.0]), rtol=0, atol=1e-15
         )
 
-    def test_derivative_hand_values(self):
+    @pytest.mark.parametrize("via_family", [False, True])
+    def test_derivative_hand_values(self, via_family):
         # the |0><1| output row gets -i t eta_perp e^{-i phi}, the |1><0| row +i t eta_perp e^{+i phi}
         params = NoiseParams(k=0.2, eta_par=0.6, eta_perp=0.3, theta=0.1)
-        m = phase_covariant_derivative(0.5, 2.0, params)
+        if via_family:
+            m = phase_covariant_family(2.0, params).derivative(0.5)
+        else:
+            m = phase_covariant_derivative(0.5, 2.0, params)
         phi = 0.5 * 2.0 + 0.1
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 1] = -2.0j * 0.3 * np.exp(-1j * phi)
