@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, NonTraceless
+from .errors import DimensionMismatch, InvalidState, NonTraceless, RangeViolation
 from .liouville import (
     ChannelFamily,
     _checked_power,
@@ -283,7 +283,7 @@ def analytic_max_phase_covariant(n: int, t: float, eta_perp: float) -> float:
     crossover time: N^2 t^2 eta_perp^(2N)."""
     n = _checked_power(n)
     if not 0.0 <= eta_perp <= 1.0:
-        raise ValueError(f"eta_perp must lie in [0, 1], got {eta_perp}")
+        raise RangeViolation(f"eta_perp must lie in [0, 1], got {eta_perp}")
     return float(n) ** 2 * t**2 * eta_perp ** (2 * n)
 
 

@@ -196,7 +196,7 @@ class ShortTimeModel:
 
     The exponential form agrees with the truncated one to O(t^{2 beta}) and
     stays physical for all t >= 0.  beta exponents are > 0; the contraction
-    coefficients alpha_perp and alpha_par are >= 0.
+    coefficients alpha_perp and alpha_par are finite and >= 0.
     """
 
     alpha_perp: float
@@ -217,8 +217,8 @@ class ShortTimeModel:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("alpha_perp", "alpha_par"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def eta_perp_at(self, t: float) -> float:
         x = self.alpha_perp * t**self.beta_perp

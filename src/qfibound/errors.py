@@ -111,7 +111,7 @@ class SingularOutcome(UserWarning):
 
 
 class NoInteriorMinimum(QfiboundError):
-    """The cost function is monotone on the search bracket, so no interior
+    """The stationary point of the cost lies at or past tau, so no interior
     optimum exists."""
 
 

@@ -411,7 +411,7 @@ class TestAnalyticMax:
         assert_allclose(analytic_max_phase_covariant(n, t, eta), expected, rtol=1e-15)
 
     def test_rejects_bad_eta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeViolation):
             analytic_max_phase_covariant(2, 1.0, 1.5)
 
 

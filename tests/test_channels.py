@@ -218,8 +218,11 @@ class TestShortTimeModel:
             ShortTimeModel(alpha_perp=0.5, beta_perp=0.0)
 
     def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            ShortTimeModel(alpha_perp=-0.5, beta_perp=1.0)
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ShortTimeModel(alpha_perp=bad, beta_perp=1.0)
+            with pytest.raises(ValueError):
+                ShortTimeModel(alpha_perp=0.5, beta_perp=1.0, alpha_par=bad)
 
 
 class TestParamsAt:

@@ -142,6 +142,11 @@ class TestSweepCommand:
         assert float(t_paper) == pytest.approx(1.0 / (2.0 * 0.5 * 8.0 * 2.0))
         assert float(t_numeric) == pytest.approx(2.0 / 17.0, rel=1e-6)
 
+    def test_large_probe_count_answers(self, capsys):
+        assert main(["sweep", "--N-list", "8,30000"]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert float(rows[2].split(",")[2]) == pytest.approx(1.0 / 30000.0, rel=1e-9)
+
 
 class TestInterferometerCommand:
     def test_probe_mode(self, capsys):

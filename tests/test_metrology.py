@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -32,6 +33,7 @@ from qfibound.errors import (
 )
 from qfibound.liouville import ChannelFamily, gram_triple, superop_from_kraus
 from qfibound.numerics import loglog_slope
+from qfibound.sampling import random_short_time_model
 from qfibound.metrology import (
     EcsBreakdown,
     PrecisionConfig,
@@ -121,6 +123,18 @@ class TestTauSolve:
             tau_solve(model, 0)
 
 
+def _cost(model, n, t):
+    """t / (T F_max) at T = 1, with F_max = N^2 t^2 eta_perp(t)^{2N} / 2
+    evaluated from the model's own law."""
+    return 2.0 / (n**2 * t * model.eta_perp_at(t) ** (2 * n))
+
+
+def _assert_minimum_of_cost(model, n, t_star):
+    """t_star is a minimum of the cost itself, not only of its closed form."""
+    for step in (1.0 - 1e-3, 1.0 + 1e-3):
+        assert _cost(model, n, t_star) < _cost(model, n, t_star * step), (model, n, step)
+
+
 class TestTOptNumeric:
     def test_exponential_stationary_point(self):
         model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0, form=EXPONENTIAL_FORM)
@@ -137,6 +151,51 @@ class TestTOptNumeric:
         model = ShortTimeModel(alpha_perp=0.5, beta_perp=0.4, form=EXPONENTIAL_FORM)
         with pytest.raises(NoInteriorMinimum):
             t_opt_numeric(model, 10)
+
+    @pytest.mark.parametrize("form", [TRUNCATED_FORM, EXPONENTIAL_FORM])
+    def test_every_large_probe_count_answers(self, form):
+        # at alpha = beta = 1 the optimum is 1/(2N + 1) (truncated) or 1/(2N)
+        model = ShortTimeModel(alpha_perp=1.0, beta_perp=1.0, form=form)
+        shift = 1 if form == TRUNCATED_FORM else 0
+        for n in np.unique(np.round(np.geomspace(100, 200000, 200)).astype(int)):
+            n = int(n)
+            assert_allclose(t_opt_numeric(model, n), 1.0 / (2 * n + shift), rtol=1e-12)
+
+    def test_pinned_large_probe_counts(self):
+        for form, n, expected in (
+            (EXPONENTIAL_FORM, 8398, 1.0 / 16796.0),
+            (EXPONENTIAL_FORM, 30000, 1.0 / 60000.0),
+            (TRUNCATED_FORM, 8398, 1.0 / 16797.0),
+            (TRUNCATED_FORM, 30000, 1.0 / 60001.0),
+        ):
+            model = ShortTimeModel(alpha_perp=1.0, beta_perp=1.0, form=form)
+            t_star = t_opt_numeric(model, n)
+            assert_allclose(t_star, expected, rtol=1e-12)
+            _assert_minimum_of_cost(model, n, t_star)
+
+    def test_interior_exactly_when_cost_rises_before_tau(self, rng):
+        # random_short_time_model draws beta in (0.6, 2), where almost every
+        # optimum is interior; a transverse beta on (0.3, 1) also reaches
+        # beta < 1/2, where the stationary point passes the crossover
+        outcomes = set()
+        for _ in range(100):
+            drawn = random_short_time_model(rng)
+            drawn = dataclasses.replace(drawn, beta_perp=float(rng.uniform(0.3, 1.0)))
+            for form in (TRUNCATED_FORM, EXPONENTIAL_FORM):
+                model = dataclasses.replace(drawn, form=form)
+                for n in (2, 5, 20, 100):
+                    tau = tau_solve(model, n)
+                    falling = _cost(model, n, tau) < _cost(model, n, tau * (1.0 - 1e-6))
+                    try:
+                        t_star = t_opt_numeric(model, n)
+                    except NoInteriorMinimum:
+                        assert falling, (model, n)
+                        outcomes.add("past tau")
+                        continue
+                    assert not falling, (model, n)
+                    _assert_minimum_of_cost(model, n, t_star)
+                    outcomes.add("interior")
+        assert outcomes == {"interior", "past tau"}
 
 
 class TestPrecisionScaling:
