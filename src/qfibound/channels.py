@@ -181,7 +181,7 @@ def named_noise(kind: str, strength: float, t: float) -> NoiseParams:
         return NoiseParams(
             k=1.0 - decay, eta_par=decay, eta_perp=math.sqrt(decay)
         )
-    raise ValueError(
+    raise RangeViolation(
         f"unknown noise kind {kind!r}; expected one of "
         f"{DEPHASING!r}, {DEPOLARIZING!r}, {AMPLITUDE_DAMPING!r}"
     )
@@ -209,16 +209,16 @@ class ShortTimeModel:
 
     def __post_init__(self) -> None:
         if self.form not in (TRUNCATED_FORM, EXPONENTIAL_FORM):
-            raise ValueError(
+            raise RangeViolation(
                 f"form must be {TRUNCATED_FORM!r} or {EXPONENTIAL_FORM!r}, "
                 f"got {self.form!r}"
             )
         for name in ("beta_perp", "beta_par", "beta_k"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+                raise RangeViolation(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("alpha_perp", "alpha_par"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+                raise RangeViolation(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def eta_perp_at(self, t: float) -> float:
         x = self.alpha_perp * t**self.beta_perp
@@ -303,6 +303,36 @@ def loss_weights(n_max: int, eta: float) -> np.ndarray:
     return np.fromiter(rows, np.dtype((float, n_max + 1)), count=n_max + 1)
 
 
+def _loss_amplitudes(n_max: int, eta: float) -> np.ndarray:
+    """The (n_max+1)^2 table sqrt(W) of :func:`loss_weights`, in one
+    vectorized expression with no row loop: for l <= s,
+
+        sqrt(W[s, l]) = exp((log s! - log l! - log (s-l)!) / 2) eta^((s-l)/2) (1-eta)^(l/2)
+
+    from one log-factorial table, and 0 above the diagonal.  A zero
+    probability enters as log = -inf at levels above 0 and as 0 at level 0,
+    so eta = 0 and eta = 1 give exact zeros and ones with no log(0).  The
+    exponent is never positive, so nothing overflows; an entry below the
+    float range reads 0, where the recurrence can underflow sooner.
+    """
+    levels = np.arange(n_max + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(levels[1:]))))
+    probs = np.array([eta, 1.0 - eta])
+    half_log = 0.5 * np.log(probs, out=np.full(2, -np.inf), where=probs > 0.0)
+    # columns: (photons kept) * log sqrt(eta) and (photons lost) * log sqrt(1 - eta)
+    above_zero = levels[:, None] > 0
+    level_log = np.multiply(levels[:, None], half_log, out=np.zeros((n_max + 1, 2)), where=above_zero)
+    kept = levels[:, None] - levels  # s - l
+    below = kept >= 0
+    kept *= below
+    log_amp = log_fact[:, None] - log_fact
+    log_amp -= log_fact[kept]
+    log_amp *= 0.5
+    log_amp += level_log[kept, 0]
+    log_amp += level_log[:, 1]
+    return np.exp(log_amp, out=np.zeros_like(log_amp), where=below)
+
+
 def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
     """Kraus operators of the photon-loss channel on a truncated Fock space:
     the operator view of :func:`loss_weights`.
@@ -348,11 +378,14 @@ class EcsSpec:
         return 2.0 * self.norm_const**2 * abs(self.alpha) ** 2
 
     def coherent_amplitudes(self) -> np.ndarray:
-        """Fock amplitudes <n|alpha> for n = 0..n_max."""
-        amps = np.zeros(self.n_max + 1, dtype=complex)
-        amps[0] = math.exp(-abs(self.alpha) ** 2 / 2.0)
+        """Fock amplitudes <n|alpha> for n = 0..n_max: float64 when alpha has
+        no imaginary part, complex128 otherwise."""
+        alpha = complex(self.alpha)
+        alpha = alpha.real if alpha.imag == 0.0 else alpha
+        amps = np.zeros(self.n_max + 1, dtype=type(alpha))
+        amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
         for n in range(1, self.n_max + 1):
-            amps[n] = amps[n - 1] * self.alpha / math.sqrt(n)
+            amps[n] = amps[n - 1] * alpha / math.sqrt(n)
         return amps
 
     def tail_mass(self) -> float:
@@ -383,11 +416,12 @@ def ecs_vector(spec: EcsSpec) -> np.ndarray:
     Only the 2 n_max + 1 entries of |alpha, 0> + |0, alpha> are written:
     mode a's branch on column n_b = 0, mode b's on row n_a = 0.  The
     coherent amplitudes are computed once, for the truncation check and
-    the state.
+    the state, whose dtype they set: float64 for a real alpha, complex128
+    otherwise.
     """
     c = spec.require_truncation()
     dim = c.size
-    psi = np.zeros(dim * dim, dtype=complex)
+    psi = np.zeros(dim * dim, dtype=c.dtype)
     psi[::dim] = c
     psi[:dim] += c
     psi *= spec.norm_const

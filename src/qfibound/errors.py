@@ -68,9 +68,12 @@ class CptpViolation(QfiboundError):
     """Noise parameters lie outside the complete-positivity region."""
 
 
-class RangeViolation(QfiboundError):
-    """A short-time model evaluated outside the domain where its
-    parameters remain physical."""
+class RangeViolation(QfiboundError, ValueError):
+    """An argument outside the domain the computation accepts: a rate,
+    time or transmissivity that would be unphysical, a short-time model
+    evaluated where its parameters are no longer physical, a count that is
+    not a whole number, or an unknown option value.  It is also a
+    ValueError, so callers that catch ValueError still catch it."""
 
 
 class TruncationInsufficient(QfiboundError):

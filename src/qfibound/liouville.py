@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     NonHermitian,
     NonSquare,
+    RangeViolation,
 )
 from .numerics import TopEigenspace, _within_top
 
@@ -179,9 +180,9 @@ def require_budget(count: int, what: str, budget: int = MAX_DENSE_ROWS) -> None:
 
 def _whole_number(value: float, what: str, minimum: int) -> int:
     """``value`` as an int: a whole-number float such as 3.0 converts, and
-    anything else, or a value below ``minimum``, raises ValueError."""
+    anything else, or a value below ``minimum``, raises RangeViolation."""
     if not (value >= minimum and float(value).is_integer()):
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {value}")
+        raise RangeViolation(f"{what} must be an integer >= {minimum}, got {value}")
     return int(value)
 
 

@@ -23,6 +23,7 @@ from .channels import (
     EcsSpec,
     ShortTimeModel,
     _correlated_derivative,
+    _loss_amplitudes,
     _require_rate,
     _require_transmissivity,
     ecs_vector,
@@ -35,6 +36,7 @@ from .errors import (
     MaxRowMismatch,
     NoInteriorMinimum,
     NoRoot,
+    RangeViolation,
 )
 from .liouville import MAX_DENSE_ROWS, _whole_number, require_budget
 from .numerics import loglog_slope, solve_root_bisect
@@ -47,9 +49,12 @@ TAU_GRID_POINTS = 512
 TAU_ETA_FLOOR = 0.01
 
 #: Copies of the ECS factor V that ecs_lower_bound_numeric holds at its peak,
-#: charged to its budget.  The peak falls in the product rho = V V^dag, while
-#: V, its conjugate and rho coexist: tracemalloc puts it at 3.40, 3.39, 3.39
-#: and 3.39 V for n_max 100, 200, 300 and 400.
+#: charged to its budget; a copy has V's own dtype.  For a real alpha the
+#: peak falls in the gather, while the weights, the flat indices (8 bytes an
+#: entry, as many as V) and V coexist: tracemalloc puts it at 3.56, 3.54,
+#: 3.54 and 3.54 V for n_max 100, 200, 300 and 400.  For a complex alpha it
+#: falls in the product rho = V V^dag, while V, its conjugate and rho
+#: coexist: 3.41, 3.40, 3.40 and 3.39 V.
 ECS_FACTOR_COPIES = 4
 
 
@@ -63,13 +68,13 @@ class PrecisionConfig:
 
     def __post_init__(self) -> None:
         if not self.total_time_T > 0.0:
-            raise ValueError(f"total time must be > 0, got {self.total_time_T}")
+            raise RangeViolation(f"total time must be > 0, got {self.total_time_T}")
         ns = tuple(_whole_number(n, "a probe count", 1) for n in self.N_range)
         object.__setattr__(self, "N_range", ns)
         if not ns:
-            raise ValueError("N_range must be nonempty")
+            raise RangeViolation("N_range must be nonempty")
         if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError(f"N_range must be strictly increasing, got {ns}")
+            raise RangeViolation(f"N_range must be strictly increasing, got {ns}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +121,9 @@ def t_opt_paper(alpha_perp: float, beta_perp: float, n_probes: int) -> float:
     which is what the cost exponent needs.
     """
     if not alpha_perp > 0.0:
-        raise ValueError(f"alpha_perp must be > 0, got {alpha_perp}")
+        raise RangeViolation(f"alpha_perp must be > 0, got {alpha_perp}")
     if not beta_perp > 0.0:
-        raise ValueError(f"beta_perp must be > 0, got {beta_perp}")
+        raise RangeViolation(f"beta_perp must be > 0, got {beta_perp}")
     n_probes = _whole_number(n_probes, "probe count", 1)
     return (2.0 * alpha_perp * n_probes * (beta_perp + 1.0)) ** (-1.0 / beta_perp)
 
@@ -147,7 +152,7 @@ def tau_solve(model: ShortTimeModel, n_probes: int) -> float:
     """
     n_probes = _whole_number(n_probes, "probe count", 1)
     if not model.alpha_perp > 0.0:
-        raise ValueError("alpha_perp must be > 0 for a finite crossover time")
+        raise RangeViolation("alpha_perp must be > 0 for a finite crossover time")
     if n_probes == 1:
         return (model.alpha_perp * n_probes) ** (-1.0 / model.beta_perp)
     ratio = 2.0 * n_probes**2 / (n_probes - 1) ** 2
@@ -353,13 +358,20 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     Phase encoding acts on arm a; photon loss with the same transmissivity
     acts on each arm independently (the symmetric-loss interferometer the
     closed form describes).  K_l is a shifted diagonal, so Kraus pair (l, r)
-    maps the branch amplitudes E to sqrt(W[i+l, l] W[k+r, r]) E[i+l, k+r] at
-    output levels (i, k), with W = loss_weights.  The suffix-OR mask
+    maps the branch amplitudes E to D[i, l] D[k, r] E[i+l, k+r] at output
+    levels (i, k), where D[i, l] = sqrt(W[i+l, l]) is the entry of K_l at
+    level i (0 past n_max) and W = loss_weights.  The suffix-OR mask
     reach[i, k] = any(E nonzero on [i:, k:]) names both the surviving pairs
     and the rows where the Kraus-branch factor V of rho = V V^dag can be
     nonzero, so V is gathered as reachable rows x kept pairs ((2 n_max + 1)^2
-    entries for the ECS), with one flat index per entry, and rho is formed
-    on the reachable levels by one product.
+    entries for the ECS): E at the sum of the two flat indices, times two
+    outer gathers of D.  D is read off the table sqrt(W[s, l]) =
+    exp((log s! - log l! - log (s-l)!)/2) eta^((s-l)/2) (1-eta)^(l/2), built
+    per call in one expression from a log-factorial table, with no row loop.
+
+    V takes the dtype of E, which is real for a real alpha: then the gather,
+    rho = V V^T (a symmetric product) and |rho_jk|^2 = rho_jk^2 all run in
+    real arithmetic, and a complex E keeps the complex path.
 
     Loss commutes with e^{-i phi n_a} up to a phase per Kraus operator, so
     the encoded state is U rho U^dag with U = e^{-i phi n_a}, and rho' =
@@ -382,36 +394,35 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     branch = ecs_vector(spec).reshape(dim, dim)
     reach = np.logical_or.accumulate(branch[::-1] != 0, axis=0)[::-1]
     reach = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
-    kept_a, kept_b = np.nonzero(reach)  # output levels (i, k), and lost photons (l, r)
+    kept = np.flatnonzero(reach)  # output levels (i, k), and lost photons (l, r)
     require_budget(
-        ECS_FACTOR_COPIES * kept_a.size**2,
+        ECS_FACTOR_COPIES * kept.size**2,
         f"entries of {ECS_FACTOR_COPIES} ECS factor copies at n_max = {spec.n_max}",
         MAX_DENSE_ROWS**2,
     )
-    amplitudes = np.sqrt(loss_weights(spec.n_max, eta))
-    # levels i + l and k + r before the loss; a branch from past n_max is zero
-    kept_a, kept_b = kept_a.astype(np.int32), kept_b.astype(np.int32)
-    source_a, source_b = kept_a[:, None] + kept_a, kept_b[:, None] + kept_b
-    inside = (source_a < dim) & (source_b < dim)
-    source_a *= inside
-    source_b *= inside
-    weight = amplitudes[source_a, kept_a]
-    weight *= amplitudes[source_b, kept_b]
-    weight *= inside
-    # one flat index into E for the levels (i + l, k + r)
-    source_a *= dim
-    source_a += source_b
-    v = branch.take(source_a)
+    kept_a, kept_b = np.divmod(kept, dim)
+    # D of the docstring, 0 where the level i + l before the loss lies past n_max
+    levels = np.arange(dim)
+    source = levels[:, None] + levels
+    diagonal = _loss_amplitudes(spec.n_max, eta)[np.minimum(source, spec.n_max), levels]
+    diagonal *= source < dim
+    del source
+    weight = diagonal[np.ix_(kept_a, kept_a)]
+    weight *= diagonal[np.ix_(kept_b, kept_b)]
+    # E at (i + l, k + r) has the flat index (i, k) + (l, r); where a level
+    # lies past n_max the weight is 0, so the index, clipped into range, may
+    # read any entry
+    v = branch.take(kept[:, None] + kept, mode="clip")
     v *= weight
-    del source_a, source_b, inside, weight
+    del weight
     # tr rho = ||V||_F^2, which a NaN or infinite entry makes fail the test too
     trace = float(np.vdot(v, v).real)
     if not abs(trace - 1.0) <= STATE_TOL:
         raise InvalidState(f"density matrix trace {trace:.9g} is not 1")
+    # conj() of a real array is the array itself
     rho = v @ v.conj().T
     del v
-    abs_sq = rho.real**2
-    abs_sq += rho.imag**2
+    abs_sq = (rho * rho.conj()).real
     del rho
     purity = float(abs_sq.sum())
     gap = kept_a[:, None] - kept_a.astype(float)  # n_j - n_k

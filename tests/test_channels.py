@@ -365,6 +365,19 @@ class TestLossWeights:
         assert_array_equal(loss_weights(n, eta), np.array(list(loss_weight_rows(n, eta, n))))
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 5, 49, 200])
+    def test_amplitude_table_is_the_root_of_the_recurrence(self, n, eta):
+        # the log-factorial table against the row recurrence, with its zeros
+        # (above the diagonal, and at the edges eta = 0 and 1) exact; the
+        # pytest configuration makes a log(0) RuntimeWarning an error
+        want = np.sqrt(loss_weights(n, eta))
+        got = channels._loss_amplitudes(n, eta)
+        assert_array_equal(got == 0.0, want == 0.0)
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        if eta in (0.0, 1.0):
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
     def test_gram_diag_matches_table(self, eta):
         for n in range(1, 41):
             w = loss_weights(n, eta)
@@ -421,6 +434,15 @@ class TestEcsSpec:
         psi = ecs_vector(spec)
         assert_allclose(np.vdot(psi, psi).real, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha,dtype",
+        [(1.0, np.float64), (2, np.float64), (1.5 + 0.0j, np.float64), (1.0 + 0.5j, np.complex128), (2.0j, np.complex128)],
+    )
+    def test_vector_is_real_for_a_real_alpha(self, alpha, dtype):
+        spec = EcsSpec.for_alpha(alpha)
+        assert spec.coherent_amplitudes().dtype == dtype
+        assert ecs_vector(spec).dtype == dtype
+
     def test_vector_is_normalized(self):
         psi = ecs_vector(EcsSpec.for_alpha(math.sqrt(2.0)))
         assert_allclose(np.vdot(psi, psi).real, 1.0, atol=1e-12)
@@ -437,14 +459,14 @@ class TestEcsSpec:
     def test_vector_peak_memory_is_one_array(self):
         # the kron construction held three (n_max+1)^2 arrays at once
         spec = EcsSpec(alpha=3.0, n_max=400)
-        one_array = (spec.n_max + 1) ** 2 * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
-            ecs_vector(spec)
+            itemsize = ecs_vector(spec).itemsize
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * one_array
+        assert itemsize == np.dtype(float).itemsize
+        assert peak < 1.1 * (spec.n_max + 1) ** 2 * itemsize
 
     def test_state_is_rank_one(self):
         rho = ecs_state(EcsSpec.for_alpha(1.0))

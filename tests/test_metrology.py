@@ -20,6 +20,7 @@ from qfibound.channels import (
     _correlated_derivative,
     ecs_vector,
     loss_kraus,
+    named_noise,
 )
 from qfibound.errors import (
     DimensionBudgetExceeded,
@@ -28,6 +29,7 @@ from qfibound.errors import (
     MaxRowMismatch,
     NoInteriorMinimum,
     NoRoot,
+    QfiboundError,
     RangeViolation,
     TruncationInsufficient,
 )
@@ -393,6 +395,41 @@ class TestWholeNumberArguments:
             call()
 
 
+_MODEL = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
+
+
+# id -> a call that reaches one refusal that once raised a bare ValueError,
+# and a fragment of its message
+TYPED_REFUSALS = {
+    "whole-number": (lambda: EcsSpec(1.0, 2.5), "n_max must be an integer >= 0"),
+    "noise-kind": (lambda: named_noise("bogus", 1.0, 1.0), "unknown noise kind"),
+    "model-form": (lambda: ShortTimeModel(alpha_perp=0.5, beta_perp=1.0, form="bogus"), "form must be"),
+    "model-beta": (lambda: ShortTimeModel(alpha_perp=0.5, beta_perp=0.0), "beta_perp must be > 0"),
+    "model-alpha": (lambda: ShortTimeModel(alpha_perp=math.nan, beta_perp=1.0), "alpha_perp must be finite"),
+    "total-time": (lambda: PrecisionConfig(total_time_T=0.0, N_range=(2,), model=_MODEL), "total time must be > 0"),
+    "empty-range": (lambda: PrecisionConfig(total_time_T=1.0, N_range=(), model=_MODEL), "must be nonempty"),
+    "unsorted-range": (
+        lambda: PrecisionConfig(total_time_T=1.0, N_range=(4, 2), model=_MODEL), "strictly increasing",
+    ),
+    "paper-alpha": (lambda: t_opt_paper(0.0, 1.0, 3), "alpha_perp must be > 0"),
+    "paper-beta": (lambda: t_opt_paper(0.5, 0.0, 3), "beta_perp must be > 0"),
+    "tau-alpha": (
+        lambda: tau_solve(ShortTimeModel(alpha_perp=0.0, beta_perp=1.0), 3), "finite crossover time",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TYPED_REFUSALS))
+def test_refusals_are_typed(name):
+    # a caller catching the package's base class sees every refusal, and one
+    # catching ValueError still does
+    call, message = TYPED_REFUSALS[name]
+    with pytest.raises(QfiboundError, match=message) as caught:
+        call()
+    assert isinstance(caught.value, RangeViolation)
+    assert isinstance(caught.value, ValueError)
+
+
 # id -> an entry point that takes a transmissivity, with its other arguments valid
 TRANSMISSIVITY_CALLS = {
     "loss-kraus": lambda eta: loss_kraus(3, eta),
@@ -578,19 +615,29 @@ class TestEcsNumeric:
         small = EcsSpec.for_alpha(2.0)
         assert_array_equal(_ecs_support(small) != 0, ecs_vector(small) != 0)
         monkeypatch.setattr(metrology, "ecs_vector", _ecs_support)
-        monkeypatch.setattr(metrology, "loss_weights", _unreached)
+        monkeypatch.setattr(metrology, "_loss_amplitudes", _unreached)
         with pytest.raises(_Unreached):
             ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=1023), 0.9)
         with pytest.raises(DimensionBudgetExceeded):
             ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=1024), 0.9)
 
-    @pytest.mark.parametrize("n_max", [200, 300])
-    def test_peak_memory_within_charged_copies(self, n_max):
-        # the guard charges ECS_FACTOR_COPIES copies of V; the traced peak,
-        # everything the call allocates, must stay within that charge and
-        # above one copy less, so that the charge cannot drift loose
-        spec = EcsSpec(alpha=3.0, n_max=n_max)
-        factor_bytes = (2 * n_max + 1) ** 2 * np.dtype(complex).itemsize
+    @pytest.mark.parametrize(
+        "n_max,alpha,dtype",
+        [
+            pytest.param(200, 3.0, np.float64, id="200"),
+            pytest.param(300, 3.0, np.float64, id="300"),
+            pytest.param(200, 3.0j, np.complex128, id="complex-200"),
+            pytest.param(300, 3.0j, np.complex128, id="complex-300"),
+        ],
+    )
+    def test_peak_memory_within_charged_copies(self, n_max, alpha, dtype):
+        # the guard charges ECS_FACTOR_COPIES copies of V, each of V's own
+        # dtype; the traced peak, everything the call allocates, must stay
+        # within that charge and above one copy less, so that the charge
+        # cannot drift loose on the real path or the complex one
+        spec = EcsSpec(alpha=alpha, n_max=n_max)
+        assert ecs_vector(spec).dtype == dtype
+        factor_bytes = (2 * n_max + 1) ** 2 * np.dtype(dtype).itemsize
         tracemalloc.start()
         try:
             ecs_lower_bound_numeric(spec, 0.9, 0.4)
@@ -618,6 +665,16 @@ class TestEcsNumeric:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize("alpha_sq", [1.0, 9.0])
+    def test_complex_alpha_takes_the_complex_path_to_the_same_bound(self, alpha_sq):
+        # e^{i theta (n_a + n_b)} maps alpha to alpha e^{i theta} and commutes
+        # with the loss and with n_a, so only |alpha| enters the bound
+        real = EcsSpec.for_alpha(math.sqrt(alpha_sq))
+        rotated = EcsSpec(alpha=real.alpha * complex(math.cos(0.7), math.sin(0.7)), n_max=real.n_max)
+        assert np.iscomplexobj(ecs_vector(rotated)) and not np.iscomplexobj(ecs_vector(real))
+        for eta in (0.3, 0.9):
+            assert_allclose(ecs_lower_bound_numeric(rotated, eta), ecs_lower_bound_numeric(real, eta), rtol=1e-12)
 
     def test_matches_closed_form(self):
         spec = EcsSpec.for_alpha(1.0)
