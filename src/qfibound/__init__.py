@@ -46,7 +46,6 @@ _EXPORTS = {
     ),
     "liouville": (
         "ChannelFamily",
-        "devectorize",
         "gram_tensor_power",
         "gram_triple",
         "liouville_inner",
@@ -54,7 +53,6 @@ _EXPORTS = {
         "superop_from_kraus",
         "tensor_power",
         "tensor_power_derivative",
-        "vectorize",
     ),
     "metrology": (
         "EcsBreakdown",
@@ -63,7 +61,6 @@ _EXPORTS = {
         "correlated_gram_max",
         "ecs_lower_bound_closed",
         "ecs_lower_bound_numeric",
-        "ecs_lower_bound_practical",
         "ecs_practical_forms",
         "interferometer_gram_diag",
         "interferometer_optimal_m",
@@ -79,10 +76,8 @@ _EXPORTS = {
         "classical_fisher",
         "exact_qfi",
         "optimal_povm_from_rho_prime",
-        "pure_state_qfi",
     ),
     "sampling": (
-        "random_cptp_params",
         "random_hermitian",
         "random_kraus_set",
         "random_mixed_state",

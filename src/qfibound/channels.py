@@ -303,34 +303,36 @@ def loss_weights(n_max: int, eta: float) -> np.ndarray:
     return np.fromiter(rows, np.dtype((float, n_max + 1)), count=n_max + 1)
 
 
-def _loss_amplitudes(n_max: int, eta: float) -> np.ndarray:
-    """The (n_max+1)^2 table sqrt(W) of :func:`loss_weights`, in one
-    vectorized expression with no row loop: for l <= s,
+def _kraus_diagonals(n_max: int, eta: float) -> np.ndarray:
+    """The (n_max+1)^2 table D[i, l] = sqrt(W[i+l, l]) of :func:`loss_weights`:
+    the entry of K_l at output level i, in one vectorized expression with no
+    row loop.  For i + l <= n_max,
 
-        sqrt(W[s, l]) = exp((log s! - log l! - log (s-l)!) / 2) eta^((s-l)/2) (1-eta)^(l/2)
+        D[i, l] = exp((log (i+l)! - log l! - log i!) / 2) eta^(i/2) (1-eta)^(l/2)
 
-    from one log-factorial table, and 0 above the diagonal.  A zero
-    probability enters as log = -inf at levels above 0 and as 0 at level 0,
-    so eta = 0 and eta = 1 give exact zeros and ones with no log(0).  The
-    exponent is never positive, so nothing overflows; an entry below the
-    float range reads 0, where the recurrence can underflow sooner.
+    from one log-factorial table, and 0 past n_max.  A zero probability
+    enters as log = -inf at levels above 0 and as 0 at level 0, so eta = 0
+    and eta = 1 give exact zeros and ones with no log(0).  The exponent is
+    never positive where it is taken, so nothing overflows; an entry below
+    the float range reads 0, where the recurrence can underflow sooner.
     """
-    levels = np.arange(n_max + 1)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(levels[1:]))))
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * n_max + 1)))))
     probs = np.array([eta, 1.0 - eta])
     half_log = 0.5 * np.log(probs, out=np.full(2, -np.inf), where=probs > 0.0)
     # columns: (photons kept) * log sqrt(eta) and (photons lost) * log sqrt(1 - eta)
-    above_zero = levels[:, None] > 0
-    level_log = np.multiply(levels[:, None], half_log, out=np.zeros((n_max + 1, 2)), where=above_zero)
-    kept = levels[:, None] - levels  # s - l
-    below = kept >= 0
-    kept *= below
-    log_amp = log_fact[:, None] - log_fact
-    log_amp -= log_fact[kept]
+    levels = np.arange(n_max + 1)[:, None]
+    level_log = np.multiply(levels, half_log, out=np.zeros((n_max + 1, 2)), where=levels > 0)
+    # log (i+l)! - log l! - log i!; log (i+l)! is a Hankel view of the table, made
+    # as an ndarray: as_strided views left the RSS ~1 MB higher after many calls
+    log_sum_fact = np.ndarray((n_max + 1, n_max + 1), buffer=log_fact, strides=2 * log_fact.strides)
+    log_level_fact = log_fact[: n_max + 1]
+    log_amp = log_sum_fact - log_level_fact
+    log_amp -= log_level_fact[:, None]
     log_amp *= 0.5
-    log_amp += level_log[kept, 0]
+    log_amp += level_log[:, :1]
     log_amp += level_log[:, 1]
-    return np.exp(log_amp, out=np.zeros_like(log_amp), where=below)
+    reached = np.tri(n_max + 1, dtype=bool)[::-1]  # i + l <= n_max
+    return np.exp(log_amp, out=np.zeros_like(log_amp), where=reached)
 
 
 def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:

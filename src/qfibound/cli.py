@@ -13,7 +13,9 @@ Each subcommand's options are declared once, in a table of kebab-case key
 (``--help`` describes every option with its default), names the keys a JSON
 config file may set, and checks a config value with the converter its flag
 uses.  List options (``N-list``, ``eta-list``, ``alpha-sq-list``) accept a
-comma-separated string or a JSON array and must not be empty.  An explicit
+comma-separated string or a JSON array and must not be empty.  A number
+must be finite: nan and +-inf are refused, on a flag, in a list or in the
+config file, before any channel is built.  An explicit
 flag overrides the config file, which overrides the default.
 
 Exit codes: 0 success, 1 verification failure, 2 validation error or any
@@ -72,7 +74,10 @@ class _UsageError(Exception):
 def number(v: object) -> float:
     if isinstance(v, bool):
         raise ArgumentTypeError(f"expected a number, got {v!r}")
-    return float(v)  # type: ignore[arg-type]
+    x = float(v)  # type: ignore[arg-type]
+    if not math.isfinite(x):
+        raise ArgumentTypeError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def integer(v: object) -> int:

@@ -43,23 +43,6 @@ from .numerics import TopEigenspace, _within_top
 MAX_DENSE_ROWS = 4096
 
 
-def vectorize(a: np.ndarray) -> np.ndarray:
-    """Flatten a square operator into its Liouville vector, a row-major copy."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquare(f"expected a square operator, got shape {m.shape}")
-    return m.reshape(-1).copy()
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`: the d x d operator of a length-d^2 vector."""
-    amps = _amplitudes(v)
-    d = math.isqrt(amps.size)
-    if d * d != amps.size:
-        raise DimensionMismatch(f"{amps.size} amplitudes do not fill a square operator")
-    return amps.reshape(d, d).copy()
-
-
 def _amplitudes(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(-1)
 
@@ -68,7 +51,7 @@ def liouville_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Inner product (a|b) = tr(A^dag B).
 
     ``a`` and ``b`` may be Liouville vectors or the operators themselves:
-    both are flattened row-major, so (vectorize(A)|vectorize(B)) = (A|B).
+    both are flattened row-major, so the vectors' product is (A|B).
     """
     x, y = _amplitudes(a), _amplitudes(b)
     if x.size != y.size:
@@ -204,8 +187,8 @@ def tensor_power(s: np.ndarray, n: int) -> np.ndarray:
     """N-fold Kronecker power of a channel's matrix, in the global row-major basis.
 
     The naive Kronecker power interleaves per-site (mu_i, nu_i) pairs; the
-    result here is re-indexed so that it acts on vectorize() of composite
-    operators directly.
+    result here is re-indexed so that it acts on the row-major flattening of
+    composite operators directly.
     """
     s, d = _checked_superop(s)
     n = _checked_power(n, d)

@@ -23,7 +23,7 @@ from .channels import (
     EcsSpec,
     ShortTimeModel,
     _correlated_derivative,
-    _loss_amplitudes,
+    _kraus_diagonals,
     _require_rate,
     _require_transmissivity,
     ecs_vector,
@@ -345,13 +345,6 @@ def ecs_practical_forms(spec: EcsSpec, eta: float) -> tuple[float, float]:
     return (1.0 + e1 * e1) / 4.0, e1 / 2.0
 
 
-def ecs_lower_bound_practical(spec: EcsSpec, eta: float) -> float:
-    """Bound assembled from the practical-tier f_C and f_H."""
-    f_c, f_h = ecs_practical_forms(spec, eta)
-    n_eta = spec.mean_photons * eta
-    return 2.0 * n_eta * f_c + n_eta**2 * f_h
-
-
 def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> float:
     """Truncated-Fock evaluation of the bound for the lossy ECS.
 
@@ -365,9 +358,9 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     and the rows where the Kraus-branch factor V of rho = V V^dag can be
     nonzero, so V is gathered as reachable rows x kept pairs ((2 n_max + 1)^2
     entries for the ECS): E at the sum of the two flat indices, times two
-    outer gathers of D.  D is read off the table sqrt(W[s, l]) =
-    exp((log s! - log l! - log (s-l)!)/2) eta^((s-l)/2) (1-eta)^(l/2), built
-    per call in one expression from a log-factorial table, with no row loop.
+    outer gathers of D.  D[i, l] = exp((log (i+l)! - log l! - log i!)/2)
+    eta^(i/2) (1-eta)^(l/2) is built per call in one expression from a
+    log-factorial table, with no row loop and no re-indexing.
 
     V takes the dtype of E, which is real for a real alpha: then the gather,
     rho = V V^T (a symmetric product) and |rho_jk|^2 = rho_jk^2 all run in
@@ -402,11 +395,7 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     )
     kept_a, kept_b = np.divmod(kept, dim)
     # D of the docstring, 0 where the level i + l before the loss lies past n_max
-    levels = np.arange(dim)
-    source = levels[:, None] + levels
-    diagonal = _loss_amplitudes(spec.n_max, eta)[np.minimum(source, spec.n_max), levels]
-    diagonal *= source < dim
-    del source
+    diagonal = _kraus_diagonals(spec.n_max, eta)
     weight = diagonal[np.ix_(kept_a, kept_a)]
     weight *= diagonal[np.ix_(kept_b, kept_b)]
     # E at (i + l, k + r) has the flat index (i, k) + (l, r); where a level

@@ -85,15 +85,6 @@ def exact_qfi(rho: np.ndarray, rho_prime: np.ndarray) -> SldResult:
     return SldResult(sld=sld, qfi=qfi, support_dim=int(np.count_nonzero(mask)))
 
 
-def pure_state_qfi(psi: np.ndarray, psi_prime: np.ndarray) -> float:
-    """Textbook pure-state formula 4 (<psi'|psi'> - |<psi|psi'>|^2)."""
-    a = np.asarray(psi, dtype=complex).reshape(-1)
-    b = np.asarray(psi_prime, dtype=complex).reshape(-1)
-    if a.size != b.size:
-        raise DimensionMismatch(f"dimension mismatch: {a.size} vs {b.size}")
-    return 4.0 * float(np.vdot(b, b).real - abs(np.vdot(a, b)) ** 2)
-
-
 def optimal_povm_from_rho_prime(rho_prime: np.ndarray) -> Povm:
     """Eigenprojector measurement of the state derivative.
 

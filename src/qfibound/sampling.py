@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import EXPONENTIAL_FORM, NoiseParams, ShortTimeModel, params_at
-from .errors import CptpViolation, RangeViolation
+from .channels import EXPONENTIAL_FORM, ShortTimeModel
 from .liouville import ChannelFamily, _check_trace_preserving, superop_from_kraus
 from .numerics import herm_eig
 
@@ -106,15 +105,3 @@ def random_short_time_model(rng: np.random.Generator) -> ShortTimeModel:
         beta_k=beta,
         form=EXPONENTIAL_FORM,
     )
-
-
-def random_cptp_params(rng: np.random.Generator, t: float) -> NoiseParams:
-    """Rejection-sample a CPTP-valid phase-covariant parameter set at time t,
-    in at most 200 draws."""
-    for _ in range(200):
-        model = random_short_time_model(rng)
-        try:
-            return params_at(model, t, theta=float(rng.uniform(0.0, 2.0 * np.pi)))
-        except (CptpViolation, RangeViolation):
-            continue
-    raise CptpViolation("no CPTP parameter set found in 200 draws")

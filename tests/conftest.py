@@ -10,10 +10,27 @@ import numpy as np
 import pytest
 
 from qfibound.bound import STATE_TOL, BoundResult, _bound_from_products, _check_density, _derivative_tol
-from qfibound.channels import _correlated_derivative, _correlated_phase, _require_rate
-from qfibound.errors import DimensionMismatch, InvalidState, NegativeSpectrum, NonTraceless
+from qfibound.channels import (
+    EcsSpec,
+    NoiseParams,
+    _correlated_derivative,
+    _correlated_phase,
+    _require_rate,
+    params_at,
+)
+from qfibound.errors import (
+    CptpViolation,
+    DimensionMismatch,
+    InvalidState,
+    NegativeSpectrum,
+    NonSquare,
+    NonTraceless,
+    RangeViolation,
+)
 from qfibound.liouville import require_budget
+from qfibound.metrology import ecs_practical_forms
 from qfibound.numerics import PSD_CLIP_RTOL, _hermiticity_defect, _peak, _scaled, herm_eig
+from qfibound.sampling import random_short_time_model
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,6 +76,57 @@ def projector_distance(u: np.ndarray, v: np.ndarray) -> float:
     residual_v = v - u @ (u.conj().T @ v)
     residual_u = u - v @ (v.conj().T @ u)
     return math.hypot(np.linalg.norm(residual_v), np.linalg.norm(residual_u))
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call: operator <-> Liouville vector, the
+# pure-state QFI, random physical noise parameters and the practical-tier
+# ECS bound
+
+
+def vectorize(a: np.ndarray) -> np.ndarray:
+    """Flatten a square operator into its Liouville vector, a row-major copy."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSquare(f"expected a square operator, got shape {m.shape}")
+    return m.reshape(-1).copy()
+
+
+def devectorize(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vectorize`: the d x d operator of a length-d^2 vector."""
+    amps = np.asarray(v, dtype=complex).reshape(-1)
+    d = math.isqrt(amps.size)
+    if d * d != amps.size:
+        raise DimensionMismatch(f"{amps.size} amplitudes do not fill a square operator")
+    return amps.reshape(d, d).copy()
+
+
+def pure_state_qfi(psi: np.ndarray, psi_prime: np.ndarray) -> float:
+    """Textbook pure-state formula 4 (<psi'|psi'> - |<psi|psi'>|^2)."""
+    a = np.asarray(psi, dtype=complex).reshape(-1)
+    b = np.asarray(psi_prime, dtype=complex).reshape(-1)
+    if a.size != b.size:
+        raise DimensionMismatch(f"dimension mismatch: {a.size} vs {b.size}")
+    return 4.0 * float(np.vdot(b, b).real - abs(np.vdot(a, b)) ** 2)
+
+
+def random_cptp_params(rng: np.random.Generator, t: float) -> NoiseParams:
+    """Rejection-sample a CPTP-valid phase-covariant parameter set at time t,
+    in at most 200 draws."""
+    for _ in range(200):
+        model = random_short_time_model(rng)
+        try:
+            return params_at(model, t, theta=float(rng.uniform(0.0, 2.0 * np.pi)))
+        except (CptpViolation, RangeViolation):
+            continue
+    raise CptpViolation("no CPTP parameter set found in 200 draws")
+
+
+def ecs_lower_bound_practical(spec: EcsSpec, eta: float) -> float:
+    """Bound assembled from the practical-tier f_C and f_H."""
+    f_c, f_h = ecs_practical_forms(spec, eta)
+    n_eta = spec.mean_photons * eta
+    return 2.0 * n_eta * f_c + n_eta**2 * f_h
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bures_distance_exact, bures_distance_liouville, projector_distance
+from conftest import bures_distance_exact, bures_distance_liouville, devectorize, projector_distance, vectorize
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
@@ -33,12 +33,10 @@ from qfibound.channels import (
 )
 from qfibound.cli import main
 from qfibound.liouville import (
-    devectorize,
     gram_tensor_power,
     gram_triple,
     product_family,
     tensor_power_derivative,
-    vectorize,
 )
 from qfibound.metrology import (
     PrecisionConfig,

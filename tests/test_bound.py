@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import bures_distance_liouville, correlated_dephasing_family, lower_bound_from_factor, projector_distance
+from conftest import (
+    bures_distance_liouville,
+    correlated_dephasing_family,
+    devectorize,
+    lower_bound_from_factor,
+    projector_distance,
+    random_cptp_params,
+    vectorize,
+)
 from numpy.testing import assert_allclose
 
 from qfibound.bound import (
@@ -48,17 +56,14 @@ from qfibound.liouville import (
     _check_trace_preserving,
     _population_top,
     covariant_gram_top,
-    devectorize,
     gram_tensor_power,
     gram_triple,
     product_family,
-    vectorize,
 )
 from qfibound.metrology import tau_solve
 from qfibound.numerics import largest_eigval_psd
 from qfibound.qfi_oracle import exact_qfi
 from qfibound.sampling import (
-    random_cptp_params,
     random_mixed_state,
     random_noisy_family,
     random_short_time_model,

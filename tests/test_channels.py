@@ -8,7 +8,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import conftest
-from conftest import correlated_alphas, correlated_dephasing_diag, correlated_dephasing_family
+from conftest import (
+    correlated_alphas,
+    correlated_dephasing_diag,
+    correlated_dephasing_family,
+    devectorize,
+    random_cptp_params,
+    vectorize,
+)
 from qfibound import channels
 from qfibound.channels import (
     AMPLITUDE_DAMPING,
@@ -36,9 +43,7 @@ from qfibound.errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from qfibound.liouville import devectorize, vectorize
 from qfibound.metrology import interferometer_gram_diag
-from qfibound.sampling import random_cptp_params
 
 
 def ecs_state(spec):
@@ -367,14 +372,21 @@ class TestLossWeights:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
     @pytest.mark.parametrize("n", [0, 1, 5, 49, 200])
     def test_amplitude_table_is_the_root_of_the_recurrence(self, n, eta):
-        # the log-factorial table against the row recurrence, with its zeros
-        # (above the diagonal, and at the edges eta = 0 and 1) exact; the
-        # pytest configuration makes a log(0) RuntimeWarning an error
-        want = np.sqrt(loss_weights(n, eta))
-        got = channels._loss_amplitudes(n, eta)
+        # the Kraus diagonals D[i, l] = sqrt(W[i+l, l]) from the log-factorial
+        # table against the row recurrence, with its zeros (past n_max, and at
+        # the edges eta = 0 and 1) exact; the pytest configuration makes a
+        # log(0) RuntimeWarning an error
+        root = np.sqrt(loss_weights(n, eta))
+        want = np.zeros_like(root)
+        for i in range(n + 1):
+            want[i, : n + 1 - i] = np.diagonal(root, offset=-i)  # root[i + l, l]
+        got = channels._kraus_diagonals(n, eta)
+        past = np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n
+        assert_array_equal(got[past], 0.0)
         assert_array_equal(got == 0.0, want == 0.0)
         assert_allclose(got, want, rtol=1e-12, atol=0.0)
         if eta in (0.0, 1.0):
+            assert set(np.unique(got)) <= {0.0, 1.0}
             assert_array_equal(got, want)
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])

@@ -3,7 +3,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -433,6 +436,45 @@ class TestArgumentValidation:
         monkeypatch.setitem(cli._RUNNERS, "sweep", crash)
         assert main(["sweep"]) == 2
         assert capsys.readouterr().err == "error: unexpected failure\n"
+
+
+class TestNonFiniteNumbers:
+    """nan and +-inf are refused where the options are resolved, before any
+    channel is built: on a flag, in a list and in the config file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--omega", "inf"],
+            ["bound", "--t", "nan"],
+            ["bound", "--channel", "dephasing", "--gamma", "inf"],
+            ["ecs", "--eta-list", "0.9,nan"],
+        ],
+        ids=["omega-inf", "t-nan", "gamma-inf", "eta-list-nan"],
+    )
+    def test_flag_exits_2_naming_the_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: expected a finite number" in capsys.readouterr().err
+
+    def test_config_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"omega": Infinity}')  # Python's json reads this as inf
+        assert main(["bound", "--config", str(cfg)]) == 2
+        assert "bad config value for 'omega': expected a finite number" in capsys.readouterr().err
+
+    def test_subprocess_refuses_before_numpy_warns(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfibound.cli", "bound", "--omega", "inf"],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "--omega" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestRenderers:

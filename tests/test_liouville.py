@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import finite_diff
+from conftest import devectorize, finite_diff, random_cptp_params, vectorize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -28,7 +28,6 @@ from qfibound.liouville import (
     ChannelFamily,
     _check_trace_preserving,
     _gram_arrays,
-    devectorize,
     gram_tensor_power,
     gram_triple,
     liouville_inner,
@@ -37,10 +36,9 @@ from qfibound.liouville import (
     superop_from_kraus,
     tensor_power,
     tensor_power_derivative,
-    vectorize,
 )
 from qfibound.numerics import HERMITICITY_RTOL, _hermiticity_defect, _scaled
-from qfibound.sampling import random_cptp_params, random_kraus_set, random_noisy_family, random_unitary_family
+from qfibound.sampling import random_kraus_set, random_noisy_family, random_unitary_family
 from qfibound.verify import CORRUPTION_FACTOR, corrupt_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import correlated_dephasing_family, lower_bound_from_factor
+from conftest import correlated_dephasing_family, ecs_lower_bound_practical, lower_bound_from_factor
 from qfibound import metrology
 from qfibound.bound import analytic_max_phase_covariant, lower_bound_from_state
 from qfibound.channels import (
@@ -42,7 +42,6 @@ from qfibound.metrology import (
     correlated_gram_max,
     ecs_lower_bound_closed,
     ecs_lower_bound_numeric,
-    ecs_lower_bound_practical,
     ecs_practical_forms,
     interferometer_gram_diag,
     interferometer_optimal_m,
@@ -615,7 +614,7 @@ class TestEcsNumeric:
         small = EcsSpec.for_alpha(2.0)
         assert_array_equal(_ecs_support(small) != 0, ecs_vector(small) != 0)
         monkeypatch.setattr(metrology, "ecs_vector", _ecs_support)
-        monkeypatch.setattr(metrology, "_loss_amplitudes", _unreached)
+        monkeypatch.setattr(metrology, "_kraus_diagonals", _unreached)
         with pytest.raises(_Unreached):
             ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=1023), 0.9)
         with pytest.raises(DimensionBudgetExceeded):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bures_distance_exact
+from conftest import bures_distance_exact, pure_state_qfi
 from qfibound.bound import lower_bound_from_state
 from qfibound.errors import SingularOutcome, UnsupportedDerivative
 from qfibound.qfi_oracle import (
@@ -13,7 +13,6 @@ from qfibound.qfi_oracle import (
     classical_fisher,
     exact_qfi,
     optimal_povm_from_rho_prime,
-    pure_state_qfi,
 )
 from qfibound.sampling import random_mixed_state, random_unitary
 

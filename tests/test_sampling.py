@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import devectorize, random_cptp_params, vectorize
 from numpy.testing import assert_allclose
 
 from qfibound.channels import EXPONENTIAL_FORM
-from qfibound.liouville import devectorize, vectorize
 from qfibound.sampling import (
-    random_cptp_params,
     random_hermitian,
     random_kraus_set,
     random_mixed_state,
