@@ -36,7 +36,7 @@ from .liouville import (
     covariant_gram_top,
     gram_tensor_power,
     gram_triple,
-    require_budget,
+    require_power_budget,
 )
 from .numerics import TopEigenspace, _hermiticity_defect, _peak, _scaled, largest_eigval_psd
 
@@ -216,7 +216,7 @@ def associated_qfi(rho: np.ndarray, rho_prime: np.ndarray) -> float:
 def ghz_state(n: int) -> np.ndarray:
     """The N-qubit GHZ projector |GHZ><GHZ|, GHZ = (|0..0> + |1..1>)/sqrt(2)."""
     n = _checked_power(n)
-    require_budget(4**n, f"Liouville entries of a GHZ projector on {n} qubits")
+    require_power_budget(4, n, f"Liouville entries of a GHZ projector on {n} qubits")
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
     for i in (0, dim - 1):

@@ -161,6 +161,16 @@ def require_budget(count: int, what: str, budget: int = MAX_DENSE_ROWS) -> None:
         raise DimensionBudgetExceeded(f"{what}: {count} exceeds the budget of {budget}")
 
 
+def require_power_budget(base: int, n: int, what: str) -> None:
+    """:func:`require_budget` for a count of ``base**n``, decided from n: the
+    power is formed only up to the bit length of MAX_DENSE_ROWS, past which
+    any base >= 2 exceeds it, so a huge N is refused at once."""
+    if base ** min(n, MAX_DENSE_ROWS.bit_length()) > MAX_DENSE_ROWS:
+        raise DimensionBudgetExceeded(
+            f"{what}: {base}^{n} exceeds the budget of {MAX_DENSE_ROWS}"
+        )
+
+
 def _whole_number(value: float, what: str, minimum: int) -> int:
     """``value`` as an int: a whole-number float such as 3.0 converts, and
     anything else, or a value below ``minimum``, raises RangeViolation."""
@@ -173,7 +183,7 @@ def _checked_power(n: int, d: int | None = None) -> int:
     """Validate an N-fold exponent and, given the site dim d, the dense budget."""
     n = _whole_number(n, "the n of an N-fold product", 1)
     if n > 1 and d is not None:
-        require_budget((d * d) ** n, f"Liouville rows of a {n}-fold tensor power")
+        require_power_budget(d * d, n, f"Liouville rows of a {n}-fold tensor power")
     return n
 
 
@@ -338,7 +348,7 @@ def covariant_gram_top(triple: np.ndarray, n: int) -> TopEigenspace | None:
         norm = float(np.maximum(norm, (g * hankel[lo:hi, :cols]).max()))  # NaN propagates
 
     def build() -> np.ndarray:
-        require_budget(4**n, f"Liouville rows of the top eigenvectors of a {n}-fold Gram matrix")
+        require_power_budget(4, n, f"Liouville rows of the top eigenvectors of a {n}-fold Gram matrix")
         if norm == 0.0:
             return np.empty((4**n, 0))
         (lam_b, _), pop_vectors = np.linalg.eigh(a[np.ix_([0, 3], [0, 3])])
@@ -402,7 +412,8 @@ class _ProductFamily:
         """
         phi, dphi, d = _site_maps(self.site, x)
         amps, n = _amplitudes(v), self.n
-        if amps.size != d ** (2 * n):
+        # past the bit length of the size, d^(2N) exceeds it for any d >= 2
+        if amps.size != d ** (2 * min(n, amps.size.bit_length())):
             raise DimensionMismatch(f"vector of length {amps.size} does not match {n} sites of Hilbert dim {d}")
         block = np.zeros((2 * d * d, 2 * d * d), dtype=complex)
         block[: d * d, : d * d] = block[d * d :, d * d :] = phi

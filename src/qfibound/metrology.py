@@ -155,7 +155,7 @@ def tau_solve(model: ShortTimeModel, n_probes: int) -> float:
         raise RangeViolation("alpha_perp must be > 0 for a finite crossover time")
     if n_probes == 1:
         return (model.alpha_perp * n_probes) ** (-1.0 / model.beta_perp)
-    ratio = 2.0 * n_probes**2 / (n_probes - 1) ** 2
+    ratio = 2 * n_probes**2 / (n_probes - 1) ** 2  # exact for any N: no int-to-float overflow
 
     def gap(t: float) -> float:
         eta_perp = model.eta_perp_at(t)
@@ -174,7 +174,7 @@ def tau_solve(model: ShortTimeModel, n_probes: int) -> float:
     flips = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
     if flips.size == 0:
         raise NoRoot(
-            f"crossover equation has no sign change on (0, {t_upper:.6g}]"
+            f"crossover equation at N = {n_probes} has no sign change on (0, {t_upper:.6g}]"
         )
     i = int(flips[-1])
     return solve_root_bisect(gap, float(grid[i]), float(grid[i + 1]), tol=1e-13 * float(grid[i + 1]))
@@ -219,7 +219,13 @@ def precision_scaling(config: PrecisionConfig) -> ScalingResult:
     for n in config.N_range:
         t = t_opt_numeric(model, n)
         f_max = 0.5 * analytic_max_phase_covariant(n, t, model.eta_perp_at(t))
-        per_n.append((n, t, t / (total_time * f_max)))
+        denominator = total_time * f_max
+        if not (denominator > 0.0 and 0.0 < t / denominator < math.inf):
+            raise RangeViolation(
+                f"the cost at N = {n} is not finite and positive (T = {total_time:g}, "
+                f"alpha_perp = {model.alpha_perp:g}, beta_perp = {model.beta_perp:g})"
+            )
+        per_n.append((n, t, t / denominator))
     slope: float | None = None
     if len(per_n) >= 2:
         slope = loglog_slope([(n, cost) for n, _, cost in per_n])
@@ -319,6 +325,8 @@ def ecs_lower_bound_closed(spec: EcsSpec, eta: float) -> EcsBreakdown:
     f_c = spec.norm_const**2 / 4.0 * xi
     f_h = 0.5 * (xi / 2.0 - 1.0)
     n_eta = spec.mean_photons * eta
+    if not math.isfinite(n_eta * n_eta):
+        raise RangeViolation(f"the ECS bound at |alpha|^2 = {mean:g}, eta = {eta:g} overflows a float")
     classical = 2.0 * n_eta * f_c
     heisenberg = n_eta**2 * f_h
     return EcsBreakdown(

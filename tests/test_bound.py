@@ -402,6 +402,10 @@ class TestGhzState:
         with pytest.raises(DimensionBudgetExceeded):
             ghz_state(7)
 
+    def test_budget_decided_from_n(self):
+        with pytest.raises(DimensionBudgetExceeded, match="7200 qubits"):
+            ghz_state(7200)
+
 
 class TestAnalyticMax:
     @pytest.mark.parametrize(
@@ -568,6 +572,12 @@ class TestMaxBoundOverStates:
         assert top.value == result.norm_bound
         with pytest.raises(DimensionBudgetExceeded):
             top.vectors
+
+    def test_budget_decided_from_n(self):
+        # 4^7200 has more digits than an int may print; the refusal names N
+        result = max_bound_over_states(phase_covariant_family(1.0, named_noise("dephasing", 0.3, 1.0)), 0.0, 7200)
+        with pytest.raises(DimensionBudgetExceeded, match=r"7200-fold .* 4\^7200"):
+            result.top_eigenspace
 
     @pytest.mark.parametrize("n", [50, 200, 1000])
     def test_reach_below_crossover(self, n):

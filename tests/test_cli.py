@@ -109,6 +109,10 @@ class TestBoundCommand:
     def test_budget_overflow_maps_to_exit_3(self, capsys):
         assert main(["bound", "--channel", "dephasing", "--N", "7"]) == 3
 
+    def test_budget_at_large_n_maps_to_exit_3(self, capsys):
+        assert main(["bound", "--N", "7200"]) == 3
+        assert "7200 qubits" in capsys.readouterr().err
+
     def test_metadata_lines_sorted(self, capsys):
         main(["bound", "--channel", "dephasing", "--gamma", "0.1"])
         out = capsys.readouterr().out
@@ -475,6 +479,28 @@ class TestNonFiniteNumbers:
         assert "--omega" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestOverflowingInputs:
+    """Finite inputs whose arithmetic overflows, or underflows to a zero that
+    is divided by, are refused with exit 2 by a message naming the input."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep", "--T", "1e-320"], "T = 9.99989e-321"),
+            (["sweep", "--alpha-perp", "1e300"], "alpha_perp = 1e+300"),
+            (["sweep", "--beta-perp", "1e308"], "beta_perp = 1e+308"),
+            (["sweep", "--N-list", "1e308"], "at N = 1000000000000000010979"),
+            (["ecs", "--alpha-sq-list", "1e308"], "|alpha|^2 = 1e+308"),
+            (["verify", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ],
+        ids=["sweep-tiny-T", "sweep-alpha-perp", "sweep-beta-perp", "sweep-N", "ecs-alpha-sq", "verify-seed"],
+    )
+    def test_exits_2_naming_the_input(self, capsys, argv, named):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 class TestRenderers:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,11 @@ class TestTensorPower:
         with pytest.raises(DimensionBudgetExceeded):
             tensor_power(np.kron(u, u.conj()), 7)
 
+    def test_budget_decided_from_n(self):
+        # 4^7200 has more digits than an int may print; the refusal names N
+        with pytest.raises(DimensionBudgetExceeded, match=r"7200-fold .* 4\^7200"):
+            tensor_power(rotation_family(0.4).evaluate(0.0), 7200)
+
 
 class TestGramTriple:
     def test_rotation_building_blocks(self):
@@ -352,6 +358,18 @@ class TestProductAction:
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             product_family(rotation_family(0.9), 3).apply_with_derivative(0.4, np.ones(16))
+
+    def test_length_check_never_forms_the_power(self):
+        # d^(2N) at N = 10^7 would be an integer of 2.5 MB
+        prod = product_family(rotation_family(0.9), 10**7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="10000000 sites"):
+                prod.apply_with_derivative(0.4, np.eye(2) / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_is_only_the_site_kernel(self):
         family = rotation_family(0.9)

@@ -418,6 +418,31 @@ TYPED_REFUSALS = {
 }
 
 
+# id -> a call whose float arithmetic once overflowed, or divided by an
+# underflowed zero, with an untyped Python error, and a fragment of its message
+OVERFLOW_REFUSALS = {
+    "cost-tiny-T": (
+        lambda: precision_scaling(PrecisionConfig(total_time_T=1e-320, N_range=(8,), model=_MODEL)),
+        "cost at N = 8 is not finite and positive",
+    ),
+    "cost-underflowed-eta": (
+        lambda: precision_scaling(
+            PrecisionConfig(total_time_T=1.0, N_range=(8,), model=ShortTimeModel(alpha_perp=1e300, beta_perp=1.0))
+        ),
+        "alpha_perp = 1e\\+300",
+    ),
+    "tau-huge-N": (lambda: tau_solve(_MODEL, 10**308), "at N = 1000"),
+    "ecs-closed": (lambda: ecs_lower_bound_closed(EcsSpec.for_alpha(1e154), 0.8), "overflows a float"),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW_REFUSALS))
+def test_overflow_refusals_are_typed(name):
+    call, message = OVERFLOW_REFUSALS[name]
+    with pytest.raises(QfiboundError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("name", list(TYPED_REFUSALS))
 def test_refusals_are_typed(name):
     # a caller catching the package's base class sees every refusal, and one

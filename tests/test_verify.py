@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qfibound import verify
 from qfibound.channels import rotation_family
+from qfibound.errors import QfiboundError
 from qfibound.verify import (
     CORRUPTION_FACTOR,
     DEFAULT_SEED,
@@ -41,6 +43,19 @@ class TestRunVerification:
     def test_other_seeds_also_pass(self):
         assert run_verification(seed=99)["all_passed"] is True
 
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(QfiboundError, match="got -1"):
+            run_verification(seed=-1)
+
+    def test_nan_instance_fails_its_row(self, monkeypatch):
+        def check(**_):
+            yield from (1e-12, float("nan"), 0.0)
+
+        monkeypatch.setattr(verify, "_CHECKS", {"nan-instance": (check, 1e-9, "")})
+        report = run_verification()
+        assert report["all_passed"] is False
+        assert np.isnan(report["checks"][0]["max_violation"])
+
     def test_violations_carry_tolerances(self, default_report):
         for check in default_report["checks"]:
             assert check["max_violation"] <= check["tolerance"]
@@ -55,6 +70,15 @@ class TestCorruption:
         assert failing
         for check in failing:
             assert check["max_violation"] > check["tolerance"]
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 99])
+    def test_corruption_reaches_only_the_gram_norm(self, seed):
+        # a uniform scale of Phi' scales F_down and the QFI alike, so only
+        # the check against a fixed N^2 t^2 can see it
+        report = run_verification(seed, corrupt_channels=True)
+        failing = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failing] == ["unitary-gram-norm"]
+        assert failing[0]["max_violation"] == pytest.approx(CORRUPTION_FACTOR**2 - 1.0)
 
     def test_corrupt_report_still_validates(self):
         report = run_verification(corrupt_channels=True)
