@@ -221,16 +221,25 @@ class ShortTimeModel:
                 raise RangeViolation(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def eta_perp_at(self, t: float) -> float:
-        x = self.alpha_perp * t**self.beta_perp
+        x = _power_law(self.alpha_perp, self.beta_perp, t)
         return math.exp(-x) if self.form == EXPONENTIAL_FORM else 1.0 - x
 
     def eta_par_at(self, t: float) -> float:
-        x = self.alpha_par * t**self.beta_par
+        x = _power_law(self.alpha_par, self.beta_par, t)
         return math.exp(-x) if self.form == EXPONENTIAL_FORM else 1.0 - x
 
     def k_at(self, t: float) -> float:
-        x = self.alpha_k * t**self.beta_k
+        x = _power_law(self.alpha_k, self.beta_k, t)
         return -math.expm1(-x) if self.form == EXPONENTIAL_FORM else x
+
+
+def _power_law(alpha: float, beta: float, t: float) -> float:
+    """alpha t^beta in Python floats, for any scalar t: 0 when alpha = 0, and
+    inf signed as alpha where the power overflows."""
+    try:
+        return float(alpha) * math.pow(t, beta) if alpha else 0.0
+    except OverflowError:
+        return math.copysign(math.inf, alpha)
 
 
 def params_at(model: ShortTimeModel, t: float, theta: float = 0.0) -> NoiseParams:
@@ -304,35 +313,23 @@ def loss_weights(n_max: int, eta: float) -> np.ndarray:
 
 
 def _kraus_diagonals(n_max: int, eta: float) -> np.ndarray:
-    """The (n_max+1)^2 table D[i, l] = sqrt(W[i+l, l]) of :func:`loss_weights`:
-    the entry of K_l at output level i, in one vectorized expression with no
-    row loop.  For i + l <= n_max,
+    """The (n_max+1)^2 table D[i, l] = sqrt(W[i+l, l]) of :func:`loss_weights`,
+    the entry of K_l at output level i, and 0 past n_max.
 
-        D[i, l] = exp((log (i+l)! - log l! - log i!) / 2) eta^(i/2) (1-eta)^(l/2)
-
-    from one log-factorial table, and 0 past n_max.  A zero probability
-    enters as log = -inf at levels above 0 and as 0 at level 0, so eta = 0
-    and eta = 1 give exact zeros and ones with no log(0).  The exponent is
-    never positive where it is taken, so nothing overflows; an entry below
-    the float range reads 0, where the recurrence can underflow sooner.
+    With p = max(eta, 1-eta), C(a+b, b) p^a (1-p)^b is p^a times the product
+    of (a+j)(1-p)/j over j = 1..b: one cumulative product along b, transposed
+    when eta < 1/2 (a then counts lost photons).  Each partial product is a
+    probability, so nothing overflows, and the start p^a >= 2^-a is a float
+    up to n_max = 1023, every level the ECS factor budget admits.
     """
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * n_max + 1)))))
-    probs = np.array([eta, 1.0 - eta])
-    half_log = 0.5 * np.log(probs, out=np.full(2, -np.inf), where=probs > 0.0)
-    # columns: (photons kept) * log sqrt(eta) and (photons lost) * log sqrt(1 - eta)
-    levels = np.arange(n_max + 1)[:, None]
-    level_log = np.multiply(levels, half_log, out=np.zeros((n_max + 1, 2)), where=levels > 0)
-    # log (i+l)! - log l! - log i!; log (i+l)! is a Hankel view of the table, made
-    # as an ndarray: as_strided views left the RSS ~1 MB higher after many calls
-    log_sum_fact = np.ndarray((n_max + 1, n_max + 1), buffer=log_fact, strides=2 * log_fact.strides)
-    log_level_fact = log_fact[: n_max + 1]
-    log_amp = log_sum_fact - log_level_fact
-    log_amp -= log_level_fact[:, None]
-    log_amp *= 0.5
-    log_amp += level_log[:, :1]
-    log_amp += level_log[:, 1]
-    reached = np.tri(n_max + 1, dtype=bool)[::-1]  # i + l <= n_max
-    return np.exp(log_amp, out=np.zeros_like(log_amp), where=reached)
+    p = max(eta, 1.0 - eta)
+    levels = np.arange(n_max + 1.0)
+    table = np.empty((n_max + 1, n_max + 1))
+    table[:, 0] = p**levels
+    table[:, 1:] = (levels[:, None] + levels[1:]) * ((1.0 - p) / levels[1:])
+    amp = np.sqrt(np.cumprod(table, axis=1, out=table), out=table)
+    amp[np.tri(n_max + 1, k=-1, dtype=bool)[:, ::-1]] = 0.0  # a + b > n_max
+    return amp if eta >= 0.5 else amp.T
 
 
 def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:

@@ -45,7 +45,7 @@ from .channels import (
     phase_covariant_family,
     rotation_family,
 )
-from .errors import DimensionBudgetExceeded, TruncationInsufficient
+from .errors import DimensionBudgetExceeded, RangeViolation, TruncationInsufficient
 from .liouville import product_family
 from .metrology import (
     PrecisionConfig,
@@ -357,6 +357,8 @@ def _run_bound(opts: dict) -> tuple[dict, list[str], list[list]]:
             rho0 = np.load(state_arg)
         except OSError as exc:
             raise _UsageError(f"cannot load state file {state_arg!r}: {exc}")
+    if not math.isfinite(n * t * (n * t)):
+        raise RangeViolation(f"t = {t:g} overflows the Gram scale N^2 t^2 at N = {n}")
     rho, rho_prime = channel_output(product_family(family, n), omega, rho0)
     result = lower_bound_from_state(rho, rho_prime)
     f_exact = exact_qfi(rho, rho_prime).qfi

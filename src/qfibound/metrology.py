@@ -366,9 +366,8 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     and the rows where the Kraus-branch factor V of rho = V V^dag can be
     nonzero, so V is gathered as reachable rows x kept pairs ((2 n_max + 1)^2
     entries for the ECS): E at the sum of the two flat indices, times two
-    outer gathers of D.  D[i, l] = exp((log (i+l)! - log l! - log i!)/2)
-    eta^(i/2) (1-eta)^(l/2) is built per call in one expression from a
-    log-factorial table, with no row loop and no re-indexing.
+    outer gathers of D.  D is built per call, one cumulative product of
+    binomial ratios, only up to the highest kept level: E is 0 past it.
 
     V takes the dtype of E, which is real for a real alpha: then the gather,
     rho = V V^T (a symmetric product) and |rho_jk|^2 = rho_jk^2 all run in
@@ -402,8 +401,8 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
         MAX_DENSE_ROWS**2,
     )
     kept_a, kept_b = np.divmod(kept, dim)
-    # D of the docstring, 0 where the level i + l before the loss lies past n_max
-    diagonal = _kraus_diagonals(spec.n_max, eta)
+    # D of the docstring up to the top kept level, past which E is 0
+    diagonal = _kraus_diagonals(max(kept_a.max(), kept_b.max()), eta)
     weight = diagonal[np.ix_(kept_a, kept_a)]
     weight *= diagonal[np.ix_(kept_b, kept_b)]
     # E at (i + l, k + r) has the flat index (i, k) + (l, r); where a level

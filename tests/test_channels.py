@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,6 +223,20 @@ class TestShortTimeModel:
         with pytest.raises(ValueError):
             ShortTimeModel(alpha_perp=0.5, beta_perp=0.0)
 
+    @pytest.mark.parametrize("form", [TRUNCATED_FORM, EXPONENTIAL_FORM])
+    def test_laws_define_their_overflow(self, form):
+        # a numpy time point makes t**beta numpy arithmetic; the laws read 0
+        # for alpha = 0 and +-inf where alpha t^beta overflows, and the
+        # suite's error filter fails any overflow or invalid-value warning
+        t = np.float64(2.0)
+        unset = ShortTimeModel(alpha_perp=0.5, beta_perp=1e308, beta_par=2.0**63, beta_k=1e308, form=form)
+        assert unset.eta_par_at(t) == 1.0 and unset.k_at(t) == 0.0
+        huge = ShortTimeModel(alpha_perp=1e308, beta_perp=1.0, alpha_par=1.0, beta_par=1e308, alpha_k=-1e308, form=form)
+        assert huge.eta_perp_at(t) == (0.0 if form == EXPONENTIAL_FORM else -math.inf)
+        assert huge.eta_par_at(t) == (0.0 if form == EXPONENTIAL_FORM else -math.inf)
+        if form == TRUNCATED_FORM:
+            assert huge.k_at(t) == -math.inf
+
     def test_rejects_negative_alpha(self):
         for bad in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -372,10 +387,10 @@ class TestLossWeights:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
     @pytest.mark.parametrize("n", [0, 1, 5, 49, 200])
     def test_amplitude_table_is_the_root_of_the_recurrence(self, n, eta):
-        # the Kraus diagonals D[i, l] = sqrt(W[i+l, l]) from the log-factorial
-        # table against the row recurrence, with its zeros (past n_max, and at
-        # the edges eta = 0 and 1) exact; the pytest configuration makes a
-        # log(0) RuntimeWarning an error
+        # the Kraus diagonals D[i, l] = sqrt(W[i+l, l]) from the cumulative
+        # product against the row recurrence, with its zeros (past n_max, and
+        # at the edges eta = 0 and 1) exact; the pytest configuration makes
+        # any RuntimeWarning an error
         root = np.sqrt(loss_weights(n, eta))
         want = np.zeros_like(root)
         for i in range(n + 1):
@@ -388,6 +403,33 @@ class TestLossWeights:
         if eta in (0.0, 1.0):
             assert set(np.unique(got)) <= {0.0, 1.0}
             assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 16), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(15, 16)], ids=str)
+    @pytest.mark.parametrize("n", [49, 610, 1023])
+    def test_amplitude_table_is_exact_to_round_off(self, n, eta):
+        # D[i, l] against the root of the exact C(i+l, l) eta^i (1-eta)^l, in
+        # rationals (a dyadic eta makes eta and 1 - eta exact), on entries
+        # drawn both uniformly and along the ridge l ~ (1-eta)(i+l) where the
+        # weight sits; entries whose exact square is below 1e-300 are skipped
+        got = channels._kraus_diagonals(n, float(eta))
+        rng = np.random.default_rng(n)
+        total = rng.integers(0, n + 1, size=200)
+        ridge = np.rint(total * float(1 - eta) + np.sqrt(total) * rng.normal(size=total.size))
+        lost = np.concatenate((rng.integers(0, n + 1, size=200), np.clip(ridge, 0, total)))
+        kept = np.concatenate((rng.integers(0, n + 1, size=200), total - lost[200:]))
+        worst, checked = 0.0, 0
+        for i, l in zip(kept.astype(int).tolist(), lost.astype(int).tolist()):
+            if i + l > n:
+                assert got[i, l] == 0.0
+                continue
+            exact = math.comb(i + l, l) * eta**i * (1 - eta) ** l
+            if exact <= Fraction(1, 10**300):
+                continue
+            want = math.sqrt(exact)  # the root of the correctly rounded square, to 1 ulp
+            worst = max(worst, abs(got[i, l] - want) / want)
+            checked += 1
+        assert checked >= 200
+        assert worst <= 1e-14
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
     def test_gram_diag_matches_table(self, eta):

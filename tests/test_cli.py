@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
@@ -501,6 +505,92 @@ class TestOverflowingInputs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+
+def _run_recording(argv):
+    """main(argv) in-process as (exit code, stdout, stderr, warnings): every
+    warning is recorded, so the suite's error filter cannot turn one into a
+    handled exit 2 and hide it.  An argparse refusal exits through
+    SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestShortTimeOverflow:
+    """The sweep laws define alpha t^beta where it overflows: 0 for alpha =
+    0 and inf otherwise, with no numpy warning on the way."""
+
+    @pytest.mark.parametrize(
+        "argv, reference",
+        [
+            (["--alpha-par", "1e308"], ["--alpha-par", "1e300"]),
+            (["--beta-par", "1e308"], []),
+            (["--beta-par", "9223372036854775808"], []),
+            (["--beta-k", "1e308"], []),
+            (["--beta-k", "9223372036854775808"], []),
+        ],
+        ids=["alpha-par", "beta-par", "beta-par-2^63", "beta-k", "beta-k-2^63"],
+    )
+    def test_rows_are_the_limit(self, argv, reference):
+        code, out, err, caught = _run_recording(["sweep", *argv])
+        assert (code, err, caught) == (0, "", [])
+        _, want, _, _ = _run_recording(["sweep", *reference])
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert rows == [line for line in want.splitlines() if not line.startswith("#")]
+
+    def test_displacement_overflow_refused_without_warnings(self):
+        code, _, err, caught = _run_recording(["sweep", "--alpha-k", "1e308"])
+        assert (code, caught) == (2, [])
+        assert err.startswith("error: crossover equation at N = 8 has no sign change")
+
+
+def test_bound_refuses_an_overflowing_time_before_the_channel(monkeypatch, capsys):
+    # N^2 t^2, the scale of (rho'|rho'), overflows at t = 1e308
+    monkeypatch.setattr(cli, "channel_output", lambda *a: pytest.fail("channel built"))
+    assert main(["bound", "--t", "1e308"]) == 2
+    assert capsys.readouterr().err == "error: t = 1e+308 overflows the Gram scale N^2 t^2 at N = 1\n"
+
+
+_EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "9223372036854775808"]
+_NUMERIC = (cli.number, cli.integer, cli.number_list, cli.integer_list)
+
+
+def _companions(command, key):
+    """The flags an option needs to take effect: --k and --m probe only
+    together, and --phi and --n-max reach only the ECS oracle."""
+    if command == "interferometer" and key in ("k", "m"):
+        return ["--m=0" if key == "k" else "--k=0"]
+    return ["--oracle"] if command == "ecs" else []
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(c, k) for c, (_, table) in cli._COMMANDS.items() for k, entry in table.items() if entry[1] in _NUMERIC],
+)
+def test_exit_contract_under_edge_values(command, key):
+    # each numeric option at each edge value, in-process: exit 0, 2 or
+    # 3 and never 1; stderr empty or an error line (argparse's own refusal
+    # ends in one) with no traceback and no warning; a success prints no
+    # non-finite value; and a huge count stops at a guard, not by running
+    for value in _EDGE_VALUES:
+        start = time.perf_counter()
+        code, out, err, caught = _run_recording([command, f"--{key}={value}", *_companions(command, key)])
+        case = f"{command} --{key}={value}: exit {code}, stderr {err!r}"
+        assert time.perf_counter() - start < 2.0, case
+        assert code in (0, 2, 3) and caught == [], (case, caught)
+        assert "Traceback" not in err, case
+        if err.startswith("usage:"):  # argparse refused the flag
+            assert code == 2 and f"error: argument --{key}: " in err.splitlines()[-1], case
+        else:
+            assert (err == "") if code == 0 else err.startswith("error: "), case
+        if code == 0:
+            assert not {"nan", "inf", "-inf"} & set(re.split(r"[\s,=]+", out.lower())), case
 
 
 class TestRenderers:

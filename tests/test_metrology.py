@@ -622,8 +622,8 @@ class TestEcsNumeric:
             ecs_lower_bound_numeric(spec, 0.9)
 
     def test_amplitude_budget_edge(self, monkeypatch):
-        # the (n_max+1)^2 amplitudes and weights: 4096^2 entries at n_max =
-        # 4095, 4097^2 at 4096, against a budget of 4096^2
+        # the (n_max+1)^2 amplitudes: 4096^2 entries at n_max = 4095, 4097^2
+        # at 4096, against a budget of 4096^2
         monkeypatch.setattr(metrology, "ecs_vector", _unreached)
         with pytest.raises(_Unreached):
             ecs_lower_bound_numeric(EcsSpec(alpha=1.0, n_max=4095), 0.9)
@@ -689,6 +689,49 @@ class TestEcsNumeric:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("alpha_sq", [9.0, 100.0, 400.0])
+    def test_matches_closed_form_to_round_off(self, alpha_sq, eta):
+        # n_max 49, 210 and 610: the Kraus diagonals carry no error that grows
+        # with the photon number
+        spec = EcsSpec.for_alpha(math.sqrt(alpha_sq))
+        closed = ecs_lower_bound_closed(spec, eta).f_lower
+        assert_allclose(ecs_lower_bound_numeric(spec, eta), closed, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("eta", [0.3, 0.8])
+    def test_diagonals_end_at_the_top_kept_level(self, monkeypatch, eta):
+        # alpha = 1 puts <n|alpha> below the float range past n ~ 150, so the
+        # branch stops well short of n_max; the table of the full truncation,
+        # cut to the levels asked for, gives the same value bit for bit
+        spec = EcsSpec(alpha=1.0, n_max=400)
+        want = ecs_lower_bound_numeric(spec, eta)
+        full = metrology._kraus_diagonals
+        asked = []
+
+        def spy(top, transmissivity):
+            asked.append(top)
+            return full(spec.n_max, transmissivity)[: top + 1, : top + 1]
+
+        monkeypatch.setattr(metrology, "_kraus_diagonals", spy)
+        assert ecs_lower_bound_numeric(spec, eta) == want
+        top = np.flatnonzero(ecs_vector(spec)[: spec.n_max + 1]).max()
+        assert asked == [top] and top < spec.n_max
+
+    def test_wide_truncation_peaks_at_the_branch(self):
+        # the (n_max+1)^2 branch E is 134 MB at n_max = 4095, and E with its
+        # two boolean reach masks is 10 bytes per entry; a weight table of the
+        # full truncation would add 8 more (the peak was 436 MB)
+        spec = EcsSpec(alpha=1.0, n_max=4095)
+        entries = (spec.n_max + 1) ** 2
+        tracemalloc.start()
+        try:
+            value = ecs_lower_bound_numeric(spec, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_allclose(value, ecs_lower_bound_closed(spec, 0.7).f_lower, rtol=1e-13)
+        assert peak < 12 * entries
 
     @pytest.mark.parametrize("alpha_sq", [1.0, 9.0])
     def test_complex_alpha_takes_the_complex_path_to_the_same_bound(self, alpha_sq):
