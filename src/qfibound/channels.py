@@ -3,9 +3,9 @@
 The general phase-covariant qubit noise (noise composed with the encoding
 rotation, whose noiseless case is the rotation about z), short-time noise
 models, the entries of correlated dephasing on paired probes (as functions
-of their charges, for ``correlated_gram_max``), photon loss as its binomial
-loss weights (with their Kraus operators), and entangled-coherent-state
-preparation.  Every channel is a plain d^2 x d^2 complex array.
+of their charges, for ``correlated_gram_max``), photon loss as one table of
+its Kraus diagonals, and entangled-coherent-state preparation.  Every
+channel is a plain d^2 x d^2 complex array.
 
 All qubit superoperators use the row-major |mu><nu| Liouville convention of
 :mod:`.liouville`; the phase-covariant channel is the 4x4 matrix
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .liouville import _CHARGE, ChannelFamily, _check_trace_preserving, _whole_number
+from .liouville import MAX_DENSE_ROWS, require_budget
 
 #: Slack for complete-positivity checks; amplitude damping sits exactly on
 #: the boundary 1 + eta_par = sqrt(k^2 + 4 eta_perp^2).
@@ -287,40 +287,15 @@ def _correlated_derivative(alpha1, alpha2, omega1: float, omega2: float, gamma: 
 # photon loss
 
 
-def loss_weight_rows(n_max: int, eta: float, max_level: int) -> Iterator[np.ndarray]:
-    """Yield W[k, :max_level+1] for k = 0..n_max, where W[k, l] =
-    C(k, l) eta^{k-l} (1-eta)^l is the chance that k photons lose l (0 for l > k).
-
-    Each row follows from the last by W[k, l] = eta W[k-1, l] + (1-eta) W[k-1, l-1],
-    written as eta times the row plus (1-eta) times the row shifted one level
-    up, into one new array per row: no row yielded earlier is changed.  The
-    entries stay in [0, 1], so nothing overflows at any photon number.
-    """
-    row = np.eye(1, max_level + 1)[0]
-    for _ in range(n_max):
-        yield row
-        nxt = eta * row
-        nxt[1:] += (1.0 - eta) * row[:-1]
-        row = nxt
-    yield row
-
-
-def loss_weights(n_max: int, eta: float) -> np.ndarray:
-    """The (n_max+1)^2 matrix W of :func:`loss_weight_rows`, its rows written
-    in turn into one preallocated table."""
-    rows = loss_weight_rows(n_max, eta, n_max)
-    return np.fromiter(rows, np.dtype((float, n_max + 1)), count=n_max + 1)
-
-
 def _kraus_diagonals(n_max: int, eta: float) -> np.ndarray:
-    """The (n_max+1)^2 table D[i, l] = sqrt(W[i+l, l]) of :func:`loss_weights`,
-    the entry of K_l at output level i, and 0 past n_max.
+    """The (n_max+1)^2 table D[i, l] = sqrt(C(i+l, l) eta^i (1-eta)^l), the
+    entry of the loss Kraus operator K_l at output level i, and 0 past n_max.
 
     With p = max(eta, 1-eta), C(a+b, b) p^a (1-p)^b is p^a times the product
     of (a+j)(1-p)/j over j = 1..b: one cumulative product along b, transposed
     when eta < 1/2 (a then counts lost photons).  Each partial product is a
     probability, so nothing overflows, and the start p^a >= 2^-a is a float
-    up to n_max = 1023, every level the ECS factor budget admits.
+    up to n_max = 1023, past every level the loss budgets admit.
     """
     p = max(eta, 1.0 - eta)
     levels = np.arange(n_max + 1.0)
@@ -333,16 +308,17 @@ def _kraus_diagonals(n_max: int, eta: float) -> np.ndarray:
 
 
 def loss_kraus(n_max: int, eta: float) -> list[np.ndarray]:
-    """Kraus operators of the photon-loss channel on a truncated Fock space:
-    the operator view of :func:`loss_weights`.
-
-    K_l |k> = sqrt(C(k, l) eta^{k-l} (1-eta)^l) |k-l> for l <= k.  The set
-    {K_0, ..., K_{n_max}} is exactly complete on the truncated space.
+    """Kraus operators K_l |k> = sqrt(C(k, l) eta^{k-l} (1-eta)^l) |k-l>, l <= k,
+    of the photon-loss channel on a truncated Fock space: K_l carries column l
+    of :func:`_kraus_diagonals` on its l-th superdiagonal.  {K_0, ...,
+    K_{n_max}} is exactly complete on the truncated space, and its (n_max+1)^3
+    entries are held to MAX_DENSE_ROWS^2 (n_max <= 255).
     """
     _require_transmissivity(eta)
     n_max = _whole_number(n_max, "n_max", 0)
-    amplitudes = np.sqrt(loss_weights(n_max, eta))
-    return [np.diag(amplitudes[level:, level], k=level) for level in range(n_max + 1)]
+    require_budget((n_max + 1) ** 3, f"loss Kraus entries at n_max = {n_max}", MAX_DENSE_ROWS**2)
+    diagonals = _kraus_diagonals(n_max, eta)
+    return [np.diag(diagonals[: n_max + 1 - level, level], k=level) for level in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

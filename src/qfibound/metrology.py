@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,6 @@ from .channels import (
     _require_rate,
     _require_transmissivity,
     ecs_vector,
-    loss_weight_rows,
-    loss_weights,
 )
 from .errors import (
     IndexOutOfRange,
@@ -248,11 +247,41 @@ def precision_scaling(config: PrecisionConfig) -> ScalingResult:
 # lossy interferometer: optimal Fock superposition |N> + |m>
 
 
+def _gram_sweep(k_max: int, m_max: int, eta: float) -> Iterator[tuple[int, np.ndarray]]:
+    """S(k, m) = sum_l W[k, l] W[m, l], W[k, l] = C(k, l) eta^{k-l} (1-eta)^l,
+    on [0, k_max] x [0, m_max]: yields (lo, s) for d = 0, ..., k_max + m_max,
+    s[j] = S(lo + j, d - lo - j) on the anti-diagonal k + m = d, a view the
+    next step overwrites.  With E(k, m) = S(k, m) - eta S(k-1, m), S = eta
+    S(k-1, m) + E and E = eta E(k, m-1) + (1-eta)^2 S(k-1, m-1), from S(0, 0)
+    = E(0, 0) = 1 and zeros at negative indices: no coefficient is negative,
+    so nothing cancels.  An entry depends only on entries of smaller k and m,
+    so it takes the same bits in any rectangle that holds it.  Memory is
+    O(k_max); over MAX_DENSE_ROWS^2 entries raise DimensionBudgetExceeded.
+    """
+    require_budget((k_max + 1) * (m_max + 1), "interferometer Gram entries", MAX_DENSE_ROWS**2)
+    loss = (1.0 - eta) ** 2
+    # position k + 1 holds level k and position 0 the zero at k = -1; past a
+    # diagonal's top level nothing was written, which is the zero at m = -1
+    s_prev, s_old, e = np.zeros((3, k_max + 2))
+    s_prev[1] = e[1] = 1.0
+    yield 0, s_prev[1:2]
+    for d in range(1, k_max + m_max + 1):
+        lo, hi = max(0, d - m_max), min(d, k_max)
+        e_d, s_d = e[lo + 1 : hi + 2], s_old[lo + 1 : hi + 2]
+        e_d *= eta  # E keeps k, so it updates in place
+        e_d += loss * s_old[lo : hi + 1]
+        np.multiply(s_prev[lo : hi + 1], eta, out=s_d)  # S_d over S_{d-2}, now read
+        s_d += e_d
+        yield lo, s_d
+        s_prev, s_old = s_old, s_prev
+
+
 def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> float:
     """Gram diagonal for the |k><m| coherence under loss + phase encoding.
 
     (k - m)^2 sum_l C(k,l) C(m,l) eta^{k+m-2l} (1-eta)^{2l}; symmetric in
-    (k, m) and zero on the diagonal k = m.
+    (k, m) and zero on the diagonal k = m.  It is the last entry of
+    :func:`_gram_sweep` over [0, min(k, m)] x [0, max(k, m)].
     """
     n_photons = _whole_number(n_photons, "photon number", 1)
     _require_transmissivity(eta)
@@ -262,39 +291,32 @@ def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> floa
                 f"{name} = {idx} outside the Fock range 0..{n_photons}"
             )
     k, m = _whole_number(k, "k", 0), _whole_number(m, "m", 0)
-    low, high = sorted((k, m))
-    for level, row in enumerate(loss_weight_rows(high, eta, low)):
-        if level == low:
-            w_low = row
-    # the loop ends on row `high`; levels above `low` add nothing to the sum
-    return float((k - m) ** 2 * (row @ w_low))
+    for _, s in _gram_sweep(min(k, m), max(k, m), eta):
+        pass
+    return float((k - m) ** 2 * s[0])
 
 
 def interferometer_optimal_m(n_photons: int, eta: float) -> int:
     """Partner level m maximizing the Gram diagonal at k = N.
 
-    Scans m in {0, ..., N-1}; ties break toward smaller m.  An exhaustive
-    scan over all (k, m) pairs, in blocks of rows, double-checks that the
-    k = N row hosts the global maximum and emits :class:`MaxRowMismatch` if
-    it does not.  N + 1 > MAX_DENSE_ROWS raises DimensionBudgetExceeded.
+    Scans m in {0, ..., N-1}; ties break toward smaller m.  One
+    :func:`_gram_sweep` over [0, N]^2 reads the row as its mirror S(m, N),
+    bit for bit what :func:`interferometer_gram_diag` returns, and checks
+    every other (k, m) pair: a larger one emits :class:`MaxRowMismatch`.
     """
     n_photons = _whole_number(n_photons, "photon number", 1)
     _require_transmissivity(eta)
-    size = n_photons + 1
-    require_budget(size, f"loss-weight rows at N = {n_photons}")
-    w = loss_weights(n_photons, eta)
-    levels = np.arange(float(size))
-    step = max(1, 2**21 // size)  # blocks of at most 2^21 entries
-    global_max = 0.0
-    for start in range(0, size, step):
-        # the diagonal is symmetric: rows start..stop-1 need columns 0..stop-1
-        stop = min(start + step, size)
-        block = (levels[start:stop, None] - levels[:stop]) ** 2 * (w[start:stop] @ w[:stop].T)
-        global_max = max(global_max, float(np.max(block)))
-    # the last block ends on row k = N and spans every column
-    row = block[-1, :n_photons]
-    m_best = int(np.argmax(row))
-    row_max = float(row[m_best])
+    sweep = _gram_sweep(n_photons, n_photons, eta)
+    next(sweep)  # d = 0, at gap 0; the sweep's budget guard runs first
+    squared_gaps = np.arange(-n_photons, n_photons + 1.0) ** 2  # (k - m)^2 at k - m + N
+    diagonal_max, row = [0.0], []
+    for d, (lo, s) in enumerate(sweep, start=1):
+        gram = s * squared_gaps[2 * lo - d + n_photons :: 2][: s.size]  # k - m = 2k - d
+        diagonal_max.append(gram.max())
+        if d >= n_photons:
+            row.append(gram[0])  # (m, N) with m = d - N = lo
+    m_best = int(np.argmax(row[:n_photons]))
+    row_max, global_max = float(row[m_best]), float(max(diagonal_max))
     if global_max > row_max * (1.0 + 1e-12):
         warnings.warn(
             f"largest Gram diagonal {global_max:.6g} lies off the k = N row "
@@ -360,8 +382,8 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     acts on each arm independently (the symmetric-loss interferometer the
     closed form describes).  K_l is a shifted diagonal, so Kraus pair (l, r)
     maps the branch amplitudes E to D[i, l] D[k, r] E[i+l, k+r] at output
-    levels (i, k), where D[i, l] = sqrt(W[i+l, l]) is the entry of K_l at
-    level i (0 past n_max) and W = loss_weights.  The suffix-OR mask
+    levels (i, k), where D[i, l] = sqrt(C(i+l, l) eta^i (1-eta)^l) is the
+    entry of K_l at level i (0 past n_max).  The suffix-OR mask
     reach[i, k] = any(E nonzero on [i:, k:]) names both the surviving pairs
     and the rows where the Kraus-branch factor V of rho = V V^dag can be
     nonzero, so V is gathered as reachable rows x kept pairs ((2 n_max + 1)^2

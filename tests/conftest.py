@@ -4,7 +4,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
@@ -195,6 +195,45 @@ def correlated_dephasing_family(
         return _correlated_derivative(*alphas, omega_bar + omega2, omega2, gamma, t)
 
     return evaluate, derivative
+
+
+# ---------------------------------------------------------------------------
+# photon loss as its binomial weight table, from the row recurrence: the
+# oracle that the Kraus diagonals of ``channels._kraus_diagonals`` and the
+# anti-diagonal Gram sweep of ``metrology._gram_sweep`` (through W W^T) are
+# checked against
+
+
+def loss_weight_rows(n_max: int, eta: float, max_level: int) -> Iterator[np.ndarray]:
+    """Yield W[k, :max_level+1] for k = 0..n_max, where W[k, l] =
+    C(k, l) eta^{k-l} (1-eta)^l is the chance that k photons lose l (0 for l > k).
+
+    Each row follows from the last by W[k, l] = eta W[k-1, l] + (1-eta) W[k-1, l-1],
+    written as eta times the row plus (1-eta) times the row shifted one level
+    up, into one new array per row: no row yielded earlier is changed.  The
+    entries stay in [0, 1], so nothing overflows at any photon number.
+    """
+    row = np.eye(1, max_level + 1)[0]
+    for _ in range(n_max):
+        yield row
+        nxt = eta * row
+        nxt[1:] += (1.0 - eta) * row[:-1]
+        row = nxt
+    yield row
+
+
+def loss_weights(n_max: int, eta: float) -> np.ndarray:
+    """The (n_max+1)^2 matrix W of :func:`loss_weight_rows`, its rows written
+    in turn into one preallocated table."""
+    rows = loss_weight_rows(n_max, eta, n_max)
+    return np.fromiter(rows, np.dtype((float, n_max + 1)), count=n_max + 1)
+
+
+def recurrence_kraus(n_max: int, eta: float) -> list[np.ndarray]:
+    """The loss Kraus operators K_l |k> = sqrt(W[k, l]) |k-l>, from the
+    square root of :func:`loss_weights`."""
+    root = np.sqrt(loss_weights(n_max, eta))
+    return [np.diag(root[level:, level], k=level) for level in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ from conftest import (
     correlated_dephasing_diag,
     correlated_dephasing_family,
     devectorize,
+    loss_weight_rows,
+    loss_weights,
     random_cptp_params,
+    recurrence_kraus,
     vectorize,
 )
 from qfibound import channels
@@ -29,8 +32,6 @@ from qfibound.channels import (
     ShortTimeModel,
     ecs_vector,
     loss_kraus,
-    loss_weight_rows,
-    loss_weights,
     named_noise,
     params_at,
     phase_covariant_derivative,
@@ -364,10 +365,21 @@ class TestLossKraus:
         for op in ops[1:]:
             assert_allclose(op, 0.0, atol=1e-300)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [1, 49, 100])
+    def test_matches_the_recurrence(self, n, eta):
+        # the operators read off the Kraus diagonals against the root of the
+        # row recurrence, whose own error grows with n (to 1.4e-14 relative
+        # at n = 100, eta = 0.1)
+        for got, want in zip(loss_kraus(n, eta), recurrence_kraus(n, eta), strict=True):
+            assert_array_equal(got == 0.0, want == 0.0)
+            assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
 
 class TestLossWeights:
-    """Pins the one binomial recurrence behind loss_weights and the streaming
-    rows of interferometer_gram_diag."""
+    """Pins the tests' binomial row recurrence (``conftest.loss_weights``),
+    the oracle that the Kraus diagonals, the loss Kraus operators and the
+    interferometer's Gram sweep are checked against."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
     def test_binomial_closed_form(self, eta):

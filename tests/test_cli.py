@@ -180,6 +180,13 @@ class TestInterferometerCommand:
         assert main(["interferometer", "--N", "4096", "--eta-list", "0.9"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_probe_budget_refused_at_once(self, capsys):
+        # (500000 + 1)(1000000 + 1) Gram entries lie past the sweep's budget
+        start = time.perf_counter()
+        code = main(["interferometer", "--N", "1000000", "--k", "1000000", "--m", "500000"])
+        assert (code, time.perf_counter() - start < 1.0) == (3, True)
+        assert "budget" in capsys.readouterr().err
+
     def test_scan_mode_columns(self, capsys):
         assert main(["interferometer", "--N", "20", "--eta-list", "1.0"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
@@ -555,6 +562,15 @@ def test_bound_refuses_an_overflowing_time_before_the_channel(monkeypatch, capsy
     monkeypatch.setattr(cli, "channel_output", lambda *a: pytest.fail("channel built"))
     assert main(["bound", "--t", "1e308"]) == 2
     assert capsys.readouterr().err == "error: t = 1e+308 overflows the Gram scale N^2 t^2 at N = 1\n"
+
+
+@pytest.mark.parametrize("t", ["1e10", "1e15", "9223372036854775808", "1e150"])
+def test_bound_answers_at_a_large_time(capsys, t):
+    # the exact QFI of the unitary family is t^2 and the bound half of it;
+    # the oracle's allowance for round-off on the kernel grows with rho'
+    assert main(["bound", "--t", t]) == 0
+    row = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1]
+    assert row.split(",")[-1] == "0.5"
 
 
 _EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "9223372036854775808"]

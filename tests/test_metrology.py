@@ -4,13 +4,20 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import correlated_dephasing_family, ecs_lower_bound_practical, lower_bound_from_factor
-from qfibound import metrology
+from conftest import (
+    correlated_dephasing_family,
+    ecs_lower_bound_practical,
+    loss_weights,
+    lower_bound_from_factor,
+    recurrence_kraus,
+)
+from qfibound import channels, metrology
 from qfibound.bound import analytic_max_phase_covariant, lower_bound_from_state
 from qfibound.channels import (
     EXPONENTIAL_FORM,
@@ -33,7 +40,7 @@ from qfibound.errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from qfibound.liouville import ChannelFamily, gram_triple, superop_from_kraus
+from qfibound.liouville import ChannelFamily, gram_triple, require_budget, superop_from_kraus
 from qfibound.numerics import loglog_slope
 from qfibound.sampling import random_short_time_model
 from qfibound.metrology import (
@@ -322,21 +329,34 @@ class TestInterferometerOptimalM:
         assert all(b <= a for a, b in zip(ms, ms[1:]))
 
     def test_weight_budget_edge(self, monkeypatch):
-        # W is (N+1)^2: exactly 4096^2 entries at N = 4095
-        monkeypatch.setattr(metrology, "loss_weights", _unreached)
+        # the sweep charges (N+1)^2 Gram entries: exactly 4096^2 at N = 4095
+        def guard_then_stop(*args):
+            require_budget(*args)
+            raise _Unreached
+
+        monkeypatch.setattr(metrology, "require_budget", guard_then_stop)
         with pytest.raises(_Unreached):
             interferometer_optimal_m(4095, 0.9)
         with pytest.raises(DimensionBudgetExceeded):
             interferometer_optimal_m(4096, 0.9)
 
-    @pytest.mark.parametrize("k,m,printed", [(1300, 5, "1.67702e"), (1450, 5, "2.08802e")])
+    @pytest.mark.parametrize(
+        "k,m,printed", [(1300, 5, "1.67702e"), (1450, 5, "2.08802e"), (5, 1450, "2.08802e")]
+    )
     def test_off_row_maximum_found_in_any_block(self, monkeypatch, k, m, printed):
-        # at N = 1500 the diagonal is scanned in two blocks of rows, 0..1396
-        # and 1397..1500; the only nonzero entries off the k = N row are
-        # (k, m) and (m, k), worth (k - m)^2
-        w = np.zeros((1501, 1501))
-        w[k, 0] = w[m, 0] = 1.0
-        monkeypatch.setattr(metrology, "loss_weights", lambda n, eta: w)
+        # one entry S(k, m) off the k = N row set to 1 at N = 1500, worth
+        # (k - m)^2 where the true row maximum is 464; the patch is made on a
+        # copy, so it does not feed the recurrence
+        sweep = metrology._gram_sweep
+
+        def patched(*args):
+            for d, (lo, s) in enumerate(sweep(*args)):
+                if d == k + m:
+                    s = s.copy()
+                    s[k - lo] = 1.0
+                yield lo, s
+
+        monkeypatch.setattr(metrology, "_gram_sweep", patched)
         with pytest.warns(MaxRowMismatch, match=printed):
             interferometer_optimal_m(1500, 0.9)
 
@@ -345,6 +365,108 @@ class TestInterferometerOptimalM:
             warnings.simplefilter("error")
             for eta in (0.5, 0.75, 1.0):
                 interferometer_optimal_m(30, eta)
+
+
+def swept_gram(n, eta):
+    """The (N+1)^2 table S(k, m) of metrology._gram_sweep over [0, N]^2."""
+    got = np.full((n + 1, n + 1), np.nan)
+    for d, (lo, s) in enumerate(metrology._gram_sweep(n, n, eta)):
+        k = np.arange(lo, lo + s.size)
+        got[k, d - k] = s
+    return got
+
+
+def exact_gram(k, m, eta):
+    """S(k, m) = sum_l W[k, l] W[m, l] at a dyadic eta = a / 2^b, in integers:
+    the term C(k, l) C(m, l) a^{k+m-2l} (2^b - a)^{2l} over 2^{b(k+m)}, each
+    term read off the last one."""
+    a, scale = eta.numerator, eta.denominator
+    lost = scale - a
+    term = a ** (k + m)
+    total = 0
+    for l in range(min(k, m) + 1):
+        total += term
+        term = term * (k - l) * (m - l) * lost**2 // ((l + 1) ** 2 * a**2)
+    return Fraction(total, scale ** (k + m))
+
+
+class TestGramSweep:
+    """The anti-diagonal recurrence behind both interferometer functions,
+    against the dense W W^T of the row recurrence and exact rationals."""
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-6, 0.1, 0.5, 0.7, 0.999, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 150, 400, 1000])
+    def test_matches_dense_oracle(self, n, eta):
+        w = loss_weights(n, eta)
+        want = w @ w.T
+        got = swept_gram(n, eta)
+        # below 1e-290 both sides have lost digits to underflow
+        normal = want >= 1e-290
+        assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+        assert_allclose(got[~normal], want[~normal], rtol=0.0, atol=1e-290)
+        row = (n - np.arange(n)) ** 2 * want[n, :n]
+        assert interferometer_optimal_m(n, eta) == int(np.argmax(row))
+
+    @pytest.mark.parametrize(
+        "eta", [Fraction(1, 16), Fraction(1, 2), Fraction(3, 4), Fraction(1023, 1024), Fraction(8191, 8192)], ids=str
+    )
+    def test_row_is_exact_to_round_off(self, eta):
+        # the k = N row at N = 4095, read as S(m, N) the way
+        # interferometer_optimal_m reads it: the ends, the row maximum and
+        # its neighbours, and sampled levels; entries below 1e-290 are skipped
+        n = 4095
+        column = np.empty(n + 1)
+        for d, (lo, s) in enumerate(metrology._gram_sweep(n, n, float(eta))):
+            if d >= n:
+                column[d - n] = s[0]
+        best = int(np.argmax((n - np.arange(n)) ** 2 * column[:n]))
+        levels = {0, 1, n - 1, best, max(best - 1, 0), min(best + 1, n - 1)}
+        levels.update(np.random.default_rng(n).integers(0, n, size=2).tolist())
+        checked = 0
+        for m in sorted(levels):
+            want = exact_gram(n, m, eta)
+            if want < Fraction(1, 10**290):
+                continue
+            assert abs(column[m] - want) <= Fraction(1, 10**13) * want, m
+            checked += 1
+        assert checked >= 4
+
+    @pytest.mark.parametrize("eta", [0.5, 0.9])
+    def test_probes_read_the_scanned_row_bit_for_bit(self, eta):
+        # interferometer_gram_diag sweeps only [0, m] x [0, N], and S(m, N)
+        # takes the same bits there as in the [0, N]^2 sweep whose row
+        # interferometer_optimal_m ranks: the CLI prints the ranked value
+        n = 40
+        column = swept_gram(n, eta)[:, n]
+        probed = [interferometer_gram_diag(n, eta, n, m) for m in range(n)]
+        assert probed == ((n - np.arange(n)) ** 2 * column[:n]).tolist()
+        assert interferometer_optimal_m(n, eta) == probed.index(max(probed))
+
+    def test_memory_is_linear_in_n(self):
+        # a weight table and its W W^T blocks peaked at 71 MB at N = 2000
+        tracemalloc.start()
+        try:
+            interferometer_optimal_m(2000, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def test_loss_kraus_budget_edge(monkeypatch):
+    # the n_max + 1 operators hold (n_max+1)^3 entries: 256^3 = 4096^2 at
+    # n_max = 255, against a budget of 4096^2
+    monkeypatch.setattr(channels, "_kraus_diagonals", _unreached)
+    with pytest.raises(_Unreached):
+        loss_kraus(255, 0.9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetExceeded):
+            loss_kraus(256, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e3
 
 
 class TestWholeNumberArguments:
@@ -529,7 +651,7 @@ def ecs_factor(spec, eta):
     diag(K_l) diag(K_r)^T E[l:, r:] on the levels from (0, 0)."""
     dim = spec.n_max + 1
     branch = ecs_vector(spec).reshape(dim, dim)
-    shifts = [np.diagonal(k, offset=l) for l, k in enumerate(loss_kraus(spec.n_max, eta))]
+    shifts = [np.diagonal(k, offset=l) for l, k in enumerate(recurrence_kraus(spec.n_max, eta))]
     levels = np.arange(dim)
     columns, prime_columns = [], []
     for l in range(dim):
@@ -555,7 +677,7 @@ def ecs_numeric_dense(spec, eta, phi=0.0, psi=None):
     phase = np.exp(-1j * phi * levels)
     encoded = phase[:, None] * branch
     encoded_prime = (-1j * levels * phase)[:, None] * branch
-    kraus = loss_kraus(spec.n_max, eta)
+    kraus = recurrence_kraus(spec.n_max, eta)
     columns = []
     prime_columns = []
     for left in kraus:

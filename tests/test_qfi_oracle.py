@@ -76,6 +76,18 @@ class TestExactQfi:
         rho_prime[1, 2] = rho_prime[2, 1] = 0.1
         with pytest.raises(UnsupportedDerivative):
             exact_qfi(rho, rho_prime)
+        # a genuine kernel weight scales with rho', and so still exceeds the
+        # allowance scaled by ||rho'||_F
+        with pytest.raises(UnsupportedDerivative):
+            exact_qfi(rho, 1e12 * rho_prime)
+
+    @pytest.mark.parametrize("t", [1e10, 1e15, 2.0**63, 1e150])
+    def test_unitary_family_at_large_time(self, t):
+        # rho' = -i t [sz/2, rho] on |+><+|: its round-off on the kernel of
+        # rho grows with t (1.3e-7 at t = 1e10), and the QFI is t^2
+        sz_half = np.diag([0.5, -0.5])
+        rho_prime = -1j * t * (sz_half @ PLUS - PLUS @ sz_half)
+        assert_allclose(exact_qfi(PLUS.astype(complex), rho_prime).qfi, t * t, rtol=1e-12)
 
     def test_half_relation_against_bound(self, rng):
         for _ in range(5):
