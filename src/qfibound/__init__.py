@@ -64,6 +64,7 @@ _EXPORTS = {
         "ecs_practical_forms",
         "interferometer_gram_diag",
         "interferometer_optimal_m",
+        "interferometer_scan",
         "precision_scaling",
         "t_opt_numeric",
         "t_opt_paper",

@@ -53,7 +53,7 @@ from .metrology import (
     ecs_lower_bound_numeric,
     ecs_practical_forms,
     interferometer_gram_diag,
-    interferometer_optimal_m,
+    interferometer_scan,
     precision_scaling,
     t_opt_paper,
     tau_solve,
@@ -435,10 +435,8 @@ def _run_interferometer(opts: dict) -> tuple[dict, list[str], list[list]]:
         ]
         return meta, columns, rows
     columns = ["eta", "m_max", "gram_value"]
-    rows = []
-    for eta in opts["eta_list"]:
-        m_best = interferometer_optimal_m(n, eta)
-        rows.append([eta, m_best, interferometer_gram_diag(n, eta, n, m_best)])
+    scan = interferometer_scan(n, opts["eta_list"])
+    rows = [[eta, m_best, value] for eta, (m_best, value) in zip(opts["eta_list"], scan)]
     return meta, columns, rows
 
 

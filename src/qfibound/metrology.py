@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +55,13 @@ TAU_ETA_FLOOR = 0.01
 #: falls in the product rho = V V^dag, while V, its conjugate and rho
 #: coexist: 3.41, 3.40, 3.40 and 3.39 V.
 ECS_FACTOR_COPIES = 4
+
+#: Arrays of N + 2 entries per eta that interferometer_scan holds at its
+#: peak, charged to the sweep's budget: the sweep's three, the E update's
+#: product, the weighted diagonal and the ranked row.  tracemalloc puts it at
+#: 6.1 per eta for 22 etas at N = 4095, and at most 8.6 for fewer (4 etas at
+#: N = 1000), where the squared gaps and numpy's iterator buffers weigh too.
+INTERFEROMETER_SCAN_COPIES = 9
 
 
 @dataclass(frozen=True)
@@ -247,30 +254,38 @@ def precision_scaling(config: PrecisionConfig) -> ScalingResult:
 # lossy interferometer: optimal Fock superposition |N> + |m>
 
 
-def _gram_sweep(k_max: int, m_max: int, eta: float) -> Iterator[tuple[int, np.ndarray]]:
+def _gram_sweep(
+    k_max: int, m_max: int, eta: float | Sequence[float]
+) -> Iterator[tuple[int, np.ndarray]]:
     """S(k, m) = sum_l W[k, l] W[m, l], W[k, l] = C(k, l) eta^{k-l} (1-eta)^l,
     on [0, k_max] x [0, m_max]: yields (lo, s) for d = 0, ..., k_max + m_max,
-    s[j] = S(lo + j, d - lo - j) on the anti-diagonal k + m = d, a view the
-    next step overwrites.  With E(k, m) = S(k, m) - eta S(k-1, m), S = eta
+    s[..., j] = S(lo + j, d - lo - j) on the anti-diagonal k + m = d, a view
+    the next step overwrites; ``eta`` may be a scalar or a batch, which adds
+    its axes in front.  With E(k, m) = S(k, m) - eta S(k-1, m), S = eta
     S(k-1, m) + E and E = eta E(k, m-1) + (1-eta)^2 S(k-1, m-1), from S(0, 0)
     = E(0, 0) = 1 and zeros at negative indices: no coefficient is negative,
-    so nothing cancels.  An entry depends only on entries of smaller k and m,
-    so it takes the same bits in any rectangle that holds it.  Memory is
-    O(k_max); over MAX_DENSE_ROWS^2 entries raise DimensionBudgetExceeded.
+    so nothing cancels.  An entry depends only on its own eta and on entries
+    of smaller k and m, so it takes the same bits in any rectangle that holds
+    it and in any batch.  Over MAX_DENSE_ROWS^2 entries per eta, or
+    INTERFEROMETER_SCAN_COPIES arrays of k_max + 2 entries per eta in all,
+    raise DimensionBudgetExceeded before any array exists.
     """
     require_budget((k_max + 1) * (m_max + 1), "interferometer Gram entries", MAX_DENSE_ROWS**2)
+    eta = np.asarray(eta, float)[..., None]
+    held = INTERFEROMETER_SCAN_COPIES * eta.size * (k_max + 2)
+    require_budget(held, f"scan entries for {eta.size} transmissivities", MAX_DENSE_ROWS**2)
     loss = (1.0 - eta) ** 2
     # position k + 1 holds level k and position 0 the zero at k = -1; past a
     # diagonal's top level nothing was written, which is the zero at m = -1
-    s_prev, s_old, e = np.zeros((3, k_max + 2))
-    s_prev[1] = e[1] = 1.0
-    yield 0, s_prev[1:2]
+    s_prev, s_old, e = np.zeros((3, *eta.shape[:-1], k_max + 2))
+    s_prev[..., 1] = e[..., 1] = 1.0
+    yield 0, s_prev[..., 1:2]
     for d in range(1, k_max + m_max + 1):
         lo, hi = max(0, d - m_max), min(d, k_max)
-        e_d, s_d = e[lo + 1 : hi + 2], s_old[lo + 1 : hi + 2]
+        e_d, s_d = e[..., lo + 1 : hi + 2], s_old[..., lo + 1 : hi + 2]
         e_d *= eta  # E keeps k, so it updates in place
-        e_d += loss * s_old[lo : hi + 1]
-        np.multiply(s_prev[lo : hi + 1], eta, out=s_d)  # S_d over S_{d-2}, now read
+        e_d += loss * s_old[..., lo : hi + 1]
+        np.multiply(s_prev[..., lo : hi + 1], eta, out=s_d)  # S_d over S_{d-2}, now read
         s_d += e_d
         yield lo, s_d
         s_prev, s_old = s_old, s_prev
@@ -296,35 +311,44 @@ def interferometer_gram_diag(n_photons: int, eta: float, k: int, m: int) -> floa
     return float((k - m) ** 2 * s[0])
 
 
-def interferometer_optimal_m(n_photons: int, eta: float) -> int:
-    """Partner level m maximizing the Gram diagonal at k = N.
+def interferometer_scan(n_photons: int, etas: Sequence[float]) -> list[tuple[int, float]]:
+    """(m, Gram diagonal) of the best partner m of k = N, for each eta.
 
     Scans m in {0, ..., N-1}; ties break toward smaller m.  One
-    :func:`_gram_sweep` over [0, N]^2 reads the row as its mirror S(m, N),
-    bit for bit what :func:`interferometer_gram_diag` returns, and checks
-    every other (k, m) pair: a larger one emits :class:`MaxRowMismatch`.
+    :func:`_gram_sweep` over [0, N]^2 serves every eta: it reads the row as
+    its mirror S(m, N), bit for bit what :func:`interferometer_gram_diag`
+    returns, and checks every other (k, m) pair, where a larger one emits a
+    :class:`MaxRowMismatch` naming its eta.
     """
     n_photons = _whole_number(n_photons, "photon number", 1)
-    _require_transmissivity(eta)
-    sweep = _gram_sweep(n_photons, n_photons, eta)
-    next(sweep)  # d = 0, at gap 0; the sweep's budget guard runs first
+    for eta in etas:
+        _require_transmissivity(eta)
+    sweep = _gram_sweep(n_photons, n_photons, etas)
+    next(sweep)  # d = 0, at gap 0; the sweep's budget guards run first
     squared_gaps = np.arange(-n_photons, n_photons + 1.0) ** 2  # (k - m)^2 at k - m + N
-    diagonal_max, row = [0.0], []
+    global_max, row = np.zeros(len(etas)), np.empty((len(etas), n_photons))
     for d, (lo, s) in enumerate(sweep, start=1):
-        gram = s * squared_gaps[2 * lo - d + n_photons :: 2][: s.size]  # k - m = 2k - d
-        diagonal_max.append(gram.max())
-        if d >= n_photons:
-            row.append(gram[0])  # (m, N) with m = d - N = lo
-    m_best = int(np.argmax(row[:n_photons]))
-    row_max, global_max = float(row[m_best]), float(max(diagonal_max))
-    if global_max > row_max * (1.0 + 1e-12):
-        warnings.warn(
-            f"largest Gram diagonal {global_max:.6g} lies off the k = N row "
-            f"(row maximum {row_max:.6g}) for N = {n_photons}, eta = {eta:g}",
-            MaxRowMismatch,
-            stacklevel=2,
-        )
-    return m_best
+        gram = s * squared_gaps[2 * lo - d + n_photons :: 2][: s.shape[-1]]  # k - m = 2k - d
+        np.maximum(global_max, gram.max(axis=-1), out=global_max)
+        if n_photons <= d < 2 * n_photons:
+            row[:, d - n_photons] = gram[:, 0]  # (m, N) with m = d - N = lo
+    best = row.argmax(axis=-1)
+    scan = [(int(m), float(row[i, m])) for i, m in enumerate(best)]
+    for eta, (_, row_max), top in zip(etas, scan, global_max.tolist()):
+        if top > row_max * (1.0 + 1e-12):
+            warnings.warn(
+                f"largest Gram diagonal {top:.6g} lies off the k = N row "
+                f"(row maximum {row_max:.6g}) for N = {n_photons}, eta = {eta:g}",
+                MaxRowMismatch,
+                stacklevel=2,
+            )
+    return scan
+
+
+def interferometer_optimal_m(n_photons: int, eta: float) -> int:
+    """Partner level m maximizing the Gram diagonal at k = N: the m of
+    :func:`interferometer_scan` for the one transmissivity ``eta``."""
+    return interferometer_scan(n_photons, [eta])[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,7 @@ def test_criterion_14_additivity_and_subadditivity():
         ),
         ("ecs.csv", ["ecs", "--alpha-sq-list", "1,2", "--eta-list", "0.9,1.0"]),
         ("verify.json", ["verify"]),
+        ("interferometer_300.csv", ["interferometer", "--N", "300"]),
     ],
 )
 def test_criterion_15_golden_files(tmp_path, golden_check, name, argv):

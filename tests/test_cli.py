@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qfibound import cli
+from qfibound import cli, metrology
 from qfibound.cli import main, render_csv, render_json
 from qfibound.verify import VERIFY_REPORT_SCHEMA
 
@@ -179,6 +179,30 @@ class TestInterferometerCommand:
     def test_weight_budget_maps_to_exit_3(self, capsys):
         assert main(["interferometer", "--N", "4096", "--eta-list", "0.9"]) == 3
         assert "budget" in capsys.readouterr().err
+        assert main(["interferometer", "--N", "4096"]) == 3
+        assert "budget" in capsys.readouterr().err
+
+    def test_long_eta_list_refused_at_once(self, capsys):
+        # 456 etas at N = 4095 pass the per-eta charge but not the batch's
+        start = time.perf_counter()
+        code = main(["interferometer", "--N", "4095", "--eta-list", ",".join(["0.9"] * 456)])
+        assert (code, time.perf_counter() - start < 1.0) == (3, True)
+        assert "456 transmissivities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("etas", [["--eta-list", "0.9"], ["--eta-list", "0.5,0.8,1.0"], []])
+    def test_scan_sweeps_once(self, monkeypatch, capsys, etas):
+        # one sweep of [0, N]^2 answers every eta; no probe recomputes a value
+        calls = []
+        sweep = metrology._gram_sweep
+
+        def spy(*args):
+            calls.append(args[:2])
+            return sweep(*args)
+
+        monkeypatch.setattr(metrology, "_gram_sweep", spy)
+        monkeypatch.setattr(cli, "interferometer_gram_diag", lambda *a: pytest.fail("probed"))
+        assert main(["interferometer", "--N", "20", *etas]) == 0
+        assert calls == [(20, 20)]
 
     def test_probe_budget_refused_at_once(self, capsys):
         # (500000 + 1)(1000000 + 1) Gram entries lie past the sweep's budget
@@ -575,6 +599,9 @@ def test_bound_answers_at_a_large_time(capsys, t):
 
 _EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "9223372036854775808"]
 _NUMERIC = (cli.number, cli.integer, cli.number_list, cli.integer_list)
+#: the config-file spelling of the non-finite edge values: Python's json
+#: reads these literals as floats
+_JSON_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _companions(command, key):
@@ -585,28 +612,47 @@ def _companions(command, key):
     return ["--oracle"] if command == "ecs" else []
 
 
+def _spellings(tmp_path, key, convert, value):
+    """The edge value as a flag and as a config file, a list option's value
+    as a one-item list."""
+    literal = _JSON_LITERALS.get(value, value)
+    if convert in (cli.number_list, cli.integer_list):
+        literal = f"[{literal}]"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {literal}}}')
+    return [f"--{key}={value}"], ["--config", str(cfg)]
+
+
 @pytest.mark.parametrize(
     "command,key",
-    [(c, k) for c, (_, table) in cli._COMMANDS.items() for k, entry in table.items() if entry[1] in _NUMERIC],
+    [
+        (c, k)
+        for c, (_, table) in cli._COMMANDS.items()
+        for k, entry in {**table, **cli._GLOBAL_OPTIONS}.items()
+        if entry[1] in _NUMERIC
+    ],
 )
-def test_exit_contract_under_edge_values(command, key):
-    # each numeric option at each edge value, in-process: exit 0, 2 or
-    # 3 and never 1; stderr empty or an error line (argparse's own refusal
-    # ends in one) with no traceback and no warning; a success prints no
-    # non-finite value; and a huge count stops at a guard, not by running
+def test_exit_contract_under_edge_values(tmp_path, command, key):
+    # each numeric option at each edge value, on a flag and in a config
+    # file, in-process: exit 0, 2 or 3 and never 1; stderr empty or an error
+    # line (argparse's own refusal ends in one) with no traceback and no
+    # warning; a success prints no non-finite value; and a huge count stops
+    # at a guard, not by running
+    convert = {**cli._COMMANDS[command][1], **cli._GLOBAL_OPTIONS}[key][1]
     for value in _EDGE_VALUES:
-        start = time.perf_counter()
-        code, out, err, caught = _run_recording([command, f"--{key}={value}", *_companions(command, key)])
-        case = f"{command} --{key}={value}: exit {code}, stderr {err!r}"
-        assert time.perf_counter() - start < 2.0, case
-        assert code in (0, 2, 3) and caught == [], (case, caught)
-        assert "Traceback" not in err, case
-        if err.startswith("usage:"):  # argparse refused the flag
-            assert code == 2 and f"error: argument --{key}: " in err.splitlines()[-1], case
-        else:
-            assert (err == "") if code == 0 else err.startswith("error: "), case
-        if code == 0:
-            assert not {"nan", "inf", "-inf"} & set(re.split(r"[\s,=]+", out.lower())), case
+        for spelling in _spellings(tmp_path, key, convert, value):
+            start = time.perf_counter()
+            code, out, err, caught = _run_recording([command, *spelling, *_companions(command, key)])
+            case = f"{command} {' '.join(spelling)} ({key}={value}): exit {code}, stderr {err!r}"
+            assert time.perf_counter() - start < 2.0, case
+            assert code in (0, 2, 3) and caught == [], (case, caught)
+            assert "Traceback" not in err, case
+            if err.startswith("usage:"):  # argparse refused the flag
+                assert code == 2 and f"error: argument --{key}: " in err.splitlines()[-1], case
+            else:
+                assert (err == "") if code == 0 else err.startswith("error: "), case
+            if code == 0:
+                assert not {"nan", "inf", "-inf"} & set(re.split(r"[\s,=]+", out.lower())), case
 
 
 class TestRenderers:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -40,7 +41,13 @@ from qfibound.errors import (
     RangeViolation,
     TruncationInsufficient,
 )
-from qfibound.liouville import ChannelFamily, gram_triple, require_budget, superop_from_kraus
+from qfibound.liouville import (
+    MAX_DENSE_ROWS,
+    ChannelFamily,
+    gram_triple,
+    require_budget,
+    superop_from_kraus,
+)
 from qfibound.numerics import loglog_slope
 from qfibound.sampling import random_short_time_model
 from qfibound.metrology import (
@@ -50,8 +57,10 @@ from qfibound.metrology import (
     ecs_lower_bound_closed,
     ecs_lower_bound_numeric,
     ecs_practical_forms,
+    INTERFEROMETER_SCAN_COPIES,
     interferometer_gram_diag,
     interferometer_optimal_m,
+    interferometer_scan,
     precision_scaling,
     t_opt_numeric,
     t_opt_paper,
@@ -353,7 +362,7 @@ class TestInterferometerOptimalM:
             for d, (lo, s) in enumerate(sweep(*args)):
                 if d == k + m:
                     s = s.copy()
-                    s[k - lo] = 1.0
+                    s[..., k - lo] = 1.0
                 yield lo, s
 
         monkeypatch.setattr(metrology, "_gram_sweep", patched)
@@ -365,6 +374,97 @@ class TestInterferometerOptimalM:
             warnings.simplefilter("error")
             for eta in (0.5, 0.75, 1.0):
                 interferometer_optimal_m(30, eta)
+
+
+DEFAULT_ETAS = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
+
+
+class TestInterferometerScan:
+    """One sweep answers a whole table of transmissivities."""
+
+    @pytest.mark.parametrize(
+        "etas",
+        [[0.0], [1.0], [0.5], [0.9, 0.5, 0.9, 0.9], DEFAULT_ETAS],
+        ids=["zero", "one", "half", "duplicates", "defaults"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 20, 300, 1000])
+    def test_matches_the_per_eta_pair_bit_for_bit(self, n, etas):
+        # the batch reads the same bits as a sweep of each eta alone, and
+        # prints what a probe of the ranked entry returns
+        want = []
+        for eta in etas:
+            m = interferometer_optimal_m(n, eta)
+            want.append((m, interferometer_gram_diag(n, eta, n, m)))
+        assert interferometer_scan(n, etas) == want
+
+    def test_empty_table(self):
+        assert interferometer_scan(20, []) == []
+
+    def test_refuses_a_bad_eta_before_sweeping(self, monkeypatch):
+        monkeypatch.setattr(metrology, "_gram_sweep", _unreached)
+        with pytest.raises(RangeViolation, match="transmissivity"):
+            interferometer_scan(20, [0.9, 1.5])
+
+    def test_off_row_warning_names_its_eta(self, monkeypatch):
+        # S(190, 5) set to 1 for the middle eta only, worth 185^2 where every
+        # row maximum at N = 200 is below 2000
+        sweep = metrology._gram_sweep
+
+        def patched(*args):
+            for d, (lo, s) in enumerate(sweep(*args)):
+                if d == 195:
+                    s = s.copy()
+                    s[1, 190 - lo] = 1.0
+                yield lo, s
+
+        monkeypatch.setattr(metrology, "_gram_sweep", patched)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            interferometer_scan(200, [0.6, 0.8, 0.95])
+        assert [w.category for w in caught] == [MaxRowMismatch]
+        assert str(caught[0].message).endswith("for N = 200, eta = 0.8")
+        assert "34225" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+    def test_memory_is_linear_in_the_eta_count(self):
+        # the sweep charges INTERFEROMETER_SCAN_COPIES arrays of N + 2 entries
+        # per eta, and the measured peak stays under that charge.  Each added
+        # eta costs the same six arrays once the batch outgrows the 8192
+        # entries of numpy's iterator buffer (9 etas at N = 1000); below it,
+        # the broadcast products buffer a part of their operands as well
+        peaks = []
+        for n, count in ((1000, 1), (1000, 9), (1000, 10), (1000, 11), (2000, 11)):
+            tracemalloc.start()
+            try:
+                interferometer_scan(n, DEFAULT_ETAS[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] <= INTERFEROMETER_SCAN_COPIES * 8 * count * (n + 2), (n, count)
+        assert_allclose(peaks[3] - peaks[2], peaks[2] - peaks[1], rtol=0.05)
+        assert peaks[-1] < 2e6
+
+    def test_batch_budget_edge(self, monkeypatch):
+        # at N = 4095 the batch charge admits 455 etas and refuses 456, before
+        # any array exists and before any eta is swept
+        n = 4095
+        most = MAX_DENSE_ROWS**2 // (INTERFEROMETER_SCAN_COPIES * (n + 2))
+        assert most == 455
+        with monkeypatch.context() as patch:
+            patch.setattr(metrology.np, "zeros", _unreached)
+            with pytest.raises(_Unreached):
+                interferometer_scan(n, [0.9] * most)
+        etas = [0.9] * (most + 1)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionBudgetExceeded, match="456 transmissivities"):
+                interferometer_scan(n, etas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 64e3
 
 
 def swept_gram(n, eta):
