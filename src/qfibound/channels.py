@@ -295,15 +295,19 @@ def _kraus_diagonals(n_max: int, eta: float) -> np.ndarray:
     of (a+j)(1-p)/j over j = 1..b: one cumulative product along b, transposed
     when eta < 1/2 (a then counts lost photons).  Each partial product is a
     probability, so nothing overflows, and the start p^a >= 2^-a is a float
-    up to n_max = 1023, past every level the loss budgets admit.
+    up to n_max = 1023, past every level the loss budgets admit.  Row a >= 1
+    takes a zero ratio at b = n_max + 1 - a, so the product itself writes
+    the zeros past n_max.  Every step writes into the one table, whose
+    transpose is a view: the call's peak is that table.
     """
     p = max(eta, 1.0 - eta)
     levels = np.arange(n_max + 1.0)
     table = np.empty((n_max + 1, n_max + 1))
     table[:, 0] = p**levels
-    table[:, 1:] = (levels[:, None] + levels[1:]) * ((1.0 - p) / levels[1:])
+    ratios = np.add.outer(levels, levels[1:], out=table[:, 1:])
+    ratios *= (1.0 - p) / levels[1:]
+    np.fill_diagonal(table[1:, ::-1], 0.0)  # a + b = n_max + 1
     amp = np.sqrt(np.cumprod(table, axis=1, out=table), out=table)
-    amp[np.tri(n_max + 1, k=-1, dtype=bool)[:, ::-1]] = 0.0  # a + b > n_max
     return amp if eta >= 0.5 else amp.T
 
 
@@ -354,14 +358,16 @@ class EcsSpec:
 
     def coherent_amplitudes(self) -> np.ndarray:
         """Fock amplitudes <n|alpha> for n = 0..n_max: float64 when alpha has
-        no imaginary part, complex128 otherwise."""
+        no imaginary part, complex128 otherwise.  The recurrence runs on
+        numpy scalars of that dtype and the array is made once, at the end."""
         alpha = complex(self.alpha)
         alpha = alpha.real if alpha.imag == 0.0 else alpha
-        amps = np.zeros(self.n_max + 1, dtype=type(alpha))
-        amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+        amp = np.dtype(type(alpha)).type(math.exp(-abs(alpha) ** 2 / 2.0))
+        amps = [amp]
         for n in range(1, self.n_max + 1):
-            amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-        return amps
+            amp = amp * alpha / math.sqrt(n)
+            amps.append(amp)
+        return np.array(amps)
 
     def tail_mass(self) -> float:
         """Probability of the coherent branch beyond the truncation."""
@@ -388,16 +394,16 @@ def _tail_mass(amps: np.ndarray) -> float:
 def ecs_vector(spec: EcsSpec) -> np.ndarray:
     """Two-mode state vector of the ECS in the kron(|n_a>, |n_b>) basis.
 
-    Only the 2 n_max + 1 entries of |alpha, 0> + |0, alpha> are written:
-    mode a's branch on column n_b = 0, mode b's on row n_a = 0.  The
-    coherent amplitudes are computed once, for the truncation check and
+    Only the 2 n_max + 1 entries of N_alpha (|alpha, 0> + |0, alpha>) are
+    written: mode a's branch on column n_b = 0, mode b's on row n_a = 0.
+    The coherent amplitudes are computed once, for the truncation check and
     the state, whose dtype they set: float64 for a real alpha, complex128
-    otherwise.
+    otherwise.  They are scaled by N_alpha before they are written; the
+    shared entry at n_a = n_b = 0 is then their double, which is exact.
     """
-    c = spec.require_truncation()
+    c = spec.require_truncation() * spec.norm_const
     dim = c.size
     psi = np.zeros(dim * dim, dtype=c.dtype)
     psi[::dim] = c
     psi[:dim] += c
-    psi *= spec.norm_const
     return psi

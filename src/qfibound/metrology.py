@@ -320,6 +320,13 @@ def interferometer_scan(n_photons: int, etas: Sequence[float]) -> list[tuple[int
     returns, and checks every other (k, m) pair, where a larger one emits a
     :class:`MaxRowMismatch` naming its eta.
     """
+    return _scan(n_photons, etas)
+
+
+def _scan(n_photons: int, etas: Sequence[float]) -> list[tuple[int, float]]:
+    """The body of :func:`interferometer_scan`.  Both public entry points
+    call it directly, so ``stacklevel=3`` attributes a
+    :class:`MaxRowMismatch` to the line that called either of them."""
     n_photons = _whole_number(n_photons, "photon number", 1)
     for eta in etas:
         _require_transmissivity(eta)
@@ -340,7 +347,7 @@ def interferometer_scan(n_photons: int, etas: Sequence[float]) -> list[tuple[int
                 f"largest Gram diagonal {top:.6g} lies off the k = N row "
                 f"(row maximum {row_max:.6g}) for N = {n_photons}, eta = {eta:g}",
                 MaxRowMismatch,
-                stacklevel=2,
+                stacklevel=3,
             )
     return scan
 
@@ -348,7 +355,7 @@ def interferometer_scan(n_photons: int, etas: Sequence[float]) -> list[tuple[int
 def interferometer_optimal_m(n_photons: int, eta: float) -> int:
     """Partner level m maximizing the Gram diagonal at k = N: the m of
     :func:`interferometer_scan` for the one transmissivity ``eta``."""
-    return interferometer_scan(n_photons, [eta])[0][0]
+    return _scan(n_photons, [eta])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +418,11 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     reach[i, k] = any(E nonzero on [i:, k:]) names both the surviving pairs
     and the rows where the Kraus-branch factor V of rho = V V^dag can be
     nonzero, so V is gathered as reachable rows x kept pairs ((2 n_max + 1)^2
-    entries for the ECS): E at the sum of the two flat indices, times two
-    outer gathers of D.  D is built per call, one cumulative product of
-    binomial ratios, only up to the highest kept level: E is 0 past it.
+    entries for the ECS): E at the sum of the two flat indices, times the
+    weights D[i, l] D[k, r], each factor a gather of D's rows at the kept
+    levels and then of their columns at the same levels.  D is built per
+    call, one cumulative product of binomial ratios, only up to the highest
+    kept level: E is 0 past it.
 
     V takes the dtype of E, which is real for a real alpha: then the gather,
     rho = V V^T (a symmetric product) and |rho_jk|^2 = rho_jk^2 all run in
@@ -449,8 +458,8 @@ def ecs_lower_bound_numeric(spec: EcsSpec, eta: float, phi: float = 0.0) -> floa
     kept_a, kept_b = np.divmod(kept, dim)
     # D of the docstring up to the top kept level, past which E is 0
     diagonal = _kraus_diagonals(max(kept_a.max(), kept_b.max()), eta)
-    weight = diagonal[np.ix_(kept_a, kept_a)]
-    weight *= diagonal[np.ix_(kept_b, kept_b)]
+    weight = diagonal[kept_a].take(kept_a, axis=1)
+    weight *= diagonal[kept_b].take(kept_b, axis=1)
     # E at (i + l, k + r) has the flat index (i, k) + (l, r); where a level
     # lies past n_max the weight is 0, so the index, clipped into range, may
     # read any entry

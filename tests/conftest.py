@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import re
@@ -234,6 +235,91 @@ def recurrence_kraus(n_max: int, eta: float) -> list[np.ndarray]:
     square root of :func:`loss_weights`."""
     root = np.sqrt(loss_weights(n_max, eta))
     return [np.diag(root[level:, level], k=level) for level in range(n_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the ECS oracle built the way it was before it built only what the bound
+# reads: the loss table zeroed past n_max by a boolean mask, the amplitude
+# recurrence indexed into an array, the state normalized after it is
+# written, and the weights as outer ``np.ix_`` gathers.  The package's
+# versions are held to these bit for bit.
+
+
+#: The alphas of the bit-for-bit checks: each |alpha|^2 of the list, once
+#: as a real alpha and once at phase 0.7, which takes the complex path.
+ECS_GRID_ALPHAS = [
+    alpha
+    for mean in (0.5, 1.0, 2.0, 3.0, 4.0, 9.0, 16.0, 100.0, 400.0)
+    for alpha in (math.sqrt(mean), cmath.rect(math.sqrt(mean), 0.7))
+]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """The same shape, dtype and bytes: signed zeros and NaN payloads too."""
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def masked_kraus_diagonals(n_max: int, eta: float) -> np.ndarray:
+    """``channels._kraus_diagonals``, with a + b > n_max zeroed by a mask
+    after the cumulative product."""
+    p = max(eta, 1.0 - eta)
+    levels = np.arange(n_max + 1.0)
+    table = np.empty((n_max + 1, n_max + 1))
+    table[:, 0] = p**levels
+    table[:, 1:] = (levels[:, None] + levels[1:]) * ((1.0 - p) / levels[1:])
+    amp = np.sqrt(np.cumprod(table, axis=1, out=table), out=table)
+    amp[np.tri(n_max + 1, k=-1, dtype=bool)[:, ::-1]] = 0.0  # a + b > n_max
+    return amp if eta >= 0.5 else amp.T
+
+
+def indexed_coherent_amplitudes(spec: EcsSpec) -> np.ndarray:
+    """``EcsSpec.coherent_amplitudes``, each step read from and written to
+    the array."""
+    alpha = complex(spec.alpha)
+    alpha = alpha.real if alpha.imag == 0.0 else alpha
+    amps = np.zeros(spec.n_max + 1, dtype=type(alpha))
+    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, spec.n_max + 1):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    return amps
+
+
+def normalized_ecs_vector(spec: EcsSpec) -> np.ndarray:
+    """``channels.ecs_vector``, with N_alpha applied to the whole vector
+    once both branches are written."""
+    c = indexed_coherent_amplitudes(spec)
+    dim = c.size
+    psi = np.zeros(dim * dim, dtype=c.dtype)
+    psi[::dim] = c
+    psi[:dim] += c
+    psi *= spec.norm_const
+    return psi
+
+
+def outer_gather_ecs_bound(spec: EcsSpec, eta: float) -> float:
+    """``metrology.ecs_lower_bound_numeric`` on the three constructions
+    above, with the weights as two outer gathers of D; without its budget
+    and trace checks."""
+    dim = spec.n_max + 1
+    branch = normalized_ecs_vector(spec).reshape(dim, dim)
+    reach = np.logical_or.accumulate(branch[::-1] != 0, axis=0)[::-1]
+    reach = np.logical_or.accumulate(reach[:, ::-1], axis=1)[:, ::-1]
+    kept = np.flatnonzero(reach)
+    kept_a, kept_b = np.divmod(kept, dim)
+    diagonal = masked_kraus_diagonals(max(kept_a.max(), kept_b.max()), eta)
+    weight = diagonal[np.ix_(kept_a, kept_a)]
+    weight *= diagonal[np.ix_(kept_b, kept_b)]
+    v = branch.take(kept[:, None] + kept, mode="clip")
+    v *= weight
+    rho = v @ v.conj().T
+    abs_sq = (rho * rho.conj()).real
+    purity = float(abs_sq.sum())
+    gap = kept_a[:, None] - kept_a.astype(float)
+    abs_sq *= gap
+    overlap = complex(0.0, -float(abs_sq.sum()))
+    abs_sq *= gap
+    return _bound_from_products(float(abs_sq.sum()), overlap, purity).f_lower
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import conftest
 from conftest import (
+    ECS_GRID_ALPHAS,
+    assert_same_bits,
     correlated_alphas,
     correlated_dephasing_diag,
     correlated_dephasing_family,
     devectorize,
+    indexed_coherent_amplitudes,
     loss_weight_rows,
     loss_weights,
+    masked_kraus_diagonals,
+    normalized_ecs_vector,
     random_cptp_params,
     recurrence_kraus,
     vectorize,
@@ -443,6 +448,26 @@ class TestLossWeights:
         assert checked >= 200
         assert worst <= 1e-14
 
+    @pytest.mark.parametrize("eta", [0.0, 1e-9, 0.1, 0.3, 0.5, 0.5000001, 0.7, 0.9, 1.0 - 1e-12, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 49, 610, 1023])
+    def test_amplitude_table_is_the_masked_table_bit_for_bit(self, n, eta):
+        # the zero ratio that ends each row writes the same zeros past n_max
+        # as the mask did, on both sides of eta = 1/2 (the transposed table)
+        assert_same_bits(channels._kraus_diagonals(n, eta), masked_kraus_diagonals(n, eta))
+
+    @pytest.mark.parametrize("eta", [0.3, 0.7])
+    def test_amplitude_table_peaks_at_one_table(self, eta):
+        # every step writes into the one table, and the transpose is a view;
+        # the masked table peaked at 3.01 tables
+        tracemalloc.start()
+        try:
+            table = channels._kraus_diagonals(1023, eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (1024, 1024)
+        assert peak < 1.2 * table.nbytes
+
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
     def test_gram_diag_matches_table(self, eta):
         for n in range(1, 41):
@@ -508,6 +533,15 @@ class TestEcsSpec:
         spec = EcsSpec.for_alpha(alpha)
         assert spec.coherent_amplitudes().dtype == dtype
         assert ecs_vector(spec).dtype == dtype
+
+    @pytest.mark.parametrize("alpha", ECS_GRID_ALPHAS, ids=str)
+    def test_amplitudes_and_vector_keep_their_bits(self, alpha):
+        # scalars collected into one array, and N_alpha applied to the 2 n_max
+        # + 1 amplitudes, against the array-indexed recurrence and the whole
+        # vector normalized afterwards
+        spec = EcsSpec.for_alpha(alpha)
+        assert_same_bits(spec.coherent_amplitudes(), indexed_coherent_amplitudes(spec))
+        assert_same_bits(ecs_vector(spec), normalized_ecs_vector(spec))
 
     def test_vector_is_normalized(self):
         psi = ecs_vector(EcsSpec.for_alpha(math.sqrt(2.0)))

@@ -12,10 +12,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
+    ECS_GRID_ALPHAS,
     correlated_dephasing_family,
     ecs_lower_bound_practical,
     loss_weights,
     lower_bound_from_factor,
+    outer_gather_ecs_bound,
     recurrence_kraus,
 )
 from qfibound import channels, metrology
@@ -368,6 +370,26 @@ class TestInterferometerOptimalM:
         monkeypatch.setattr(metrology, "_gram_sweep", patched)
         with pytest.warns(MaxRowMismatch, match=printed):
             interferometer_optimal_m(1500, 0.9)
+
+    @pytest.mark.parametrize(
+        "entry,etas", [(interferometer_optimal_m, 0.9), (interferometer_scan, [0.9])], ids=["optimal_m", "scan"]
+    )
+    def test_off_row_warning_names_the_caller(self, monkeypatch, entry, etas):
+        # S(39, 0) set to 1 at N = 40, worth 39^2 where the row maximum is
+        # below 100; either entry point attributes the warning to this file
+        sweep = metrology._gram_sweep
+
+        def patched(*args):
+            for d, (lo, s) in enumerate(sweep(*args)):
+                if d == 39:
+                    s = s.copy()
+                    s[..., 39 - lo] = 1.0
+                yield lo, s
+
+        monkeypatch.setattr(metrology, "_gram_sweep", patched)
+        with pytest.warns(MaxRowMismatch, match="1521") as caught:
+            entry(40, etas)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_no_off_row_warning_in_working_range(self):
         with warnings.catch_warnings():
@@ -920,6 +942,16 @@ class TestEcsNumeric:
         spec = EcsSpec.for_alpha(math.sqrt(alpha_sq))
         closed = ecs_lower_bound_closed(spec, eta).f_lower
         assert_allclose(ecs_lower_bound_numeric(spec, eta), closed, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 0.83, 1.0])
+    @pytest.mark.parametrize("alpha", ECS_GRID_ALPHAS, ids=str)
+    def test_matches_the_outer_gather_bit_for_bit(self, alpha, eta):
+        # row gathers of D, the in-place table and the amplitudes scaled
+        # before they are written, against the outer np.ix_ gathers of the
+        # masked table on the vector normalized afterwards; eta = 0 and 0.1
+        # read the transposed table
+        spec = EcsSpec.for_alpha(alpha)
+        assert ecs_lower_bound_numeric(spec, eta) == outer_gather_ecs_bound(spec, eta)
 
     @pytest.mark.parametrize("eta", [0.3, 0.8])
     def test_diagonals_end_at_the_top_kept_level(self, monkeypatch, eta):
