@@ -1,12 +1,15 @@
 """Command-line front end: bound tables, scaling sweeps, interferometer
 scans, ECS evaluation, and the self-verification report.
 
-Output is plot-ready CSV (default) or JSON.  Every run echoes its effective
-parameters into the output metadata, floats print with 12 significant
-digits, and identical flags + seed produce byte-identical bytes, with one
-exception: each ``max_violation`` in the ``verify`` report is measured
-floating-point round-off, whose digits can differ with the BLAS build and
-its thread count.  It is gated by its tolerance, not reproduced.
+Output is plot-ready CSV (default) or JSON.  A run's metadata is the
+command, the seed, and every option of its subcommand that is set and is not
+a list, except the values a row prints (``bound``'s ``N``, ``t`` and
+``eta-perp``), so ``--k``/``--m`` and ``--n-max`` appear only when given.
+Floats print with 12 significant digits, and identical flags + seed produce
+byte-identical bytes, with one exception: each ``max_violation`` in the
+``verify`` report is measured floating-point round-off, whose digits can
+differ with the BLAS build and its thread count.  It is gated by its
+tolerance, not reproduced.
 
 Each subcommand's options are declared once, in a table of kebab-case key
 -> (default, converter, help).  The same table builds the argparse flags
@@ -323,6 +326,18 @@ def _model_from_opts(opts: dict) -> ShortTimeModel:
     )
 
 
+def _echo(command: str, opts: dict, printed: tuple[str, ...] = ()) -> dict:
+    """A run's metadata: the command, the seed, and every option of the
+    subcommand that is set and is not a list, except those in ``printed``,
+    whose values the rows carry."""
+    meta = {"command": command, "seed": opts["seed"]}
+    for key in _COMMANDS[command][1]:
+        value = opts[key.replace("-", "_")]
+        if value is not None and not isinstance(value, list) and key not in printed:
+            meta[key] = value
+    return meta
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -363,18 +378,7 @@ def _run_bound(opts: dict) -> tuple[dict, list[str], list[list]]:
     result = lower_bound_from_state(rho, rho_prime)
     f_exact = exact_qfi(rho, rho_prime).qfi
     ratio = result.f_lower / f_exact if f_exact > 1e-300 else None
-    meta = {
-        "command": "bound",
-        "channel": channel,
-        "gamma": opts["gamma"],
-        "k": opts["k"],
-        "eta-par": opts["eta_par"],
-        "theta": opts["theta"],
-        "omega": omega,
-        "state": state_arg,
-        "seed": opts["seed"],
-        "purity": result.purity,
-    }
+    meta = {**_echo("bound", opts, printed=("N", "t", "eta-perp")), "purity": result.purity}
     columns = ["N", "t", "eta_perp", "f_lower", "f_exact", "ratio"]
     rows = [[n, t, eta_perp, result.f_lower, f_exact, ratio]]
     return meta, columns, rows
@@ -398,16 +402,7 @@ def _run_sweep(opts: dict) -> tuple[dict, list[str], list[list]]:
             ]
         )
     meta = {
-        "command": "sweep",
-        "alpha-perp": model.alpha_perp,
-        "beta-perp": model.beta_perp,
-        "alpha-par": model.alpha_par,
-        "beta-par": model.beta_par,
-        "alpha-k": model.alpha_k,
-        "beta-k": model.beta_k,
-        "form": opts["form"],
-        "T": opts["T"],
-        "seed": opts["seed"],
+        **_echo("sweep", opts),
         "predicted-exponent": scaling.predicted_exponent,
         "c-lower": scaling.c_lower,
     }
@@ -424,10 +419,8 @@ def _run_interferometer(opts: dict) -> tuple[dict, list[str], list[list]]:
     probe_k, probe_m = opts["k"], opts["m"]
     if (probe_k is None) != (probe_m is None):
         raise _UsageError("--k and --m must be supplied together")
-    meta = {"command": "interferometer", "N": n, "seed": opts["seed"]}
+    meta = _echo("interferometer", opts)
     if probe_k is not None:
-        meta["k"] = probe_k
-        meta["m"] = probe_m
         columns = ["eta", "k", "m", "gram_value"]
         rows = [
             [eta, probe_k, probe_m, interferometer_gram_diag(n, eta, probe_k, probe_m)]
@@ -444,14 +437,7 @@ def _run_ecs(opts: dict) -> tuple[dict, list[str], list[list]]:
     oracle = opts["oracle"]
     phi = opts["phi"]
     n_max = opts["n_max"]
-    meta = {
-        "command": "ecs",
-        "oracle": oracle,
-        "phi": phi,
-        "seed": opts["seed"],
-    }
-    if n_max is not None:
-        meta["n-max"] = n_max
+    meta = _echo("ecs", opts)
     columns = [
         "alpha_sq",
         "eta",

@@ -173,17 +173,19 @@ def tau_solve(model: ShortTimeModel, n_probes: int) -> float:
 
     t_upper = _eta_horizon(model)
     # The root scales like 1/N, so the grid must resolve many decades below
-    # the horizon; a geometric grid gives ~40 points per decade.
-    grid = np.geomspace(1e-12 * t_upper, t_upper, TAU_GRID_POINTS + 1)
-    values = np.array([gap(t) for t in grid])
-    signs = np.sign(values)
-    flips = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
-    if flips.size == 0:
-        raise NoRoot(
-            f"crossover equation at N = {n_probes} has no sign change on (0, {t_upper:.6g}]"
-        )
-    i = int(flips[-1])
-    return solve_root_bisect(gap, float(grid[i]), float(grid[i + 1]), tol=1e-13 * float(grid[i + 1]))
+    # the horizon; a geometric grid gives ~40 points per decade.  The scan
+    # walks down from the horizon and stops at the rightmost bracket whose
+    # signs multiply to <= 0: an exact zero counts, a NaN never does.
+    grid = np.geomspace(1e-12 * t_upper, t_upper, TAU_GRID_POINTS + 1).tolist()
+    hi, g_hi = grid[-1], gap(grid[-1])
+    for lo in reversed(grid[:-1]):
+        g_lo = gap(lo)
+        if g_lo <= 0.0 <= g_hi or g_hi <= 0.0 <= g_lo:
+            return solve_root_bisect(gap, lo, hi, tol=1e-13 * hi)
+        hi, g_hi = lo, g_lo
+    raise NoRoot(
+        f"crossover equation at N = {n_probes} has no sign change on (0, {t_upper:.6g}]"
+    )
 
 
 def t_opt_numeric(model: ShortTimeModel, n_probes: int) -> float:

@@ -14,6 +14,7 @@ from qfibound.bound import STATE_TOL, BoundResult, _bound_from_products, _check_
 from qfibound.channels import (
     EcsSpec,
     NoiseParams,
+    ShortTimeModel,
     _correlated_derivative,
     _correlated_phase,
     _require_rate,
@@ -24,13 +25,21 @@ from qfibound.errors import (
     DimensionMismatch,
     InvalidState,
     NegativeSpectrum,
+    NoRoot,
     NonSquare,
     NonTraceless,
     RangeViolation,
 )
 from qfibound.liouville import require_budget
-from qfibound.metrology import ecs_practical_forms
-from qfibound.numerics import PSD_CLIP_RTOL, _hermiticity_defect, _peak, _scaled, herm_eig
+from qfibound.metrology import TAU_GRID_POINTS, _eta_horizon, ecs_practical_forms
+from qfibound.numerics import (
+    PSD_CLIP_RTOL,
+    _hermiticity_defect,
+    _peak,
+    _scaled,
+    herm_eig,
+    solve_root_bisect,
+)
 from qfibound.sampling import random_short_time_model
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,6 +154,38 @@ def finite_diff(family, x: float, h: float = 1e-6) -> np.ndarray:
     """Central difference (Phi(x+h) - Phi(x-h)) / 2h of a channel family:
     the oracle that every analytic ``derivative`` is checked against."""
     return (family.evaluate(x + h) - family.evaluate(x - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# the crossover time from the signs of the whole grid: the oracle that the
+# scan of ``metrology.tau_solve``, which walks down from the horizon and stops
+# at the first bracket, is held to with ==
+
+
+def full_grid_tau(model: ShortTimeModel, n_probes: int) -> float:
+    """``metrology.tau_solve`` for a whole ``n_probes`` >= 1: the crossover
+    gap at every point of the geometric grid, and the last pair whose
+    ``np.sign`` values multiply to <= 0 bisected."""
+    if n_probes == 1:
+        return (model.alpha_perp * n_probes) ** (-1.0 / model.beta_perp)
+    ratio = 2 * n_probes**2 / (n_probes - 1) ** 2
+
+    def gap(t: float) -> float:
+        eta_perp = model.eta_perp_at(t)
+        eta_par = model.eta_par_at(t)
+        k = model.k_at(t)
+        s = 1.0 + k * k + eta_par * eta_par
+        disc = s * s - 4.0 * eta_par * eta_par
+        return ratio * eta_perp * eta_perp - (s + math.sqrt(max(disc, 0.0)))
+
+    t_upper = _eta_horizon(model)
+    grid = np.geomspace(1e-12 * t_upper, t_upper, TAU_GRID_POINTS + 1)
+    signs = np.sign(np.array([gap(t) for t in grid]))
+    flips = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
+    if flips.size == 0:
+        raise NoRoot(f"no sign change at N = {n_probes}")
+    i = int(flips[-1])
+    return solve_root_bisect(gap, float(grid[i]), float(grid[i + 1]), tol=1e-13 * float(grid[i + 1]))
 
 
 # ---------------------------------------------------------------------------

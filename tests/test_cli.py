@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from qfibound import cli, metrology
+from qfibound.bound import ghz_state
 from qfibound.cli import main, render_csv, render_json
 from qfibound.verify import VERIFY_REPORT_SCHEMA
 
@@ -382,6 +383,36 @@ SAMPLES = {
 }
 
 
+#: (subcommand, flag texts): every scalar option a case sets, at a value
+#: other than its default.  A boolean flag takes no text.  "STATE" stands for
+#: a .npy file of the two-probe GHZ state.
+ECHO_CASES = {
+    "bound": ("bound", {
+        "channel": "custom", "gamma": "0.1", "k": "0.1", "eta-par": "0.5",
+        "eta-perp": "0.6", "theta": "0.3", "N": "2", "t": "0.7", "omega": "0.1",
+        "state": "STATE",
+    }),
+    "sweep": ("sweep", {
+        "alpha-perp": "0.4", "beta-perp": "1.5", "alpha-par": "0.2", "beta-par": "1.5",
+        "alpha-k": "0.1", "beta-k": "1.5", "form": "truncated", "N-list": "2,4,8", "T": "3",
+    }),
+    "interferometer": ("interferometer", {"N": "12", "eta-list": "0.8,0.9"}),
+    "interferometer-probe": ("interferometer", {"N": "12", "k": "3", "m": "1"}),
+    "ecs": ("ecs", {"alpha-sq-list": "1,2", "eta-list": "0.9", "oracle": None, "phi": "0.5"}),
+    "ecs-n-max": ("ecs", {"alpha-sq-list": "1", "oracle": None, "phi": "0.5", "n-max": "40"}),
+}
+
+#: The options a row prints instead of the metadata, each in the column of
+#: its own name; and the metadata keys a runner computes.
+ROW_OPTIONS = {"bound": {"N", "t", "eta-perp"}}
+COMPUTED_KEYS = {
+    "bound": {"purity"},
+    "sweep": {"predicted-exponent", "c-lower", "slope"},
+    "interferometer": set(),
+    "ecs": set(),
+}
+
+
 def resolve(argv):
     return cli._resolve_options(cli._build_parser().parse_args(argv))
 
@@ -418,6 +449,46 @@ class TestOptionTables:
         assert flags == PINNED_FLAGS[command]
         assert all(a.help for a in sub._actions)
         assert all(a.default is None for a in sub._actions if a.dest != "help")
+
+    @pytest.mark.parametrize("command", sorted(COMPUTED_KEYS))
+    def test_echo_cases_set_every_scalar_option(self, command):
+        given = {}
+        for case_command, flags in ECHO_CASES.values():
+            if case_command == command:
+                given.update(flags)
+        for key, (default, convert, _) in cli._COMMANDS[command][1].items():
+            if convert not in (cli.number_list, cli.integer_list):
+                assert key in given, f"no echo case sets --{key}"
+                value = True if given[key] is None else convert(given[key])
+                assert value != default, f"--{key} is set to its default"
+
+    @pytest.mark.parametrize("case", sorted(ECHO_CASES))
+    def test_metadata_echoes_exactly_the_scalar_options(self, tmp_path, capsys, case):
+        command, flags = ECHO_CASES[case]
+        table = cli._COMMANDS[command][1]
+        state = tmp_path / "ghz.npy"
+        np.save(state, ghz_state(2))
+        flags = {key: str(state) if text == "STATE" else text for key, text in flags.items()}
+        argv = [command, "--seed", "7", "--format", "json"]
+        for key, text in flags.items():
+            argv += [f"--{key}"] if text is None else [f"--{key}", text]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        meta, row = out["meta"], out["rows"][0]
+
+        echoed = {"command": command, "seed": 7}
+        for key, text in flags.items():
+            value = True if text is None else table[key][1](text)
+            if isinstance(value, list):
+                assert key not in meta
+            elif key in ROW_OPTIONS.get(command, ()):
+                assert key not in meta
+                assert row[out["columns"].index(key.replace("-", "_"))] == value
+            else:
+                echoed[key] = value
+        computed = {key: meta.pop(key) for key in COMPUTED_KEYS[command]}
+        assert meta == echoed
+        assert all(isinstance(v, float) for v in computed.values())
 
     @pytest.mark.parametrize("command,key,entry", table_entries())
     def test_flag_and_config_agree(self, tmp_path, capsys, command, key, entry):

@@ -15,6 +15,7 @@ from conftest import (
     ECS_GRID_ALPHAS,
     correlated_dephasing_family,
     ecs_lower_bound_practical,
+    full_grid_tau,
     loss_weights,
     lower_bound_from_factor,
     outer_gather_ecs_bound,
@@ -140,6 +141,44 @@ class TestTauSolve:
         model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
         with pytest.raises(ValueError):
             tau_solve(model, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64, 128, 256, 512, 1024, 10**6, 10**15])
+    def test_scan_from_the_horizon_equals_the_full_grid(self, n):
+        # seeded draws, the sweep's default model and two truncated laws; at
+        # N = 10**15 the crossover precedes the grid and both raise NoRoot
+        rng = np.random.default_rng(36)
+        models = [random_short_time_model(rng) for _ in range(16)] + [
+            ShortTimeModel(alpha_perp=0.5, beta_perp=1.0, form=EXPONENTIAL_FORM),
+            ShortTimeModel(alpha_perp=0.5, beta_perp=1.0),
+            ShortTimeModel(alpha_perp=1.2, beta_perp=2.0, alpha_par=0.3, alpha_k=0.2),
+        ]
+        for model in models:
+            try:
+                want = full_grid_tau(model, n)
+            except NoRoot:
+                with pytest.raises(NoRoot):
+                    tau_solve(model, n)
+                continue
+            assert tau_solve(model, n) == want, model
+
+    @pytest.mark.parametrize("above", [0.25, math.nan])
+    def test_zero_gap_is_a_sign_change_and_nan_is_not(self, monkeypatch, above):
+        # at N = 2 with eta_par = 1 and k = 0 the gap is 8 eta_perp^2 - 2: a
+        # band of grid points where eta_perp = 1/2 gives exact zeros
+        model = ShortTimeModel(alpha_perp=0.5, beta_perp=1.0)
+        horizon = metrology._eta_horizon(model)
+        lo, hi = 1e-3 * horizon, 1e-2 * horizon
+        monkeypatch.setattr(
+            ShortTimeModel,
+            "eta_perp_at",
+            lambda self, t: 1.0 if t < lo else 0.5 if t < hi else above,
+        )
+        grid = np.geomspace(1e-12 * horizon, horizon, metrology.TAU_GRID_POINTS + 1)
+        zeros = grid[(grid >= lo) & (grid < hi)]
+        # a zero next to a negative gap brackets the root at the zero; next to
+        # NaN it does not, and the last pair of zeros is the bracket instead
+        want = zeros[-2] if math.isnan(above) else zeros[-1]
+        assert tau_solve(model, 2) == full_grid_tau(model, 2) == want
 
 
 def _cost(model, n, t):
